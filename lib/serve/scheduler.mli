@@ -76,7 +76,9 @@ type t = {
 val build : config -> clients:Page.t array array -> t
 (** Run the admission simulation to completion (every client stream
     exhausted, every queue empty).  O(total requests + rounds x
-    shards) time, engine-free.
+    shards) time, engine-free.  Memory is a few words per request (its
+    route, its shard's [pages] and [waits] slots, the batch log);
+    nothing is sized by [queue_cap].
 
     Order guarantee, relied on by the differential test harness: with
     one client — or with several whose streams never stall — each

@@ -205,11 +205,11 @@ let engine_codec =
 
 let fingerprint config ~costs trace =
   let sched = config.sched in
-  let pages = Buffer.create (4 * Trace.length trace) in
-  for pos = 0 to Trace.length trace - 1 do
-    Buffer.add_string pages (string_of_int (Page.pack (Trace.request trace pos)));
-    Buffer.add_char pages ','
-  done;
+  (* the hash of the packed pages rendered "p0,p1,...,pn," *)
+  let trace_hash =
+    Ccache_util.Prng.hash_decimals (Trace.length trace) (fun pos ->
+        Page.pack (Trace.request trace pos))
+  in
   Printf.sprintf
     "serve-v1 router=%s shards=%d k=%d batch=%d cap=%d overload=%s rate=%d \
      clients=%d policy=%s costs=%s users=%d requests=%d trace=%Lx"
@@ -220,8 +220,7 @@ let fingerprint config ~costs trace =
     sched.Scheduler.client_rate config.clients
     (Policy.name config.policy)
     (String.concat "," (Array.to_list (Array.map Cf.name costs)))
-    (Trace.n_users trace) (Trace.length trace)
-    (Ccache_util.Prng.hash_string (Buffer.contents pages))
+    (Trace.n_users trace) (Trace.length trace) trace_hash
 
 type supervised = {
   outcome : result option;

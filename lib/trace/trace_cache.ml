@@ -20,18 +20,11 @@ let dir : string option ref = ref None
 let set_dir d = dir := d
 let current_dir () = !dir
 
-(* FNV-1a, 64-bit — stable across runs and processes, unlike
-   [Hashtbl.hash] which the lint rules also frown on for keys that
-   reach the filesystem. *)
-let fnv64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
-let key_of_fingerprint fp = Printf.sprintf "%016Lx" (fnv64 fp)
+(* FNV-1a-64 is stable across runs and processes, unlike [Hashtbl.hash]
+   which the lint rules also frown on for keys that reach the
+   filesystem. *)
+let key_of_fingerprint fp =
+  Printf.sprintf "%016Lx" (Ccache_util.Prng.hash_string fp)
 
 let read_all path =
   let ic = open_in_bin path in

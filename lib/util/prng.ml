@@ -28,13 +28,45 @@ let split t =
 
 (* FNV-1a, 64-bit: a deterministic, platform-independent string hash
    (Hashtbl.hash is unspecified across versions, so it would break the
-   bit-reproducibility contract). *)
+   bit-reproducibility contract).  Both hashes below keep the
+   accumulator in a local loop variable, which ocamlopt holds unboxed;
+   captured by a closure it would box one Int64 per byte. *)
+let fnv_offset = 0xCBF29CE484222325L
+
+let[@inline] fnv_step h c =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L
+
 let hash_string s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
+  let h = ref fnv_offset in
+  for i = 0 to String.length s - 1 do
+    h := fnv_step !h (String.unsafe_get s i)
+  done;
+  !h
+
+let hash_decimals n f =
+  (* 20 bytes: the longest rendering is min_int's sign and 19 digits *)
+  let buf = Bytes.create 20 in
+  (* digits come from the non-positive side, so min_int cannot overflow *)
+  let digit r = Char.unsafe_chr (48 - (r mod 10)) in
+  let h = ref fnv_offset in
+  for i = 0 to n - 1 do
+    let v = f i in
+    let r = ref (if v < 0 then v else -v) and k = ref 19 in
+    Bytes.unsafe_set buf 19 (digit !r);
+    while !r <= -10 do
+      r := !r / 10;
+      decr k;
+      Bytes.unsafe_set buf !k (digit !r)
+    done;
+    if v < 0 then begin
+      decr k;
+      Bytes.unsafe_set buf !k '-'
+    end;
+    for j = !k to 19 do
+      h := fnv_step !h (Bytes.unsafe_get buf j)
+    done;
+    h := fnv_step !h ','
+  done;
   !h
 
 (** [derive ~seed ~key] keys a fresh stream on [(seed, key)] alone — no

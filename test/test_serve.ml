@@ -187,6 +187,191 @@ let prop_single_client_order =
           = Array.to_list (pages_of subs.(ss.Scheduler.shard)))
         s.Scheduler.shards)
 
+(* The reference scheduler: the list/[Queue] implementation the flat
+   array [Scheduler.build] replaced, kept verbatim in behaviour as the
+   oracle for every field of the plan. *)
+module Reference = struct
+  type shard_state = {
+    queue : (Page.t * int) Queue.t;
+    mutable drained : Page.t list;
+    mutable drained_waits : int list;
+    mutable batch_log : (int * int) list;
+    mutable s_rejected : int;
+    mutable s_max_depth : int;
+    mutable s_depth_sum : int;
+  }
+
+  let build (config : Scheduler.config) ~clients =
+    let n_shards = Router.shards config.Scheduler.router in
+    let shards =
+      Array.init n_shards (fun _ ->
+          {
+            queue = Queue.create ();
+            drained = [];
+            drained_waits = [];
+            batch_log = [];
+            s_rejected = 0;
+            s_max_depth = 0;
+            s_depth_sum = 0;
+          })
+    in
+    let n_clients = Array.length clients in
+    let cursors = Array.make n_clients 0 in
+    let admitted = ref 0 and rejected = ref 0 and stalls = ref 0 in
+    let remaining_clients () =
+      let any = ref false in
+      Array.iteri
+        (fun c cur -> if cur < Array.length clients.(c) then any := true)
+        cursors;
+      !any
+    in
+    let queued () =
+      Array.exists (fun s -> not (Queue.is_empty s.queue)) shards
+    in
+    let round = ref 0 in
+    while remaining_clients () || queued () do
+      for c = 0 to n_clients - 1 do
+        let stream = clients.(c) in
+        let budget = ref config.Scheduler.client_rate in
+        let stalled = ref false in
+        while
+          (not !stalled) && !budget > 0 && cursors.(c) < Array.length stream
+        do
+          let page = stream.(cursors.(c)) in
+          let s = shards.(Router.route config.Scheduler.router page) in
+          if Queue.length s.queue < config.Scheduler.queue_cap then begin
+            Queue.push (page, !round) s.queue;
+            incr admitted;
+            if Queue.length s.queue > s.s_max_depth then
+              s.s_max_depth <- Queue.length s.queue;
+            cursors.(c) <- cursors.(c) + 1;
+            decr budget
+          end
+          else
+            match config.Scheduler.overload with
+            | Scheduler.Block ->
+                stalled := true;
+                incr stalls
+            | Scheduler.Reject ->
+                s.s_rejected <- s.s_rejected + 1;
+                incr rejected;
+                cursors.(c) <- cursors.(c) + 1;
+                decr budget
+        done
+      done;
+      Array.iter
+        (fun s ->
+          let n = min config.Scheduler.batch (Queue.length s.queue) in
+          if n > 0 then begin
+            for _ = 1 to n do
+              let page, submitted = Queue.pop s.queue in
+              s.drained <- page :: s.drained;
+              s.drained_waits <- (!round - submitted) :: s.drained_waits
+            done;
+            s.batch_log <- (!round, n) :: s.batch_log
+          end;
+          s.s_depth_sum <- s.s_depth_sum + Queue.length s.queue)
+        shards;
+      incr round
+    done;
+    {
+      Scheduler.config;
+      rounds = !round;
+      shards =
+        Array.mapi
+          (fun i s ->
+            {
+              Scheduler.shard = i;
+              pages = Array.of_list (List.rev s.drained);
+              batches = Array.of_list (List.rev s.batch_log);
+              waits = Array.of_list (List.rev s.drained_waits);
+              rejected = s.s_rejected;
+              max_depth = s.s_max_depth;
+              depth_sum = s.s_depth_sum;
+            })
+          shards;
+      admitted = !admitted;
+      rejected = !rejected;
+      stalls = !stalls;
+    }
+
+  let clients_of_trace ~clients trace =
+    let streams = Array.make clients [] in
+    for pos = Trace.length trace - 1 downto 0 do
+      let c = pos mod clients in
+      streams.(c) <- Trace.request trace pos :: streams.(c)
+    done;
+    Array.map Array.of_list streams
+end
+
+let oracle_n_users = 4
+
+(* Config knobs and raw client streams: 1-6 clients of 0-12 requests
+   each (so some runs have more clients than requests), page or tenant
+   routing, both overload modes, queue_cap anywhere in [1, max_int]. *)
+let oracle_gen =
+  let open QCheck.Gen in
+  let page =
+    map2
+      (fun user id -> Page.make ~user ~id)
+      (int_bound (oracle_n_users - 1))
+      (int_bound 20)
+  in
+  let router =
+    oneof
+      [
+        map (fun shards -> Router.by_page ~shards) (int_range 1 5);
+        int_range 1 4 >>= fun shards ->
+        map
+          (fun assignment ->
+            Router.by_tenant ~assignment:(Array.of_list assignment) ~shards
+              ~n_users:oracle_n_users ())
+          (list_repeat oracle_n_users (int_bound (shards - 1)));
+      ]
+  in
+  let queue_cap =
+    frequency
+      [ (6, int_range 1 8); (1, int_range 9 max_int); (1, return max_int) ]
+  in
+  let config =
+    map3
+      (fun (router, overload) (batch, queue_cap) client_rate ->
+        Scheduler.config ~overload ~client_rate ~router ~batch ~queue_cap ())
+      (pair router (oneofl [ Scheduler.Block; Scheduler.Reject ]))
+      (pair (int_range 1 8) queue_cap)
+      (int_range 1 8)
+  in
+  pair config
+    (int_range 1 6 >>= fun n ->
+     array_repeat n (array_size (int_bound 12) page))
+
+let print_oracle_case ((cfg : Scheduler.config), clients) =
+  Printf.sprintf
+    "router=%s shards=%d overload=%s batch=%d cap=%d rate=%d streams=[%s]"
+    (Router.name cfg.Scheduler.router)
+    (Router.shards cfg.Scheduler.router)
+    (Scheduler.overload_name cfg.Scheduler.overload)
+    cfg.Scheduler.batch cfg.Scheduler.queue_cap cfg.Scheduler.client_rate
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun s ->
+               String.concat "," (Array.to_list (Array.map Page.to_string s)))
+             clients)))
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"build = reference scheduler, every field" ~count:500
+    (QCheck.make ~print:print_oracle_case oracle_gen) (fun (cfg, clients) ->
+      Scheduler.build cfg ~clients = Reference.build cfg ~clients)
+
+let prop_clients_of_trace_matches_reference =
+  QCheck.Test.make ~name:"clients_of_trace = reference dealing" ~count:200
+    QCheck.(pair (int_range 1 6) (int_range 0 30))
+    (fun (clients, length) ->
+      let t = workload ~seed:length ~tenants:2 ~length in
+      Scheduler.clients_of_trace ~clients t
+      = Reference.clients_of_trace ~clients t)
+
 (* ------------------------------------------------------------------ *)
 (* Differential replay: sharded service vs independent engines         *)
 (* ------------------------------------------------------------------ *)
@@ -372,6 +557,115 @@ let test_fingerprint_sensitivity () =
   checkb "batch changes it" true (fp <> Service.fingerprint (config 4) ~costs t);
   checkb "trace changes it" true (fp <> Service.fingerprint (config 8) ~costs t');
   checkb "single line" true (not (String.contains fp '\n'))
+
+(* Checkpoints written by earlier builds carry this string: it must not
+   move.  The literals are what the list-and-Buffer implementation
+   printed; the second trace holds page 0 and the largest packed page. *)
+let test_fingerprint_golden () =
+  let config =
+    Service.config ~batch:8 ~router:(Router.by_page ~shards:2) ~shard_k:4 ()
+  in
+  let costs = costs_of 2 in
+  Alcotest.(check string)
+    "zipf trace"
+    "serve-v1 router=page shards=2 k=4 batch=8 cap=64 overload=block rate=1 \
+     clients=1 policy=alg-discrete-fast costs=x^2,x^2 users=2 requests=100 \
+     trace=d3fcd617e3415153"
+    (Service.fingerprint config ~costs
+       (workload ~seed:11 ~tenants:2 ~length:100));
+  let top = Page.make ~user:((1 lsl 24) - 1) ~id:((1 lsl 38) - 1) in
+  let extremes =
+    Trace.of_pages ~n_users:(1 lsl 24)
+      [| Page.make ~user:0 ~id:0; top; Page.make ~user:3 ~id:77; top |]
+  in
+  Alcotest.(check string)
+    "page 0 and the largest packed page"
+    "serve-v1 router=page shards=2 k=4 batch=8 cap=64 overload=block rate=1 \
+     clients=1 policy=alg-discrete-fast costs=x^2,x^2 users=16777216 \
+     requests=4 trace=8a162ac45e2bf25a"
+    (Service.fingerprint config ~costs extremes)
+
+let joined_decimals ints =
+  String.concat "" (List.map (fun v -> string_of_int v ^ ",") ints)
+
+let prop_hash_decimals =
+  QCheck.Test.make ~name:"hash_decimals = hash_string of the joined digits"
+    ~count:300
+    QCheck.(
+      list
+        (oneof [ int; small_signed_int; oneofl [ 0; max_int; min_int; -1 ] ]))
+    (fun ints ->
+      let a = Array.of_list ints in
+      U.Prng.hash_decimals (Array.length a) (Array.get a)
+      = U.Prng.hash_string (joined_decimals ints))
+
+(* The fingerprint's trace field, over pages anywhere in the packed
+   range, is the hash of the packed pages' decimal rendering. *)
+let prop_fingerprint_trace_hash =
+  let page =
+    QCheck.Gen.(
+      oneof
+        [
+          map2
+            (fun user id -> Page.make ~user ~id)
+            (int_bound ((1 lsl 24) - 1))
+            (int_bound ((1 lsl 38) - 1));
+          oneofl
+            [
+              Page.make ~user:0 ~id:0;
+              Page.make ~user:((1 lsl 24) - 1) ~id:((1 lsl 38) - 1);
+            ];
+        ])
+  in
+  QCheck.Test.make ~name:"fingerprint trace hash = hash_string of packed pages"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) page))
+    (fun pages ->
+      let t = Trace.of_list ~n_users:(1 lsl 24) pages in
+      let fp =
+        Service.fingerprint
+          (Service.config ~router:(Router.by_page ~shards:3) ~shard_k:4 ())
+          ~costs:(costs_of 1) t
+      in
+      let want =
+        Printf.sprintf " trace=%Lx"
+          (U.Prng.hash_string (joined_decimals (List.map Page.pack pages)))
+      in
+      String.ends_with ~suffix:want fp)
+
+(* The plan of the benchmark's serve configuration (4 page-routed
+   shards, 2 clients at rate 8, batch 4, queue cap 32) stays within a
+   fixed allocation budget per request, also with an unbounded queue;
+   the fingerprint allocates nothing per request. *)
+let test_plan_allocation_budget () =
+  let t =
+    Workloads.generate ~seed:3 ~length:100_000
+      (Workloads.symmetric_zipf ~tenants:4 ~pages_per_tenant:4096 ~skew:0.9)
+  in
+  let per_request f =
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.allocated_bytes () -. b0) /. float_of_int (Trace.length t)
+  in
+  List.iter
+    (fun queue_cap ->
+      let config =
+        Service.config ~clients:2 ~client_rate:8 ~batch:4 ~queue_cap
+          ~router:(Router.by_page ~shards:4) ~shard_k:2048 ()
+      in
+      let plan = per_request (fun () -> Service.plan config t) in
+      checkb
+        (Printf.sprintf "plan, queue_cap %d: %.1f B/request <= 96" queue_cap
+           plan)
+        true (plan <= 96.);
+      let fp =
+        per_request (fun () ->
+            Service.fingerprint config ~costs:(costs_of 4) t)
+      in
+      checkb
+        (Printf.sprintf "fingerprint: %.3f B/request < 0.1" fp)
+        true (fp < 0.1))
+    [ 32; max_int ]
 
 let test_kill_quarantines_and_resume_completes () =
   let t = workload ~seed:13 ~tenants:3 ~length:700 in
@@ -737,7 +1031,12 @@ let () =
           Alcotest.test_case "reject backpressure" `Quick
             test_scheduler_backpressure_reject;
         ]
-        @ qsuite [ prop_single_client_order ] );
+        @ qsuite
+            [
+              prop_single_client_order;
+              prop_build_matches_reference;
+              prop_clients_of_trace_matches_reference;
+            ] );
       ( "differential",
         [
           Alcotest.test_case "multi-client differential" `Quick
@@ -757,8 +1056,16 @@ let () =
             test_kill_quarantines_and_resume_completes;
           Alcotest.test_case "fingerprint guards resume" `Quick
             test_fingerprint_guards_resume;
+          Alcotest.test_case "fingerprint golden" `Quick test_fingerprint_golden;
+          Alcotest.test_case "plan allocation budget" `Quick
+            test_plan_allocation_budget;
         ]
-        @ qsuite [ prop_codec_roundtrip ] );
+        @ qsuite
+            [
+              prop_codec_roundtrip;
+              prop_hash_decimals;
+              prop_fingerprint_trace_hash;
+            ] );
       ( "replay",
         [
           Alcotest.test_case "record/replay byte identity" `Quick

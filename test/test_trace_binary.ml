@@ -311,6 +311,15 @@ let test_workload_fingerprint_sensitivity () =
     (fp <> W.fingerprint ~seed:1 ~length:100 (W.sqlvm_mix ~scale:2));
   checks "deterministic" fp (W.fingerprint ~seed:1 ~length:100 specs)
 
+(* Cache file names outlive the process that wrote them: a key that
+   moved would silently turn every existing cache entry into a miss. *)
+let test_cache_key_literal () =
+  let fp = W.fingerprint ~seed:1 ~length:100 (W.sqlvm_mix ~scale:1) in
+  checks "workload cache key" "dc15ebec9f9764d7" (Trace_cache.key_of_fingerprint fp);
+  checks "short key" "6c411278cc300669" (Trace_cache.key_of_fingerprint "fp-A");
+  checks "empty key is the FNV offset basis" "cbf29ce484222325"
+    (Trace_cache.key_of_fingerprint "")
+
 (* ------------------------------------------------------------------ *)
 (* Index equivalence on file-backed traces                             *)
 (* ------------------------------------------------------------------ *)
@@ -410,6 +419,7 @@ let () =
             test_cache_disabled_passthrough;
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_workload_fingerprint_sensitivity;
+          Alcotest.test_case "key literal" `Quick test_cache_key_literal;
         ] );
       ( "integration",
         [

@@ -30,6 +30,9 @@ let required : (string * contract list) list =
   [
     ("Ccache_sim.Engine.Step.step", [ No_alloc; Deterministic ]);
     ("Ccache_serve.Shard.step_batch", [ No_alloc; Deterministic ]);
+    (* the serve plan: replay and resume rebuild it, so it must not
+       depend on time, randomness or domains *)
+    ("Ccache_serve.Scheduler.build", [ Deterministic ]);
     ("Ccache_core.Alg_fast.touch", [ No_alloc; Deterministic ]);
     ("Ccache_core.Alg_fast.evict", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.set", [ No_alloc; Deterministic ]);
