@@ -229,36 +229,34 @@ let parallel_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Fused vs unfused sweeps                                             *)
+(* Engine-cell sweeps: run_cells vs the per-cell pipeline              *)
 (* ------------------------------------------------------------------ *)
 
-(* Two grid families, three arms:
+(* Two grid families:
 
    - [mixed_*]: the E5/E13 table shape — every registry policy plus the
      paper's algorithm at spreading cache sizes, one shared trace.
-     Policy work dominates, so fused and unfused track each other; the
-     rows pin down that fusion is free where it cannot win.
+     Policy work dominates.
    - [calib_*]: the E13 binding-calibration shape — an offline-policy
      (belady) k-sweep over one shared trace.  Here the per-cell fixed
-     costs fusion amortizes (the O(T) trace index; for [percell], also
-     the trace generation) dominate the per-cell scan, which is where
-     the >= 3x shows up at 16+ cells.
+     costs (the O(T) trace index; for [percell], also the trace
+     generation) rival the per-cell replay.
 
-   Arms: [fused] scans the shared trace once (Sweep.run_fused);
-   [unfused] is exactly the --no-fused production path (one Engine.run
-   per cell, offline cells rebuilding their own index); [percell] is
-   the pre-fusion experiment pipeline — regenerate the trace and
-   rebuild the index for every cell, as the seed's grid experiments
-   (E2, E12) did before their traces were hoisted into shared cells. *)
+   Arms: [run_cells] is the production path (Sweep.run_cells: one
+   Engine.run per cell, offline cells sharing one trace index);
+   [percell] is the pre-sharing experiment pipeline — regenerate the
+   trace and rebuild the index for every cell, as the seed's grid
+   experiments (E2, E12) did before their traces were hoisted into
+   shared cells. *)
 let sweep_cell_counts = [ 1; 4; 16; 64 ]
 
-let fused_policies =
+let sweep_policies =
   lazy
     (Ccache_policies.Registry.all
     @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ])
 
 let mixed_cells n =
-  let pols = Lazy.force fused_policies in
+  let pols = Lazy.force sweep_policies in
   let npol = List.length pols in
   List.init n (fun i ->
       Ccache_sim.Sweep.cell
@@ -289,23 +287,20 @@ let calib_percell n () =
            Ccache_policies.Belady.policy trace))
     (calib_ks n)
 
-let fused_tests =
-  let arm name cells run =
-    Test.make ~name (Staged.stage (fun () -> ignore (run (Lazy.force cells))))
+let sweep_tests =
+  let run_cells name cells =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Ccache_sim.Sweep.run_cells (Lazy.force cells))))
   in
-  Test.make_grouped ~name:"fused_vs_unfused"
+  Test.make_grouped ~name:"run_cells_vs_percell"
     (List.concat_map
        (fun n ->
-         let mixed = lazy (mixed_cells n) and calib = lazy (calib_cells n) in
          [
-           arm (Printf.sprintf "mixed_fused_%dcells" n) mixed
-             Ccache_sim.Sweep.run_fused;
-           arm (Printf.sprintf "mixed_unfused_%dcells" n) mixed
-             (Ccache_sim.Sweep.run_cells ~fuse:false);
-           arm (Printf.sprintf "calib_fused_%dcells" n) calib
-             Ccache_sim.Sweep.run_fused;
-           arm (Printf.sprintf "calib_unfused_%dcells" n) calib
-             (Ccache_sim.Sweep.run_cells ~fuse:false);
+           run_cells (Printf.sprintf "mixed_run_cells_%dcells" n)
+             (lazy (mixed_cells n));
+           run_cells (Printf.sprintf "calib_run_cells_%dcells" n)
+             (lazy (calib_cells n));
            Test.make
              ~name:(Printf.sprintf "calib_percell_%dcells" n)
              (Staged.stage (calib_percell n));
@@ -501,37 +496,22 @@ let print_speedups rows =
       | _ -> ())
     [ "e_suite"; "k_sweep" ]
 
-let run_fused_group () =
+let run_sweep_group () =
   Printf.printf
-    "== fused vs unfused sweeps (mixed = E5/E13 grid, calib = offline k-sweep) ==\n%!";
-  let rows = report ~requests_per_run:None (analyze (benchmark fused_tests)) in
-  recorded := ("fused vs unfused", rows) :: !recorded;
-  (* crossover summary; the "/" anchors the match so "..._fused_N" can
-     never pick up the "..._unfused_N" row it is a suffix of *)
-  let find suffix =
-    List.find_map
-      (fun (name, ns) ->
-        let n = String.length name and s = String.length suffix in
-        if n >= s && String.sub name (n - s) s = suffix && not (Float.is_nan ns)
-        then Some ns
-        else None)
-      rows
-  in
-  let speedup label n num den =
-    match (find (Printf.sprintf "/%s_%dcells" num n),
-           find (Printf.sprintf "/%s_%dcells" den n))
-    with
-    | Some slow, Some fast when fast > 0.0 ->
-        Printf.printf "  %-42s %11.2fx\n"
-          (Printf.sprintf "%s, %d cells" label n)
-          (slow /. fast)
-    | _ -> ()
+    "== engine-cell sweeps (mixed = E5/E13 grid, calib = offline k-sweep) ==\n%!";
+  let rows = report ~requests_per_run:None (analyze (benchmark sweep_tests)) in
+  recorded := ("run_cells vs percell", rows) :: !recorded;
+  let find n arm =
+    List.assoc_opt (Printf.sprintf "run_cells_vs_percell/%s_%dcells" arm n) rows
   in
   List.iter
     (fun n ->
-      speedup "mixed: fused vs unfused" n "mixed_unfused" "mixed_fused";
-      speedup "calib: fused vs unfused" n "calib_unfused" "calib_fused";
-      speedup "calib: fused vs percell pipeline" n "calib_percell" "calib_fused")
+      match (find n "calib_percell", find n "calib_run_cells") with
+      | Some slow, Some fast when Float.is_finite slow && fast > 0.0 ->
+          Printf.printf "  %-42s %11.2fx\n"
+            (Printf.sprintf "calib: run_cells vs percell, %d cells" n)
+            (slow /. fast)
+      | _ -> ())
     sweep_cell_counts;
   print_newline ()
 
@@ -633,11 +613,32 @@ let baseline_rows path =
           | _ -> [])
         groups
 
+let test_name row =
+  match String.index_opt row '/' with
+  | Some i -> String.sub row (i + 1) (String.length row - i - 1)
+  | None -> row
+
+(* The baseline row a current row is compared with: the one with the
+   same full name, else the only one with the same test name — so a
+   renamed group keeps its rows comparable. *)
+let baseline_match base name =
+  match List.assoc_opt name base with
+  | Some b -> Some (name, b)
+  | None -> (
+      match
+        List.filter
+          (fun (n, _) -> String.equal (test_name n) (test_name name))
+          base
+      with
+      | [ row ] -> Some row
+      | _ -> None)
+
 (* Per-row delta table; returns the number of rows slower than the
    baseline by more than [threshold_pct]. *)
 let compare_against_baseline path =
   let base = baseline_rows path in
   let current = List.concat_map snd (List.rev !recorded) in
+  let matched = List.filter_map (fun (n, _) -> baseline_match base n) current in
   Printf.printf "== regression check vs %s (threshold +%g%%) ==\n" path
     threshold_pct;
   Printf.printf "  %-44s %14s %14s %9s\n" "name" "baseline ns" "current ns"
@@ -645,9 +646,9 @@ let compare_against_baseline path =
   let regressed = ref 0 in
   List.iter
     (fun (name, cur) ->
-      match List.assoc_opt name base with
+      match baseline_match base name with
       | None -> Printf.printf "  %-44s %14s %14.0f %9s\n" name "-" cur "new"
-      | Some b when Float.is_finite b && b > 0.0 && Float.is_finite cur ->
+      | Some (_, b) when Float.is_finite b && b > 0.0 && Float.is_finite cur ->
           let delta = (cur -. b) /. b *. 100.0 in
           let tag =
             if delta > threshold_pct then begin
@@ -663,7 +664,7 @@ let compare_against_baseline path =
     current;
   List.iter
     (fun (name, _) ->
-      if not (List.exists (fun (n, _) -> String.equal n name) current) then
+      if not (List.mem_assoc name matched) then
         Printf.printf "  %-44s (dropped: not measured in this run)\n" name)
     base;
   if !regressed > 0 then
@@ -688,7 +689,7 @@ let () =
   run_group ~requests_per_run:trace_len "policy throughput, k=64" (policy_tests ~k:64);
   run_group ~requests_per_run:trace_len "policy throughput, k=1024" (policy_tests ~k:1024);
   run_group ~requests_per_run:trace_len "ALG-DISCRETE fast vs reference" fast_vs_ref_tests;
-  run_fused_group ();
+  run_sweep_group ();
   run_parallel_group ();
   run_substrate_group ();
   Option.iter write_json json_path;

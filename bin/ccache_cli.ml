@@ -36,7 +36,9 @@ let make_workload ~workload ~tenants ~pages ~skew ~seed ~length =
   | "uniform" ->
       W.generate ~seed ~length
         (List.init tenants (fun _ -> W.tenant (W.Uniform { pages })))
-  | other -> Fmt.failwith "unknown workload %S (zipf|sqlvm|cycle|uniform)" other
+  | other ->
+      Fmt.epr "unknown workload %S (zipf|sqlvm|cycle|uniform)@." other;
+      exit 2
 
 (* Malformed trace input is a usage error: report and exit 2 (matching
    cmdliner's convention), never a backtrace. *)
@@ -73,7 +75,9 @@ let make_costs ~cost n =
           Ccache_cost.Sla.hinge
             ~tolerance:(float_of_int (30 * (i + 1)))
             ~penalty_rate:(float_of_int (n - i)))
-  | other -> Fmt.failwith "unknown cost %S (linear|weighted|x2|x3|sla)" other
+  | other ->
+      Fmt.epr "unknown cost %S (linear|weighted|x2|x3|sla)@." other;
+      exit 2
 
 (* --- run command --- *)
 
@@ -162,25 +166,6 @@ let decode_row s =
 
 let row_codec = { U.Supervisor.encode = encode_row; decode = decode_row }
 
-let parse_fault ~chaos ~kill =
-  let base =
-    match chaos with
-    | Some spec -> (
-        match U.Fault.of_spec spec with
-        | Ok f -> f
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-    | None -> (
-        match U.Fault.from_env () with
-        | Ok (Some f) -> f
-        | Ok None -> U.Fault.none
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-  in
-  if kill = [] then base else U.Fault.kill base kill
-
 (* Multi-k (or multi-policy) sweep over one workload, evaluated on a
    domain pool when --jobs > 1 and always under the supervised runner:
    transient faults are retried, a permanently-failing cell is
@@ -204,8 +189,8 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       k_min k_max;
     exit 2
   end;
-  if k_factor <= 1.0 then begin
-    Fmt.epr "--k-factor must exceed 1 (got %g)@." k_factor;
+  if (not (Float.is_finite k_factor)) || k_factor <= 1.0 then begin
+    Fmt.epr "--k-factor must be finite and exceed 1 (got %g)@." k_factor;
     exit 2
   end;
   let policy_names = if policy_names = [] then [ "alg-discrete" ] else policy_names in
@@ -219,10 +204,7 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
             exit 2)
       policy_names
   in
-  if retries < 0 then begin
-    Fmt.epr "--retries must be >= 0@.";
-    exit 2
-  end;
+  let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
   let index = Ccache_trace.Trace.Index.build trace in
@@ -233,15 +215,7 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
   let task_id (policy, k) =
     Printf.sprintf "%s/k=%d" (Ccache_sim.Policy.name policy) k
   in
-  let fault = parse_fault ~chaos ~kill in
-  let policy_cfg =
-    {
-      U.Supervisor.default_policy with
-      max_retries = retries;
-      timeout_s = timeout;
-      backoff_base_s = backoff;
-    }
-  in
+  let fault = Supervisor_args.fault ~chaos ~kill in
   let fingerprint =
     Printf.sprintf
       "sweep-v1 workload=%s tenants=%d pages=%d skew=%h seed=%d length=%d \
@@ -250,28 +224,7 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       (String.concat "," (List.map Ccache_sim.Policy.name policies))
   in
   let checkpoint =
-    match (checkpoint_path, resume) with
-    | None, false -> None
-    | None, true ->
-        Fmt.epr "--resume requires --checkpoint FILE@.";
-        exit 2
-    | Some p, true -> (
-        match U.Checkpoint.load_or_create ~path:p ~fingerprint () with
-        | Ok ck -> Some ck
-        | Error e ->
-            Fmt.epr "cannot resume: %s@." e;
-            exit 2)
-    | Some p, false -> Some (U.Checkpoint.create ~path:p ~fingerprint ())
-  in
-  let on_event = function
-    | U.Supervisor.Retrying { task; attempt; delay_s; error } ->
-        Fmt.epr "[supervisor] %s: attempt %d after %.3fs backoff (%s)@." task
-          attempt delay_s error
-    | U.Supervisor.Gave_up { task; attempts; error } ->
-        Fmt.epr "[supervisor] %s: quarantined after %d attempt(s): %s@." task
-          attempts error
-    | U.Supervisor.Replayed { task } ->
-        Fmt.epr "[supervisor] %s: replayed from checkpoint@." task
+    Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
   in
   (* The simulation is deterministic given the shared trace; the cell's
      derived PRNG stream is unused today but keyed on the task id so
@@ -283,7 +236,8 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
   let results =
     let run pool =
       Ccache_sim.Sweep.run_supervised ?pool ~policy:policy_cfg ~fault
-        ?checkpoint ~codec:row_codec ~on_event ~seed ~task_id cells ~f:eval
+        ?checkpoint ~codec:row_codec ~on_event:Supervisor_args.on_event ~seed
+        ~task_id cells ~f:eval
     in
     if jobs = 1 then run None
     else
@@ -368,10 +322,7 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
         Fmt.epr "--jobs must be >= 0@.";
         exit 2
       end;
-      if retries < 0 then begin
-        Fmt.epr "--retries must be >= 0@.";
-        exit 2
-      end;
+      let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
       set_trace_cache trace_cache;
       let obs = Obs_args.setup ~trace_out ~metrics_out in
       let trace =
@@ -385,13 +336,17 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
         match route with
         | "page" -> Serve.Router.by_page ~shards
         | "tenant" -> Serve.Router.by_tenant ~shards ~n_users ()
-        | other -> Fmt.failwith "unknown route %S (page|tenant)" other
+        | other ->
+            Fmt.epr "unknown route %S (page|tenant)@." other;
+            exit 2
       in
       let overload =
         match overload with
         | "block" -> Serve.Scheduler.Block
         | "reject" -> Serve.Scheduler.Reject
-        | other -> Fmt.failwith "unknown overload mode %S (block|reject)" other
+        | other ->
+            Fmt.epr "unknown overload mode %S (block|reject)@." other;
+            exit 2
       in
       let shard_k = Stdlib.max 1 (k / shards) in
       let config =
@@ -399,43 +354,14 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
           ~batch ~queue_cap ~router ~shard_k ()
       in
       let fingerprint = Serve.Service.fingerprint config ~costs trace in
-      let fault = parse_fault ~chaos ~kill in
-      let policy_cfg =
-        {
-          U.Supervisor.default_policy with
-          max_retries = retries;
-          timeout_s = timeout;
-          backoff_base_s = backoff;
-        }
-      in
+      let fault = Supervisor_args.fault ~chaos ~kill in
       let checkpoint =
-        match (checkpoint_path, resume) with
-        | None, false -> None
-        | None, true ->
-            Fmt.epr "--resume requires --checkpoint FILE@.";
-            exit 2
-        | Some p, true -> (
-            match U.Checkpoint.load_or_create ~path:p ~fingerprint () with
-            | Ok ck -> Some ck
-            | Error e ->
-                Fmt.epr "cannot resume: %s@." e;
-                exit 2)
-        | Some p, false -> Some (U.Checkpoint.create ~path:p ~fingerprint ())
-      in
-      let on_event = function
-        | U.Supervisor.Retrying { task; attempt; delay_s; error } ->
-            Fmt.epr "[supervisor] %s: attempt %d after %.3fs backoff (%s)@." task
-              attempt delay_s error
-        | U.Supervisor.Gave_up { task; attempts; error } ->
-            Fmt.epr "[supervisor] %s: quarantined after %d attempt(s): %s@." task
-              attempts error
-        | U.Supervisor.Replayed { task } ->
-            Fmt.epr "[supervisor] %s: replayed from checkpoint@." task
+        Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
       in
       let sup =
         let run pool =
           Serve.Service.run_supervised ?pool ~policy:policy_cfg ~fault
-            ?checkpoint ~on_event config ~costs trace
+            ?checkpoint ~on_event:Supervisor_args.on_event config ~costs trace
         in
         if jobs = 1 then run None
         else

@@ -2,16 +2,16 @@
     EXPERIMENTS.md).
 
     Usage:
-      experiments [--full | --quick] [--markdown] [--jobs N]
-                  [--fused | --no-fused] [ID ...]
+      experiments [--full | --quick] [--markdown] [--jobs N] [ID ...]
                   [--timeout S] [--retries N] [--backoff S] [--jitter J]
                   [--chaos SEED:RATE] [--kill ID]
                   [--checkpoint FILE] [--resume]
 
-    With no IDs, runs the whole suite in DESIGN.md order.  [--jobs N]
-    runs the selected experiments on N worker domains (0 = one per
-    core); the printed report is byte-identical at every job count
-    because outputs are collected first and rendered in spec order.
+    IDs are e1..e15; with none, runs the whole suite in DESIGN.md
+    order.  [--jobs N] runs the selected experiments on N worker
+    domains (0 = one per core); the printed report is byte-identical
+    at every job count because outputs are collected first and
+    rendered in spec order.
 
     The suite always runs under the supervised runner: injected
     transients and deadline misses are retried with deterministic
@@ -28,70 +28,12 @@ module U = Ccache_util
 
 let quarantine_exit = 3
 
-let make_fault ~chaos ~kill =
-  let base =
-    match chaos with
-    | Some spec -> (
-        match U.Fault.of_spec spec with
-        | Ok f -> f
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-    | None -> (
-        match U.Fault.from_env () with
-        | Ok (Some f) -> f
-        | Ok None -> U.Fault.none
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-  in
-  if kill = [] then base else U.Fault.kill base kill
-
-let make_policy ~timeout ~retries ~backoff ~jitter =
-  if retries < 0 then begin
-    Fmt.epr "--retries must be >= 0@.";
-    exit 2
-  end;
-  {
-    U.Supervisor.default_policy with
-    max_retries = retries;
-    timeout_s = timeout;
-    backoff_base_s = backoff;
-    jitter;
-  }
-
-let make_checkpoint ~path ~resume ~fingerprint =
-  match (path, resume) with
-  | None, false -> None
-  | None, true ->
-      Fmt.epr "--resume requires --checkpoint FILE@.";
-      exit 2
-  | Some p, true -> (
-      (* missing file = nothing to resume: start fresh *)
-      match U.Checkpoint.load_or_create ~path:p ~fingerprint () with
-      | Ok ck -> Some ck
-      | Error e ->
-          Fmt.epr "cannot resume: %s@." e;
-          exit 2)
-  | Some p, false -> Some (U.Checkpoint.create ~path:p ~fingerprint ())
-
-let pp_event ppf = function
-  | U.Supervisor.Retrying { task; attempt; delay_s; error } ->
-      Fmt.pf ppf "[supervisor] %s: attempt %d after %.3fs backoff (%s)" task
-        attempt delay_s error
-  | U.Supervisor.Gave_up { task; attempts; error } ->
-      Fmt.pf ppf "[supervisor] %s: quarantined after %d attempt(s): %s" task
-        attempts error
-  | U.Supervisor.Replayed { task } ->
-      Fmt.pf ppf "[supervisor] %s: replayed from checkpoint" task
-
-let run full quick markdown jobs fused timeout retries backoff jitter chaos
-    kill checkpoint_path resume trace_cache trace_out metrics_out ids =
+let run full quick markdown jobs timeout retries backoff jitter chaos kill
+    checkpoint_path resume trace_cache trace_out metrics_out ids =
   if full && quick then begin
     Fmt.epr "--full and --quick are mutually exclusive@.";
     exit 2
   end;
-  Ccache_sim.Sweep.set_fused fused;
   Ccache_trace.Trace_cache.set_dir trace_cache;
   let size = if full then A.Experiment.Full else A.Experiment.Quick in
   let fmt = if markdown then A.Report.Markdown else A.Report.Text in
@@ -114,14 +56,15 @@ let run full quick markdown jobs fused timeout retries backoff jitter chaos
     exit 2
   end;
   let obs = Obs_args.setup ~trace_out ~metrics_out in
-  let fault = make_fault ~chaos ~kill in
-  let policy = make_policy ~timeout ~retries ~backoff ~jitter in
+  let fault = Supervisor_args.fault ~chaos ~kill in
+  let policy = Supervisor_args.policy ~jitter ~timeout ~retries ~backoff () in
   let fingerprint = A.Report.fingerprint ~fmt ~size specs in
-  let checkpoint = make_checkpoint ~path:checkpoint_path ~resume ~fingerprint in
-  let on_event ev = Fmt.epr "%a@." pp_event ev in
+  let checkpoint =
+    Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
+  in
   let supervise pool =
     A.Report.run_suite_supervised ~fmt ?pool ~policy ~fault ?checkpoint
-      ~on_event ~size specs
+      ~on_event:Supervisor_args.on_event ~size specs
   in
   let { A.Report.report; failures; replayed } =
     if jobs = 1 then supervise None
@@ -173,22 +116,6 @@ let jobs =
           "Run experiments on $(docv) worker domains (default 1 = \
            sequential, 0 = one per core, i.e. CCACHE_JOBS or the \
            recommended domain count).  Output is identical at every N.")
-
-let fused =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "fused" ]
-              ~doc:
-                "Scan each shared trace once for a whole grid of engine \
-                 cells (the default).  Byte-identical to --no-fused; CI \
-                 enforces the equivalence." );
-          ( false,
-            info [ "no-fused" ]
-              ~doc:"Run every engine cell as its own trace scan." );
-        ])
 
 let timeout =
   Arg.(
@@ -268,7 +195,12 @@ let trace_cache =
            regenerating them.  The report is byte-identical either way.")
 
 let ids =
-  Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (e1..e14).")
+  Arg.(
+    value & pos_all string []
+    & info [] ~docv:"ID"
+        ~doc:
+          (Printf.sprintf "Experiment ids (%s)."
+             (String.concat ", " A.Suite.ids)))
 
 let trace_out = Obs_args.trace_out
 let metrics_out = Obs_args.metrics_out
@@ -277,8 +209,8 @@ let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the convex-caching experiment suite")
     Term.(
-      const run $ full $ quick $ markdown $ jobs $ fused $ timeout $ retries
-      $ backoff $ jitter $ chaos $ kill $ checkpoint $ resume $ trace_cache
-      $ trace_out $ metrics_out $ ids)
+      const run $ full $ quick $ markdown $ jobs $ timeout $ retries $ backoff
+      $ jitter $ chaos $ kill $ checkpoint $ resume $ trace_cache $ trace_out
+      $ metrics_out $ ids)
 
 let () = exit (Cmd.eval' cmd)

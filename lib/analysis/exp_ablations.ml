@@ -32,7 +32,7 @@ let run size =
       Ccache_core.Alg_fast.policy;
     ]
   in
-  (* One fused batch covers the ablation grid AND the fast-vs-reference
+  (* One batch of cells covers the ablation grid AND the fast-vs-reference
      agreement re-runs (two extra cells per k, matching the old
      recomputation exactly). *)
   let grid_cells =

@@ -52,8 +52,7 @@ let run size =
   in
   (* binding regime: tolerances sit 30% above the offline optimum's
      per-tenant misses (the oracle is used only to size the scenario).
-     The per-k belady calibration runs are themselves one fused batch
-     over the shared trace. *)
+     The per-k belady calibration runs share one trace index. *)
   let belady_by_k =
     let uni =
       Array.map
@@ -106,7 +105,7 @@ let run size =
     |]
   in
   (* All three regimes share the one compiled trace, so the whole
-     regime x k x policy grid is a single fused scan. *)
+     regime x k x policy grid is one batch of cells over it. *)
   let regime_points =
     List.concat_map
       (fun (regime, costs_of_k) ->

@@ -30,9 +30,8 @@ let run size =
       ~aligns:[ Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
       [ "k"; "offline"; "fractional"; "lru"; "alg-discrete"; "frac/off"; "ln k + 1" ]
   in
-  (* Each k has its own k+1-cycle trace, so the fused run degenerates
-     to one group per k (the per-group fallback); within a k the two
-     integral policies still share a single scan. *)
+  (* Each k has its own k+1-cycle trace; the two integral policies
+     replay it as two cells. *)
   let nemesis_costs = [| Cf.linear ~slope:1.0 () |] in
   let nemesis_traces =
     List.map

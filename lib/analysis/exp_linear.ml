@@ -38,8 +38,7 @@ let run size =
       Ccache_policies.Lru.policy;
     ]
   in
-  (* All (k, policy) cells replay the one weighted-Zipf trace: a single
-     fused scan covers the whole grid. *)
+  (* All (k, policy) cells replay the one weighted-Zipf trace. *)
   let results =
     Ccache_sim.Sweep.run_cells
       (List.concat_map

@@ -25,8 +25,8 @@ let run size =
   let violations = ref 0 in
   (* The two-tenant trace depends only on (seed, length, pages) — beta
      enters through the costs alone — so one materialization serves the
-     whole (beta, k) grid and the fused path replays it in one scan.
-     Identical rows to the old per-cell scenario rebuilds. *)
+     whole (beta, k) grid.  Identical rows to the old per-cell scenario
+     rebuilds. *)
   let trace =
     (Scenarios.two_tenant_monomial ~seed:21 ~length ~beta:(List.hd betas)
        ~pages:64)

@@ -22,8 +22,8 @@ let run size =
     Ccache_policies.Registry.all
     @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ]
   in
-  (* The whole (k, policy) grid shares one trace: the fused path scans
-     it once for all |ks| * |policies| engine cells. *)
+  (* The whole (k, policy) grid shares one trace: one batch of
+     |ks| * |policies| engine cells over it. *)
   let results =
     Ccache_sim.Sweep.run_cells
       (List.concat_map

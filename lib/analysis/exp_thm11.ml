@@ -32,9 +32,8 @@ let run size =
       [ "workload"; "k"; "alpha"; "ALG cost"; "offline cost"; "Thm1.1 RHS"; "holds" ]
   in
   let violations = ref 0 in
-  (* One engine cell per (workload, k); each workload's trace is scanned
-     once for all its ks on the fused path (identical output either
-     way). *)
+  (* One engine cell per (workload, k); each workload's offline cells
+     share one trace index across its ks. *)
   let points =
     List.concat_map (fun s -> List.map (fun k -> (s, k)) ks) scenarios
   in

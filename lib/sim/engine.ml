@@ -87,10 +87,9 @@ let record_obs r =
     [step] replays one trace position, [finish] runs the optional
     terminal flush and assembles the {!result}.  [run_inner] below is
     exactly [init] + a [step] loop + [finish]; the split exists so the
-    fused sweep driver ({!Ccache_sim.Sweep.run_fused}) can advance many
-    engine instances in lockstep over a single trace scan.  The state
-    is one record of flat arrays and mutable counters, so a batch of
-    cells stays cache-resident between steps. *)
+    serving layer's shards and sessions can hold an engine between
+    requests and advance it one request at a time.  The state is one
+    record of flat arrays and mutable counters. *)
 module Step = struct
   type t = {
     policy : Policy.t;
@@ -159,11 +158,11 @@ module Step = struct
      [@effects.allow "alloc"] masks scope that exemption to exactly
      those branches.
 
-     [apply] is the decision body shared by [step] (trace replay, the
-     fused sweeps) and [feed] (dynamically arriving requests from the
-     serving layer): both spellings run the exact same cache and
-     accounting code, which is what makes the sharded service
-     differentially testable against plain trace runs. *)
+     [apply] is the decision body shared by [step] (trace replay) and
+     [feed] (dynamically arriving requests from the serving layer):
+     both spellings run the exact same cache and accounting code, which
+     is what makes the sharded service differentially testable against
+     plain trace runs. *)
   let apply t pos page =
     t.fed <- pos + 1;
     let h = t.h in
@@ -269,8 +268,9 @@ let run_inner ?flush ?on_event ?index ~k ~costs policy trace =
   done;
   Step.finish st
 
-(* Exported for the fused sweep driver, which computes results through
-   {!Step} and must then account them exactly as {!run} would have. *)
+(* Exported for the sharded service, which computes shard results
+   through {!Step} and must then account them exactly as {!run} would
+   have. *)
 let record_result_obs = record_obs
 
 let run ?flush ?on_event ?index ~k ~costs policy trace =

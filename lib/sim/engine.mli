@@ -46,8 +46,9 @@ exception Policy_error of string
     replays the request at trace position [pos]; [finish] runs the
     optional terminal flush and assembles the {!result}.  {!run} is
     exactly [init] + a [step] loop over [0 .. length - 1] + [finish] —
-    the split lets {!Ccache_sim.Sweep.run_fused} drive many engine
-    instances in lockstep over a single trace scan.
+    the split lets the serving layer ({!Ccache_serve.Shard},
+    {!Ccache_serve.Session}) keep an engine alive between requests and
+    drive it one request at a time.
 
     Positions must be fed in order [0, 1, ..., length - 1], each
     exactly once, before [finish]; [finish] must be called at most
@@ -94,8 +95,9 @@ end
 
 val record_result_obs : result -> unit
 (** Record the per-run observability counters {!run} records after a
-    completed run; no-op while recording is off.  Exposed so the fused
-    sweep driver can keep obs metrics identical to per-cell {!run}s. *)
+    completed run; no-op while recording is off.  Exposed so the
+    sharded service ({!Ccache_serve.Service}), whose shards finish
+    through {!Step}, accounts each shard exactly as a {!run} would. *)
 
 val run :
   ?flush:bool ->

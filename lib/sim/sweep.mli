@@ -5,9 +5,14 @@ val product3 : 'a list -> 'b list -> 'c list -> ('a * 'b * 'c) list
 
 val geometric : start:int -> stop:int -> factor:float -> int list
 (** Rounded geometric range, strictly increasing, not exceeding
-    [stop]. @raise Invalid_argument on a bad range or [factor <= 1]. *)
+    [stop] (which may be [max_int]).
+    @raise Invalid_argument on a bad range or a [factor] that is not
+    finite or not above 1. *)
 
 val arithmetic : start:int -> stop:int -> step:int -> int list
+(** Inclusive range [start, start+step, ...] not exceeding [stop]
+    (which may be [max_int]).  @raise Invalid_argument if [step <= 0]. *)
+
 val linspace : start:float -> stop:float -> count:int -> float list
 
 val run :
@@ -35,14 +40,11 @@ val run_seeded :
     before any cell executes.  Output is bit-for-bit identical across
     pool sizes, including no pool at all. *)
 
-(** {1 Fused single-pass engine sweeps}
+(** {1 Engine-cell sweeps}
 
-    A sweep over (policy, k, costs) cells that share one request trace
-    does not need one trace replay per cell: {!run_fused} scans the
-    trace once and advances every cell's engine in lockstep through the
-    {!Engine.Step} API.  The output is byte-identical to per-cell
-    {!Engine.run}s — same results in the same order, same obs metrics —
-    which the CI fused-equivalence job enforces end to end. *)
+    A grid of (policy, k, costs) cells, usually over one shared request
+    trace.  {!run_cells} runs one {!Engine.run} per cell; the only work
+    cells share is the offline policies' trace index. *)
 
 type cell = {
   policy : Policy.t;
@@ -62,44 +64,18 @@ val cell :
 (** One engine run's parameters ([flush] defaults to false), mirroring
     {!Engine.run}'s. *)
 
-val set_fused : bool -> unit
-(** Process-wide switch consulted by {!run_cells} (the [--fused] /
-    [--no-fused] flag); fused is the default. *)
-
-val fused_enabled : unit -> bool
-
-val group_indices : cell list -> int list list
-(** The fused partition: cell indices grouped by *physical* trace
-    identity, groups in first-touch order, indices ascending within a
-    group.  Cells whose traces are equal but not shared ([==]) land in
-    separate groups and fall back to solo scans. *)
-
-val run_fused : ?pool:Ccache_util.Domain_pool.t -> ?chunk:int -> cell list -> Engine.result list
-(** Run every cell, scanning each distinct (physically shared) trace
-    exactly once; results are in input order.  With [?pool], whole
-    groups are distributed over the pool's workers ([?chunk] batches
-    consecutive groups per task) — the result is identical at every
-    width and grain.  A singleton group degenerates to an ordinary
-    engine run over its own scan. *)
-
 val rows : width:int -> 'a list -> 'a list list
 (** Split a flat row-major list into rows of [width] — the inverse of
     building a grid's cells with [List.concat_map].
     @raise Invalid_argument if [width <= 0] or the length is not a
     multiple of [width]. *)
 
-val run_cells :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
-  ?fuse:bool ->
-  cell list ->
-  Engine.result list
-(** {!run_fused} when fusing is enabled (the {!set_fused} switch AND
-    the per-call [?fuse], default true), per-cell {!Engine.run}s
-    otherwise.  Callers whose cells are data-dependent — a later cell's
-    trace or costs derived from an earlier result, or traces mutated
-    between cells — must pass [~fuse:false] (the per-experiment
-    opt-out); everyone else gets the single-pass path for free. *)
+val run_cells : cell list -> Engine.result list
+(** One {!Engine.run} per cell, in input order, so the results and obs
+    metrics are exactly those of the solo runs.  Offline
+    ({!Policy.needs_future}) cells over the same trace — physically
+    shared ([==]), not merely equal — reuse one
+    {!Ccache_trace.Trace.Index} instead of each building its own. *)
 
 val run_supervised :
   ?pool:Ccache_util.Domain_pool.t ->

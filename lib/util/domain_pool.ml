@@ -279,16 +279,13 @@ let with_pool ?size f =
   let t = create ?size () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_list ?pool ?chunk ?(count_blocks = true) ~f xs =
+let map_list ?pool ?chunk ~f xs =
   (* The block partition is a property of (chunk, input) alone, never of
      the execution width, and the partition counter below is emitted on
      every path — so chunk-sensitive obs counters agree between --jobs 1
-     and --jobs N runs of the same sweep.  [count_blocks:false] is for
-     callers whose *item list* depends on an execution strategy (fused
-     sweeps map over trace groups, unfused over cells): their metrics
-     must not leak the strategy. *)
+     and --jobs N runs of the same sweep. *)
   let chunk = match chunk with Some c -> Stdlib.max 1 c | None -> 1 in
-  if count_blocks && Ccache_obs.Control.enabled () then begin
+  if Ccache_obs.Control.enabled () then begin
     let n = List.length xs in
     Ccache_obs.Metrics.incr ~by:((n + chunk - 1) / chunk) "pool/map_blocks"
   end;

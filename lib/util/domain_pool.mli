@@ -102,15 +102,11 @@ val with_pool : ?size:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and shuts it down
     afterwards, including on exception. *)
 
-val map_list :
-  ?pool:t -> ?chunk:int -> ?count_blocks:bool -> f:('a -> 'b) -> 'a list -> 'b list
+val map_list : ?pool:t -> ?chunk:int -> f:('a -> 'b) -> 'a list -> 'b list
 (** [List.map] when [pool] is [None], {!parallel_map} otherwise.  The
     convenience entry point for code with an optional [?pool]
     parameter.  [?chunk] applies the same deterministic block partition
     on every path — serial runs walk the blocks in order — and the
     partition size is recorded in the [pool/map_blocks] obs counter
     identically at every execution width, so chunk-sensitive counters
-    match across [--jobs] settings.  [?count_blocks] (default [true])
-    suppresses that counter for callers whose item list depends on an
-    execution strategy that must not show up in metrics (the fused
-    sweep maps over trace groups, the unfused one over cells). *)
+    match across [--jobs] settings. *)

@@ -57,6 +57,13 @@ val default_policy : policy
 (** 3 retries, no deadline, 50 ms base doubling to a 1 s cap, no
     jitter. *)
 
+val validate_policy : policy -> unit
+(** The check {!run} applies to its [?policy]: retries [>= 0], a
+    finite positive deadline, finite non-negative backoff times, a
+    finite factor [>= 1] and jitter in [\[0, 1\]].  Exposed so
+    front ends can reject bad flags before any task runs.
+    @raise Invalid_argument naming the offending field. *)
+
 val backoff_delay : policy -> task:string -> attempt:int -> float
 (** Pure backoff schedule: the delay slept after 0-based [attempt]
     fails (i.e. before attempt [attempt + 1]).  Exposed so tests can

@@ -155,10 +155,11 @@ let test_mutation_caught () =
          contains_sub l "[contract-deterministic]"
          && contains_sub l "Engine.Step.step")
        lines);
-  checkb "clock reaches the fused-sweep pool task" true
+  checkb "clock reaches the serve shard pool task" true
     (List.exists
        (fun l ->
-         contains_sub l "[pool-task-effects]" && contains_sub l "run_fused")
+         contains_sub l "[pool-task-effects]"
+         && contains_sub l "Ccache_serve.Service.run_inner")
        lines)
 
 let test_mutation_alloc () =

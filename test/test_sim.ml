@@ -319,6 +319,19 @@ let test_sweep_helpers () =
     (List.length (Sweep.product3 [ 1; 2 ] [ 3; 4 ] [ 5; 6 ]));
   checkb "geometric" true (Sweep.geometric ~start:4 ~stop:32 ~factor:2.0 = [ 4; 8; 16; 32 ]);
   checkb "arithmetic" true (Sweep.arithmetic ~start:0 ~stop:6 ~step:3 = [ 0; 3; 6 ]);
+  List.iter
+    (fun factor ->
+      match Sweep.geometric ~start:1 ~stop:6 ~factor with
+      | _ -> Alcotest.failf "geometric factor %g must raise" factor
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; 1.0 ];
+  (* stepping up to max_int must stop where the next point would wrap *)
+  checkb "geometric to max_int" true
+    (Sweep.geometric ~start:1 ~stop:max_int ~factor:2.0
+    = List.init (Sys.int_size - 1) (fun i -> 1 lsl i));
+  checkb "arithmetic to max_int" true
+    (Sweep.arithmetic ~start:(max_int - 5) ~stop:max_int ~step:2
+    = [ max_int - 5; max_int - 3; max_int - 1 ]);
   checkb "linspace ends" true
     (let l = Sweep.linspace ~start:0.0 ~stop:1.0 ~count:5 in
      List.nth l 0 = 0.0 && List.nth l 4 = 1.0 && List.length l = 5);

@@ -381,6 +381,29 @@ let test_cli_exit_2 () =
       checki "convert on rw garbage" 2
         (cli_exit ("trace convert --format rw " ^ Filename.quote path)))
 
+(* Malformed supervisor, routing, workload and cost flags are usage
+   errors too: each binary validates them instead of letting an
+   exception escape [main]. *)
+let experiments = Filename.concat ".." (Filename.concat "bin" "experiments.exe")
+
+let test_cli_flags_exit_2 () =
+  let check_exit exe args =
+    checki (Filename.basename exe ^ " " ^ args) 2
+      (Sys.command
+         (Filename.quote exe ^ " " ^ args ^ " > /dev/null 2> /dev/null"))
+  in
+  let supervisor_flags = [ "--timeout=-1"; "--backoff nan"; "--retries=-1" ] in
+  List.iter (fun f -> check_exit experiments ("--quick e1 " ^ f)) supervisor_flags;
+  check_exit experiments "--quick e1 --jitter 2";
+  List.iter
+    (fun f -> check_exit cli ("sweep --k-min 1 --k-max 6 " ^ f))
+    (supervisor_flags @ [ "--k-factor nan"; "--k-factor inf" ]);
+  List.iter
+    (fun f -> check_exit cli ("serve --length 200 " ^ f))
+    (supervisor_flags @ [ "--route foo"; "--overload foo" ]);
+  check_exit cli "run --workload foo";
+  check_exit cli "run --cost foo"
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -425,5 +448,7 @@ let () =
         [
           Alcotest.test_case "index on loaded trace" `Quick test_index_on_loaded_trace;
           Alcotest.test_case "cli exit 2" `Quick test_cli_exit_2;
+          Alcotest.test_case "cli flag errors exit 2" `Quick
+            test_cli_flags_exit_2;
         ] );
     ]
