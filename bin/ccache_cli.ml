@@ -450,25 +450,13 @@ module Tio = Ccache_trace.Trace_io
 module Tbin = Ccache_trace.Trace_binary
 module Text = Ccache_trace.Trace_extern
 
-let read_input = function
-  | "-" -> In_channel.input_all stdin
-  | path ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Format sniffing for 'trace convert --format auto': binary magic,
    then the text header, else the R/W address format. *)
 let parse_input ~format ~page_shift s =
   match format with
   | "auto" ->
       if Tbin.looks_binary s then Tbin.of_string s
-      else if
-        String.split_on_char '\n' s |> function
-        | first :: _ -> String.trim first = Tio.magic
-        | [] -> false
-      then Tio.of_string s
+      else if Tio.looks_text s then Tio.of_string s
       else Text.of_string_rw ~page_shift s
   | "binary" -> Tbin.of_string s
   | "text" -> Tio.of_string s
@@ -485,7 +473,7 @@ let trace_convert_cmd in_file format page_shift text out =
     Fmt.epr "--page-shift must be in [0, 62]@.";
     exit 2
   end;
-  let trace = parse_input ~format ~page_shift (read_input in_file) in
+  let trace = parse_input ~format ~page_shift (Tio.read_all in_file) in
   let write_file, to_string =
     if text then (Tio.write_file, Tio.to_string)
     else (Tbin.write_file, Tbin.to_string)
@@ -510,7 +498,7 @@ let trace_stat_cmd in_file =
       (Tbin.n_users h) (Tbin.n_pages h)
   end
   else begin
-    let s = read_input in_file in
+    let s = Tio.read_all in_file in
     let trace = if Tbin.looks_binary s then Tbin.of_string s else Tio.of_string s in
     Fmt.pr "format %s@.requests %d@.users %d@.distinct %d@."
       (if Tbin.looks_binary s then "binary" else "text")
@@ -533,7 +521,7 @@ let trace_head_cmd in_file n =
     done
   end
   else begin
-    let trace = Tio.of_string_any (read_input in_file) in
+    let trace = Tio.of_string_any (Tio.read_all in_file) in
     for i = 0 to Stdlib.min n (Ccache_trace.Trace.length trace) - 1 do
       let p = Ccache_trace.Trace.request trace i in
       Fmt.pr "%d %d@."

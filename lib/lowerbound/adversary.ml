@@ -4,15 +4,16 @@
     warm-up that fills the cache with pages 0..n-2, every step requests
     exactly the page missing from the online algorithm's cache, forcing
     an eviction per step.  The request sequence depends on the
-    algorithm, so the adversary co-simulates: it owns the cache model
-    (mirroring {!Ccache_sim.Engine}'s bookkeeping) and drives the
-    policy's handlers directly.
+    algorithm, so the adversary feeds it one request at a time to an
+    {!Ccache_sim.Engine.Step} and reads each victim off the engine's
+    events: the page just evicted is the one now missing.
 
     Returns both the induced trace — a perfectly ordinary trace that
     offline comparators can then be run on — and the online
     algorithm's per-user miss counts. *)
 
 module Policy = Ccache_sim.Policy
+module Engine = Ccache_sim.Engine
 open Ccache_trace
 
 type outcome = {
@@ -31,54 +32,34 @@ let drive ~n_users ~steps ~costs policy =
   if n_users < 2 then invalid_arg "Adversary.drive: need at least 2 users";
   if Array.length costs <> n_users then
     invalid_arg "Adversary.drive: costs/users mismatch";
-  let k = n_users - 1 in
-  let config = Policy.Config.make ~k ~costs () in
   if Policy.needs_future policy then
     invalid_arg "Adversary.drive: offline policies cannot be driven adaptively";
-  let h = Policy.instantiate policy config in
-  let cached = Array.make n_users false in
-  let cached_count = ref 0 in
-  let misses = Array.make n_users 0 in
-  let evictions = Array.make n_users 0 in
-  let requests = ref [] in
-  let page_of u = Page.make ~user:u ~id:0 in
-  let request pos u =
-    requests := page_of u :: !requests;
-    if cached.(u) then h.Policy.on_hit ~pos (page_of u)
-    else begin
-      misses.(u) <- misses.(u) + 1;
-      if !cached_count >= k then begin
-        let victim = h.Policy.choose_victim ~pos ~incoming:(page_of u) in
-        let v = Page.user victim in
-        if not cached.(v) then
-          invalid_arg
-            (Policy.name policy ^ ": adversary saw eviction of uncached page");
-        cached.(v) <- false;
-        decr cached_count;
-        evictions.(v) <- evictions.(v) + 1;
-        h.Policy.on_evict ~pos victim
-      end;
-      cached.(u) <- true;
-      incr cached_count;
-      h.Policy.on_insert ~pos (page_of u)
-    end
+  let k = n_users - 1 in
+  (* after the warm-up, user k's page is the one not cached *)
+  let missing = ref k in
+  let on_event = function
+    | Engine.Miss_evict { victim; _ } -> missing := Page.user victim
+    | Engine.Hit _ | Engine.Miss_insert _ -> ()
   in
-  (* warm-up: fill the cache with users 0..k-1 *)
+  let st =
+    Engine.Step.init ~on_event ~k ~costs policy (Trace.of_list ~n_users [])
+  in
+  let requests = ref [] in
+  let request u =
+    let page = Page.make ~user:u ~id:0 in
+    requests := page :: !requests;
+    Engine.Step.feed st page
+  in
   for u = 0 to k - 1 do
-    request u u
+    request u
   done;
-  (* adversarial phase: request the unique missing page *)
-  for step = 0 to steps - 1 do
-    let missing = ref (-1) in
-    for u = n_users - 1 downto 0 do
-      if not cached.(u) then missing := u
-    done;
-    if !missing < 0 then invalid_arg "Adversary.drive: no missing page (k >= n?)";
-    request (k + step) !missing
+  for _ = 1 to steps do
+    request !missing
   done;
+  let r = Engine.Step.finish st in
   {
     trace = Trace.of_list ~n_users (List.rev !requests);
-    online_misses = misses;
-    online_evictions = evictions;
+    online_misses = r.Engine.misses_per_user;
+    online_evictions = r.Engine.evictions_per_user;
     k;
   }

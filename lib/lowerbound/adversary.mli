@@ -3,8 +3,12 @@
     Instance: n users, one page each, cache k = n - 1.  After filling
     the cache with pages 0..n-2, every step requests exactly the page
     missing from the online algorithm's cache.  The sequence depends
-    on the algorithm, so the adversary co-simulates (it cannot use the
-    engine, whose traces are fixed up front). *)
+    on the algorithm, so the adversary feeds it request by request to
+    an {!Ccache_sim.Engine.Step} built over an empty trace, and takes
+    the next request from the last eviction's victim.  That victim is
+    the only uncached page as long as the policy never evicts before
+    the cache is full, which holds for every policy E4, [test_lb] and
+    [test_offline] drive: all use {!Ccache_sim.Policy.never_evict_early}. *)
 
 type outcome = {
   trace : Ccache_trace.Trace.t;
@@ -23,4 +27,5 @@ val drive :
   outcome
 (** [steps] adversarial requests after the n-1 warm-up requests.
     @raise Invalid_argument for fewer than 2 users, a costs mismatch,
-    or an offline policy. *)
+    or an offline policy.
+    @raise Ccache_sim.Engine.Policy_error if the policy misbehaves. *)

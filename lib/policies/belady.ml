@@ -13,6 +13,7 @@ module Policy = Ccache_sim.Policy
 
 open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 
 let policy =
   Policy.make ~needs_future:true ~name:"belady" (fun config ->
@@ -21,10 +22,10 @@ let policy =
         | Some i -> i
         | None -> assert false (* guarded by needs_future *)
       in
-      let interner = Interner.create () in
+      let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       let touch ~pos page =
-        let key = Interner.intern interner page in
+        let key = Interner.intern ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
         let prio = if next = Int.max_int then Float.neg_infinity else -.float_of_int next in
         Heap.set heap ~key ~prio
@@ -34,9 +35,9 @@ let policy =
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let key, _ = Heap.peek_exn heap in
-            Interner.page interner key);
+            Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
         on_insert = (fun ~pos page -> touch ~pos page);
         on_evict =
-          (fun ~pos:_ page -> Heap.remove heap (Interner.intern interner page));
+          (fun ~pos:_ page ->
+            Heap.remove heap (Interner.intern ranks (Page.pack page)));
       })

@@ -14,6 +14,7 @@ module Policy = Ccache_sim.Policy
 
 open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 module Cf = Ccache_cost.Cost_function
 
 let policy =
@@ -23,7 +24,7 @@ let policy =
         | Some i -> i
         | None -> assert false
       in
-      let interner = Interner.create () in
+      let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       let n_users = config.Policy.Config.n_users in
       let evictions = Array.make (n_users + 1) 0 in
@@ -45,7 +46,7 @@ let policy =
           marginal (Page.user page) /. Float.max 1.0 dist
       in
       let touch ~pos page =
-        let key = Interner.intern interner page in
+        let key = Interner.intern ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
         Hashtbl.replace next_use_of key next;
         Heap.set heap ~key ~prio:(score ~pos ~next page)
@@ -56,7 +57,7 @@ let policy =
       let refresh_user ~pos user =
         Hashtbl.iter
           (fun key next ->
-            let page = Interner.page interner key in
+            let page = Page.unpack (Interner.key ranks key) in
             if Page.user page = user && Heap.mem heap key then
               Heap.update heap ~key ~prio:(score ~pos ~next page))
           next_use_of
@@ -66,15 +67,14 @@ let policy =
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let key, _ = Heap.peek_exn heap in
-            Interner.page interner key);
+            Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
         on_insert = (fun ~pos page -> touch ~pos page);
         on_evict =
           (fun ~pos page ->
             let u = Page.user page in
             let slot = Stdlib.min u n_users in
             evictions.(slot) <- evictions.(slot) + 1;
-            let key = Interner.intern interner page in
+            let key = Interner.intern ranks (Page.pack page) in
             Heap.remove heap key;
             Hashtbl.remove next_use_of key;
             refresh_user ~pos u);

@@ -22,6 +22,7 @@ module Policy = Ccache_sim.Policy
 
 open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 module Cf = Ccache_cost.Cost_function
 
 type weight_mode = Static | Adaptive
@@ -32,7 +33,7 @@ let make ~mode =
   Policy.make
     ~name:(Printf.sprintf "landlord-%s" (mode_name mode))
     (fun config ->
-      let interner = Interner.create () in
+      let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       let level = ref 0.0 in
       let evictions = Array.make (config.Policy.Config.n_users + 1) 0 in
@@ -46,7 +47,7 @@ let make ~mode =
             Cf.eval f (float_of_int (m + 1)) -. Cf.eval f (float_of_int m)
       in
       let set_credit page =
-        let key = Interner.intern interner page in
+        let key = Interner.intern ranks (Page.pack page) in
         Heap.set heap ~key ~prio:(weight page +. !level)
       in
       {
@@ -54,17 +55,16 @@ let make ~mode =
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let key, prio = Heap.peek_exn heap in
             (* all credits drop by the victim's remaining credit *)
-            level := prio;
-            Interner.page interner key);
+            level := Heap.min_prio_exn heap;
+            Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
         on_insert = (fun ~pos:_ page -> set_credit page);
         on_evict =
           (fun ~pos:_ page ->
             let u = Page.user page in
             let slot = Stdlib.min u config.Policy.Config.n_users in
             evictions.(slot) <- evictions.(slot) + 1;
-            Heap.remove heap (Interner.intern interner page));
+            Heap.remove heap (Interner.intern ranks (Page.pack page)));
       })
 
 let static = make ~mode:Static

@@ -1,38 +1,30 @@
 (** Least Frequently Used (in-cache frequency, reset on eviction).
 
     Victim: the cached page with the fewest hits since insertion, ties
-    broken deterministically by interner id (i.e. first-touch order). *)
+    broken deterministically by first-touch rank.  A cached page's hit
+    count is its heap priority (exact: counts stay far below 2^53), so
+    no separate frequency table is kept. *)
 
 module Policy = Ccache_sim.Policy
 
-
+open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 
 let policy =
   Policy.make ~name:"lfu" (fun _config ->
-      let interner = Interner.create () in
+      let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
-      let freq : (int, int) Hashtbl.t = Hashtbl.create 256 in
+      let rank page = Interner.intern ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
-            let key = Interner.intern interner page in
-            let f = Option.value (Hashtbl.find_opt freq key) ~default:0 + 1 in
-            Hashtbl.replace freq key f;
-            Heap.update heap ~key ~prio:(float_of_int f));
+            let key = rank page in
+            Heap.update heap ~key ~prio:(Heap.priority heap key +. 1.0));
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let key, _ = Heap.peek_exn heap in
-            Interner.page interner key);
-        on_insert =
-          (fun ~pos:_ page ->
-            let key = Interner.intern interner page in
-            Hashtbl.replace freq key 1;
-            Heap.add heap ~key ~prio:1.0);
-        on_evict =
-          (fun ~pos:_ page ->
-            let key = Interner.intern interner page in
-            Hashtbl.remove freq key;
-            Heap.remove heap key);
+            Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
+        on_insert = (fun ~pos:_ page -> Heap.add heap ~key:(rank page) ~prio:1.0);
+        on_evict = (fun ~pos:_ page -> Heap.remove heap (rank page));
       })

@@ -11,8 +11,9 @@
 
 module Policy = Ccache_sim.Policy
 
-
+open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 
 (* Priority encoding (min-heap, smallest evicted first):
    - fewer than K references: priority = time_of_last_ref - HUGE
@@ -26,7 +27,7 @@ let make ~k_refs =
   Policy.make
     ~name:(Printf.sprintf "lru-%d" k_refs)
     (fun _config ->
-      let interner = Interner.create () in
+      let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       (* history.(key) = circular buffer of the last <= k_refs reference
          positions, most recent last *)
@@ -60,22 +61,21 @@ let make ~k_refs =
       {
         Policy.on_hit =
           (fun ~pos page ->
-            let key = Interner.intern interner page in
+            let key = Interner.intern ranks (Page.pack page) in
             record key pos;
             Heap.update heap ~key ~prio:(priority key));
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let key, _ = Heap.peek_exn heap in
-            Interner.page interner key);
+            Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
         on_insert =
           (fun ~pos page ->
-            let key = Interner.intern interner page in
+            let key = Interner.intern ranks (Page.pack page) in
             record key pos;
             Heap.add heap ~key ~prio:(priority key));
         on_evict =
           (fun ~pos:_ page ->
-            let key = Interner.intern interner page in
+            let key = Interner.intern ranks (Page.pack page) in
             Heap.remove heap key);
       })
 

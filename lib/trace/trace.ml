@@ -16,18 +16,19 @@
     Dense interning: every trace carries (computed on first demand) a
     remap of its distinct pages onto the dense range [0, P) in
     first-touch order — [dense.(pos)] is the rank of the page requested
-    at [pos], [pages.(d)] recovers the page.  The remap is what lets
+    at [pos], and a {!Ccache_util.Interner} maps packed pages to ranks
+    and back.  The remap is what lets
     {!Index.build} run on flat int arrays instead of [Page.Tbl]
     hashtables, and it is the on-disk vocabulary of the binary trace
     format ({!Trace_binary}).  The structure is immutable once built
     and published through an [Atomic.t], so traces stay safely sharable
     across domains. *)
 
+module Interner = Ccache_util.Interner
+
 type interning = {
   dense : int array;  (** [dense.(pos)] = first-touch rank of the page at [pos] *)
-  pages : Page.t array;  (** [pages.(d)] = page with dense id [d]; first-touch order *)
-  dense_of : Ccache_util.Int_tbl.t;
-      (** packed page -> dense id; read-only once published *)
+  ranks : Interner.t;  (** packed page <-> dense id; read-only once published *)
 }
 
 type t = {
@@ -46,28 +47,12 @@ let request t pos = t.requests.(pos)
 
 let requests t = t.requests
 
-(* One O(T) pass: first-touch ranks via the open-addressing int table
-   (packed pages are non-negative ints, so they key it directly). *)
+(* One O(T) pass: packed pages are non-negative ints, so they key the
+   interner directly. *)
 let compute_interning requests =
-  let n = Array.length requests in
-  let dense_of = Ccache_util.Int_tbl.create ~capacity:256 () in
-  let dense = Array.make n 0 in
-  let rev_pages = ref [] in
-  let next = ref 0 in
-  for pos = 0 to n - 1 do
-    let key = Page.pack requests.(pos) in
-    let d = Ccache_util.Int_tbl.find_default dense_of key ~default:(-1) in
-    if d >= 0 then dense.(pos) <- d
-    else begin
-      Ccache_util.Int_tbl.set dense_of key !next;
-      dense.(pos) <- !next;
-      rev_pages := requests.(pos) :: !rev_pages;
-      incr next
-    end
-  done;
-  let pages = Array.make !next (Page.make ~user:0 ~id:0) in
-  List.iteri (fun i p -> pages.(!next - 1 - i) <- p) !rev_pages;
-  { dense; pages; dense_of }
+  let ranks = Interner.create ~capacity:256 in
+  let dense = Array.map (fun p -> Interner.intern ranks (Page.pack p)) requests in
+  { dense; ranks }
 
 let interning t =
   match Atomic.get t.interning with
@@ -77,15 +62,12 @@ let interning t =
       Atomic.set t.interning (Some i);
       i
 
-let n_pages t = Array.length (interning t).pages
+let n_pages t = Interner.length (interning t).ranks
 let dense t = (interning t).dense
-let page_of_dense t d = (interning t).pages.(d)
+let page_of_dense t d = Page.unpack (Interner.key (interning t).ranks d)
 
 let dense_of_page t page =
-  let d =
-    Ccache_util.Int_tbl.find_default (interning t).dense_of (Page.pack page)
-      ~default:(-1)
-  in
+  let d = Interner.find (interning t).ranks (Page.pack page) in
   if d >= 0 then Some d else None
 
 let check_users ~n_users pages =
@@ -135,21 +117,19 @@ let of_dense ~n_users ~pages ~dense =
     invalid_arg
       (Printf.sprintf "Trace.of_dense: %d of %d pages never requested"
          (p - !seen) p);
-  let dense_of = Ccache_util.Int_tbl.create ~capacity:(2 * p) () in
+  (* a page listed twice gets its first listing's rank back *)
+  let ranks = Interner.create ~capacity:p in
   Array.iteri
     (fun d page ->
-      let key = Page.pack page in
-      if Ccache_util.Int_tbl.mem dense_of key then
+      if Interner.intern ranks (Page.pack page) <> d then
         invalid_arg
           (Printf.sprintf "Trace.of_dense: duplicate page %s"
-             (Page.to_string page));
-      Ccache_util.Int_tbl.set dense_of key d)
+             (Page.to_string page)))
     pages;
   {
     requests;
     n_users;
-    interning =
-      Atomic.make (Some { dense = Array.copy dense; pages = Array.copy pages; dense_of });
+    interning = Atomic.make (Some { dense = Array.copy dense; ranks });
   }
 
 (** Concatenate traces over the same user universe. *)
@@ -162,7 +142,7 @@ let append a b =
   }
 
 (** Distinct pages, in first-touch order (the interning vocabulary). *)
-let distinct_pages t = Array.to_list (interning t).pages
+let distinct_pages t = List.init (n_pages t) (page_of_dense t)
 
 (** Append the paper's terminal flush: a dummy user owning [k] fresh
     pages, all requested once at the end, forcing every real page out of
@@ -184,7 +164,7 @@ module Index = struct
      (request totals, first positions) are flat arrays over the dense
      page space — no hashtable is touched after the trace's one-off
      interning pass, and page-keyed queries translate through the
-     interning's int table. *)
+     interner. *)
   type t = {
     trace : trace;
     interval : int array;
@@ -202,9 +182,8 @@ module Index = struct
   }
 
   let build trace =
-    let inter = interning trace in
-    let dense = inter.dense in
-    let p = Array.length inter.pages in
+    let dense = (interning trace).dense in
+    let p = n_pages trace in
     let n = Array.length trace.requests in
     let interval = Array.make n 0 in
     let next_use = Array.make n Int.max_int in
@@ -249,13 +228,13 @@ module Index = struct
   let distinct_upto t pos = t.distinct_upto.(pos)
     [@@effects.no_alloc] [@@effects.deterministic]
 
-  (* page-keyed queries: one int-table probe to enter the dense space *)
+  (* page-keyed queries: one interner probe to enter the dense space *)
   let dense_id t page =
-    Ccache_util.Int_tbl.find_default
+    Interner.find
       (match Atomic.get t.trace.interning with
-      | Some i -> i.dense_of
+      | Some i -> i.ranks
       | None -> assert false (* build forced the interning *))
-      (Page.pack page) ~default:(-1)
+      (Page.pack page)
     [@@effects.no_alloc] [@@effects.deterministic]
 
   (** r(p, T): total number of requests of [page] in the whole trace. *)

@@ -26,12 +26,6 @@ let current_dir () = !dir
 let key_of_fingerprint fp =
   Printf.sprintf "%016Lx" (Ccache_util.Prng.hash_string fp)
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_all path s =
   let oc = open_out_bin path in
   Fun.protect
@@ -50,12 +44,12 @@ let mkdir_p d =
 let lookup ~dir ~key ~fingerprint =
   let ctrace = Filename.concat dir (key ^ ".ctrace") in
   let fp = Filename.concat dir (key ^ ".fp") in
-  match read_all fp with
+  match Trace_io.read_all fp with
   | stored when stored = fingerprint -> (
       try Some (Trace_binary.read_file ctrace)
       with Trace_binary.Format_error _ | Sys_error _ -> None)
   | _ -> None (* hash collision or stale sidecar: treat as a miss *)
-  | exception (Sys_error _ | End_of_file) -> None
+  | exception Sys_error _ -> None
 
 (* Publish [.ctrace] before [.fp]: a reader that races us sees at worst
    a missing sidecar (a miss).  Tmp names carry the pid, so concurrent

@@ -18,8 +18,9 @@
     this repository is invariant under it — policies only ever compare
     pages for identity.
 
-    Malformed lines raise {!Trace_io.Parse_error} with the 1-based line
-    number, matching the native text reader's error discipline. *)
+    Lines come from {!Trace_io.iter_lines} (blank and ['#'] lines
+    skipped), and malformed ones raise {!Trace_io.Parse_error} with
+    the 1-based line number, as in the native text reader. *)
 
 let default_page_shift = 12
 
@@ -38,110 +39,55 @@ let buf_push b v =
   b.data.(b.len) <- v;
   b.len <- b.len + 1
 
-(* Interning state: raw page number -> dense id (first-touch rank). *)
-type interner = {
-  tbl : Ccache_util.Int_tbl.t;
-  pages : buf;  (** dense ids in request order *)
-  mutable next : int;
-}
-
-let interner_create () =
-  { tbl = Ccache_util.Int_tbl.create ~capacity:4096 (); pages = buf_create (); next = 0 }
-
-let touch it ~line raw_page =
-  if raw_page < 0 then
-    raise
-      (Trace_io.Parse_error { line; msg = "address out of range after shift" });
-  let d = Ccache_util.Int_tbl.find_default it.tbl raw_page ~default:(-1) in
-  let d =
-    if d >= 0 then d
-    else begin
-      let d = it.next in
-      Ccache_util.Int_tbl.set it.tbl raw_page d;
-      it.next <- d + 1;
-      d
-    end
-  in
-  buf_push it.pages d
-
-let finish it =
-  let requests =
-    Array.init it.pages.len (fun i ->
-        Page.make ~user:0 ~id:it.pages.data.(i))
-  in
-  Trace.of_pages ~n_users:1 requests
+let parse_error line msg = raise (Trace_io.Parse_error { line; msg })
 
 let parse_addr ~line s =
   (* int_of_string understands the 0x prefix; bare decimal also works *)
   match int_of_string_opt s with
   | Some a when a >= 0 -> a
-  | _ ->
-      raise
-        (Trace_io.Parse_error { line; msg = "invalid address: " ^ s })
+  | _ -> parse_error line ("invalid address: " ^ s)
 
-let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let iter_lines s f =
-  let n = String.length s in
-  let line = ref 1 in
-  let start = ref 0 in
-  for i = 0 to n do
-    if i = n || s.[i] = '\n' then begin
-      if i > !start then f !line (String.sub s !start (i - !start));
-      start := i + 1;
-      incr line
-    end
-  done
+(* Both formats: [addr_of line text tokens] is the address a line
+   references, or [None] for a line to skip.  A non-negative address
+   shifts to a non-negative page number, which keys the interner. *)
+let parse ~page_shift s addr_of =
+  if page_shift < 0 || page_shift > 62 then
+    invalid_arg "Trace_extern: page_shift outside [0, 62]";
+  let ranks = Ccache_util.Interner.create ~capacity:4096 in
+  let dense = buf_create () in
+  Trace_io.iter_lines s (fun line text tokens ->
+      match addr_of line text tokens with
+      | Some addr ->
+          buf_push dense (Ccache_util.Interner.intern ranks (addr lsr page_shift))
+      | None -> ());
+  Trace.of_pages ~n_users:1
+    (Array.init dense.len (fun i -> Page.make ~user:0 ~id:dense.data.(i)))
 
 (* {2 rw format} *)
 
 let of_string_rw ?(page_shift = default_page_shift) s =
-  if page_shift < 0 || page_shift > 62 then
-    invalid_arg "Trace_extern: page_shift outside [0, 62]";
-  let it = interner_create () in
-  iter_lines s (fun line raw ->
-      let trimmed = String.trim raw in
-      if trimmed = "" || trimmed.[0] = '#' then ()
-      else
-        match tokens trimmed with
-        | [ ("R" | "W" | "r" | "w"); addr ] ->
-            touch it ~line (parse_addr ~line addr lsr page_shift)
-        | _ ->
-            raise
-              (Trace_io.Parse_error
-                 { line; msg = "expected 'R 0xADDR' or 'W 0xADDR'" }));
-  finish it
+  parse ~page_shift s (fun line _ tokens ->
+      match tokens with
+      | [ ("R" | "W" | "r" | "w"); addr ] -> Some (parse_addr ~line addr)
+      | _ -> parse_error line "expected 'R 0xADDR' or 'W 0xADDR'")
 
 (* {2 valgrind lackey format} *)
 
 let is_banner line = String.length line >= 2 && line.[0] = '=' && line.[1] = '='
 
 let of_string_lackey ?(page_shift = default_page_shift) s =
-  if page_shift < 0 || page_shift > 62 then
-    invalid_arg "Trace_extern: page_shift outside [0, 62]";
-  let it = interner_create () in
-  iter_lines s (fun line raw ->
-      let trimmed = String.trim raw in
-      if trimmed = "" || trimmed.[0] = '#' || is_banner trimmed then ()
+  parse ~page_shift s (fun line text tokens ->
+      if is_banner text then None
       else
-        match tokens trimmed with
+        match tokens with
         | [ ("I" | "L" | "S" | "M"); ref_ ] -> (
             (* "addr,size" with bare-hex addr *)
             match String.index_opt ref_ ',' with
-            | Some comma ->
-                let addr = String.sub ref_ 0 comma in
-                touch it ~line (parse_addr ~line ("0x" ^ addr) lsr page_shift)
-            | None ->
-                raise
-                  (Trace_io.Parse_error
-                     { line; msg = "expected 'addr,size' reference" }))
-        | _ ->
-            raise
-              (Trace_io.Parse_error
-                 { line; msg = "unrecognised lackey line: " ^ trimmed }));
-  finish it
+            | Some comma -> Some (parse_addr ~line ("0x" ^ String.sub ref_ 0 comma))
+            | None -> parse_error line "expected 'addr,size' reference")
+        | _ -> parse_error line ("unrecognised lackey line: " ^ text))
 
-(* {2 Files and dispatch} *)
+(* {2 Dispatch} *)
 
 type format = Rw | Lackey
 
@@ -154,10 +100,3 @@ let of_string ?page_shift fmt s =
   match fmt with
   | Rw -> of_string_rw ?page_shift s
   | Lackey -> of_string_lackey ?page_shift s
-
-let read_file ?page_shift fmt path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      of_string ?page_shift fmt (really_input_string ic (in_channel_length ic)))

@@ -7,8 +7,9 @@
     64-bit page numbers exceed {!Page}'s 38-bit id field, and the
     policies are invariant under this order-preserving renaming.
 
-    All parsers raise {!Trace_io.Parse_error} with a 1-based line
-    number on malformed input. *)
+    Both parsers read lines through {!Trace_io.iter_lines} and raise
+    {!Trace_io.Parse_error} with a 1-based line number on malformed
+    input. *)
 
 val default_page_shift : int
 (** 12 — 4 KiB pages. *)
@@ -21,4 +22,3 @@ val format_of_string : string -> format option
 val of_string_rw : ?page_shift:int -> string -> Trace.t
 val of_string_lackey : ?page_shift:int -> string -> Trace.t
 val of_string : ?page_shift:int -> format -> string -> Trace.t
-val read_file : ?page_shift:int -> format -> string -> Trace.t

@@ -41,59 +41,62 @@ exception Parse_error of { line : int; msg : string }
 
 let parse_error line msg = raise (Parse_error { line; msg })
 
-let is_comment line = String.length line > 0 && line.[0] = '#'
+(* {2 Reading} *)
 
-let parse_lines lines =
+let read_all = function
+  | "-" -> In_channel.input_all stdin
+  | path -> In_channel.with_open_bin path In_channel.input_all
+
+let iter_lines s f =
+  let n = String.length s in
+  let rec go line start =
+    if start < n then begin
+      let stop =
+        match String.index_from_opt s start '\n' with Some i -> i | None -> n
+      in
+      let text = String.trim (String.sub s start (stop - start)) in
+      if text <> "" && text.[0] <> '#' then
+        f line text
+          (String.split_on_char ' ' text |> List.filter (fun tok -> tok <> ""));
+      go (line + 1) (stop + 1)
+    end
+  in
+  go 1 0
+
+let looks_text s =
+  let first =
+    match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
+  in
+  String.trim first = magic
+
+(* The magic line is itself a comment, so the line reader skips it. *)
+let of_string s =
+  if not (looks_text s) then parse_error 1 "missing or wrong magic header";
   let n_users = ref None in
   let requests = ref [] in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = String.trim raw in
-      if line = "" || is_comment line then ()
-      else
-        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-        | [ "users"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n > 0 ->
-                if !n_users <> None then parse_error lineno "duplicate users directive";
-                n_users := Some n
-            | _ -> parse_error lineno "invalid user count")
-        | [ u; p ] -> (
-            match (int_of_string_opt u, int_of_string_opt p) with
-            | Some u, Some p when u >= 0 && p >= 0 ->
-                requests := (u, p) :: !requests
-            | _ -> parse_error lineno "invalid request line")
-        | _ -> parse_error lineno ("unrecognised line: " ^ line))
-    lines;
+  iter_lines s (fun line text tokens ->
+      match tokens with
+      | [ "users"; n ] -> (
+          match int_of_string_opt n with
+          | Some n when n > 0 ->
+              if !n_users <> None then parse_error line "duplicate users directive";
+              n_users := Some n
+          | _ -> parse_error line "invalid user count")
+      | [ u; p ] -> (
+          match (int_of_string_opt u, int_of_string_opt p) with
+          | Some user, Some id when user >= 0 && id >= 0 -> (
+              match Page.make ~user ~id with
+              | page -> requests := page :: !requests
+              | exception Invalid_argument msg -> parse_error line msg)
+          | _ -> parse_error line "invalid request line")
+      | _ -> parse_error line ("unrecognised line: " ^ text));
   match !n_users with
   | None -> parse_error 0 "missing users directive"
-  | Some n_users ->
-      let reqs =
-        List.rev_map (fun (user, id) -> Page.make ~user ~id) !requests
-      in
-      (try Trace.of_list ~n_users reqs
-       with Invalid_argument msg -> parse_error 0 msg)
+  | Some n_users -> (
+      try Trace.of_list ~n_users (List.rev !requests)
+      with Invalid_argument msg -> parse_error 0 msg)
 
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  (match lines with
-  | first :: _ when String.trim first = magic -> ()
-  | _ -> parse_error 1 "missing or wrong magic header");
-  parse_lines lines
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let buf = Buffer.create 4096 in
-      (try
-         while true do
-           Buffer.add_channel buf ic 4096
-         done
-       with End_of_file -> ());
-      of_string (Buffer.contents buf))
+let read_file path = of_string (read_all path)
 
 (* {2 Format auto-dispatch} *)
 

@@ -19,6 +19,20 @@ val to_string : Trace.t -> string
 val of_string : string -> Trace.t
 (** @raise Parse_error on malformed input. *)
 
+val looks_text : string -> bool
+(** Does the input's first line, trimmed, equal {!magic}? *)
+
+val iter_lines : string -> (int -> string -> string list -> unit) -> unit
+(** The line reader of every text trace format ({!Trace_extern}'s
+    included): [iter_lines s f] calls [f line text tokens], in order,
+    for each line of [s] that is neither blank nor a ['#'] comment —
+    [line] is its 1-based number, [text] the line trimmed of
+    surrounding whitespace, [tokens] its space-separated words. *)
+
+val read_all : string -> string
+(** The whole file as a string; ["-"] reads standard input.
+    @raise Sys_error if the file cannot be read. *)
+
 val write_channel : out_channel -> Trace.t -> unit
 val write_file : string -> Trace.t -> unit
 val read_file : string -> Trace.t

@@ -1,0 +1,32 @@
+(** First-touch interner: int keys onto the dense ranks [\[0, n)].
+
+    A key's rank is the number of distinct keys interned before it was
+    first seen, so ranks depend only on the order keys arrive in, never
+    on a hash.  This is the one place first-touch ranks are assigned:
+    {!Ccache_trace.Trace}'s dense interning, the external address-trace
+    readers and the heap-backed policies (which break ties on the rank)
+    all go through it.
+
+    Layout: an {!Int_tbl} key -> rank plus a flat rank -> key array;
+    {!intern} and {!find} allocate nothing once both are at capacity,
+    and growth is amortised doubling.  The key [min_int] is reserved by
+    the table and rejected with [Invalid_argument]. *)
+
+type t
+
+val create : capacity:int -> t
+(** [create ~capacity] has room for [capacity] keys before either
+    array grows. *)
+
+val length : t -> int
+(** Distinct keys interned so far. *)
+
+val intern : t -> int -> int
+(** Rank of the key, assigning the next rank on first sight. *)
+
+val find : t -> int -> int
+(** Rank of the key, or [-1] if it was never interned. *)
+
+val key : t -> int -> int
+(** Key holding the given rank.
+    @raise Invalid_argument outside [\[0, length t)]. *)

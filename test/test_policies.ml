@@ -132,6 +132,14 @@ let test_landlord_credit_decay () =
   let _, log = run P.Landlord.static [ p 0 0; p 0 1; p 0 2; p 0 3 ] in
   checkb "decay order" true (victims_of log = [ p 0 0; p 0 1 ])
 
+let test_landlord_ties_break_on_first_touch () =
+  (* Equal weights, and page 5 is first touched before page 3, so the
+     first-touch ranks (5 -> 0, 3 -> 1) order the tied pair opposite to
+     their packed ints.  Inserting page 7 must evict page 5: a heap
+     keyed by [Page.pack] would evict page 3 instead. *)
+  let _, log = run P.Landlord.static [ p 0 5; p 0 3; p 0 7 ] in
+  checkb "evicts first-touched page" true (victims_of log = [ p 0 5 ])
+
 let test_landlord_adaptive_tracks_marginals () =
   (* convex user gets pricier after evictions: adaptive landlord starts
      protecting it; just assert it runs and differs from static on a
@@ -407,6 +415,8 @@ let () =
         [
           Alcotest.test_case "prefers cheap users" `Quick test_landlord_prefers_cheap_users;
           Alcotest.test_case "credit decay" `Quick test_landlord_credit_decay;
+          Alcotest.test_case "ties break on first touch" `Quick
+            test_landlord_ties_break_on_first_touch;
           Alcotest.test_case "adaptive marginals" `Quick test_landlord_adaptive_tracks_marginals;
         ] );
       ( "belady",

@@ -302,6 +302,25 @@ let test_io_rejects_garbage () =
     | exception Trace_io.Parse_error _ -> true
     | _ -> false)
 
+(* Line numbers count every line, blank and comment lines included. *)
+let test_io_error_lines () =
+  let line_of s =
+    match Trace_io.of_string s with
+    | exception Trace_io.Parse_error { line; _ } -> line
+    | _ -> -1
+  in
+  let header = "# convex-caching trace v1\n\n# a comment\n" in
+  checki "bad magic" 1 (line_of "hello\nusers 2\n");
+  checki "bad user count" 4 (line_of (header ^ "users x\n"));
+  checki "bad request after blanks" 7
+    (line_of (header ^ "users 2\n0 1\n\nx y z\n"));
+  checki "negative page after a comment" 6
+    (line_of (header ^ "users 2\n# note\n0 -1\n"));
+  checki "duplicate users" 6 (line_of (header ^ "users 2\n\nusers 3\n"));
+  checki "page id past the packed width" 5
+    (line_of (header ^ "users 1\n0 " ^ string_of_int (1 lsl 40) ^ "\n"));
+  checki "missing users is whole-input" 0 (line_of (header ^ "0 1\n"))
+
 let test_io_comments_and_blanks () =
   let s = "# convex-caching trace v1\n\n# a comment\nusers 2\n0 0\n\n1 3\n" in
   let t = Trace_io.of_string s in
@@ -397,6 +416,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip_handmade;
           Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
           Alcotest.test_case "comments/blanks" `Quick test_io_comments_and_blanks;
+          Alcotest.test_case "error lines" `Quick test_io_error_lines;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
         ]
         @ qsuite [ io_roundtrip_property ] );

@@ -223,6 +223,23 @@ let test_extern_rw_errors () =
   checki "bad address line number" 1 (line_of "R zzz\n");
   checki "bad op line number" 3 (line_of "R 0x1\nW 0x2\nX 0x3\n")
 
+(* The shared line reader numbers skipped lines too: comments, blank
+   lines and valgrind banners all count. *)
+let test_extern_error_lines () =
+  let line_of parse s =
+    match parse s with
+    | exception Trace_io.Parse_error { line; _ } -> line
+    | _ -> -1
+  in
+  let rw = Trace_extern.of_string_rw ?page_shift:None in
+  let lackey = Trace_extern.of_string_lackey ?page_shift:None in
+  checki "rw after comment and blank" 4 (line_of rw "# c\n\nR 0x1\nQ 0x2\n");
+  checki "rw bad address after comment" 3 (line_of rw "R 0x1\n# c\nW 0xzz\n");
+  checki "lackey after banner and comment" 4
+    (line_of lackey "==1== banner\n# c\nI  0400,4\nZ 1,2\n");
+  checki "lackey missing size after blank" 3
+    (line_of lackey "==1== banner\n\n L 04f2b7e0\n")
+
 let test_extern_lackey () =
   let t =
     Trace_extern.of_string_lackey
@@ -431,6 +448,7 @@ let () =
           Alcotest.test_case "rw page shift" `Quick test_extern_rw_page_shift;
           Alcotest.test_case "rw errors" `Quick test_extern_rw_errors;
           Alcotest.test_case "lackey format" `Quick test_extern_lackey;
+          Alcotest.test_case "error lines" `Quick test_extern_error_lines;
         ] );
       ( "cache",
         [

@@ -6,6 +6,7 @@ module Fc = Ccache_util.Float_cmp
 module Dlist = Ccache_util.Dlist
 module Heap = Ccache_util.Indexed_heap
 module Itbl = Ccache_util.Int_tbl
+module Interner = Ccache_util.Interner
 module Tbl = Ccache_util.Ascii_table
 
 let checkb = Alcotest.(check bool)
@@ -498,6 +499,61 @@ let int_tbl_model_test =
         ops)
 
 (* ------------------------------------------------------------------ *)
+(* Interner                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_interner_basic () =
+  let t = Interner.create ~capacity:1 in
+  checki "first key" 0 (Interner.intern t 40);
+  checki "second key" 1 (Interner.intern t (-3));
+  checki "repeat keeps its rank" 0 (Interner.intern t 40);
+  checki "find" 1 (Interner.find t (-3));
+  checki "find unseen" (-1) (Interner.find t 7);
+  checki "length" 2 (Interner.length t);
+  checki "key of rank" (-3) (Interner.key t 1);
+  Alcotest.check_raises "unknown rank"
+    (Invalid_argument "Interner.key: unknown rank") (fun () ->
+      ignore (Interner.key t 2))
+
+let test_interner_min_int_rejected () =
+  let t = Interner.create ~capacity:16 in
+  let reserved = Invalid_argument "Int_tbl: key min_int is reserved" in
+  Alcotest.check_raises "intern" reserved (fun () ->
+      ignore (Interner.intern t min_int));
+  Alcotest.check_raises "find" reserved (fun () ->
+      ignore (Interner.find t min_int))
+
+(* Model: the distinct keys in order of first occurrence; a key's rank
+   is its index there.  Starting from capacity 1, any sequence with two
+   or more distinct keys grows both the table and the rank array. *)
+let interner_model_test =
+  QCheck.Test.make ~name:"interner ranks follow first occurrence" ~count:300
+    QCheck.(list (int_range (-60) 60))
+    (fun keys ->
+      let t = Interner.create ~capacity:1 in
+      let model = ref [||] in
+      let model_rank k =
+        let r = ref (-1) in
+        Array.iteri (fun i k' -> if k' = k then r := i) !model;
+        !r
+      in
+      List.for_all
+        (fun k ->
+          let before = model_rank k in
+          if before < 0 then model := Array.append !model [| k |];
+          let expected = model_rank k in
+          Interner.find t k = before
+          && Interner.intern t k = expected
+          && Interner.key t expected = k)
+        keys
+      && Interner.length t = Array.length !model
+      && Array.for_all
+           (fun k ->
+             let r = model_rank k in
+             Interner.find t k = r && Interner.key t r = k)
+           !model)
+
+(* ------------------------------------------------------------------ *)
 (* Ascii_table                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -588,6 +644,13 @@ let () =
             test_int_tbl_min_int_rejected;
         ]
         @ qsuite [ int_tbl_model_test ] );
+      ( "interner",
+        [
+          Alcotest.test_case "basic" `Quick test_interner_basic;
+          Alcotest.test_case "min_int reserved" `Quick
+            test_interner_min_int_rejected;
+        ]
+        @ qsuite [ interner_model_test ] );
       ( "ascii_table",
         [
           Alcotest.test_case "render" `Quick test_table_render_plain;
