@@ -12,7 +12,6 @@
 
     true ratio is always inside [ratio_vs_upper, ratio_vs_lower]. *)
 
-module Cf = Ccache_cost.Cost_function
 
 type bracket = {
   online_cost : float;
@@ -32,13 +31,6 @@ let bracket ?offline_lower ~online_cost ~offline_upper () =
     ratio_vs_upper = safe_div online_cost offline_upper;
     ratio_vs_lower = Option.map (fun lb -> safe_div online_cost lb) offline_lower;
   }
-
-let cost_of ~costs misses =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u m -> acc := !acc +. Cf.eval costs.(u) (float_of_int m))
-    misses;
-  !acc
 
 let pp_bracket ppf b =
   match b.ratio_vs_lower with

@@ -15,7 +15,4 @@ type bracket = {
 val bracket :
   ?offline_lower:float -> online_cost:float -> offline_upper:float -> unit -> bracket
 
-val cost_of : costs:Ccache_cost.Cost_function.t array -> int array -> float
-(** [sum_i f_i(misses_i)]. *)
-
 val pp_bracket : Format.formatter -> bracket -> unit

@@ -1,9 +1,9 @@
 (** ALG-CONT (paper Figure 2): the continuous primal-dual algorithm,
     instrumented with its dual variables.
 
-    The eviction decisions are exactly those of ALG-DISCRETE (both are
-    driven by {!Budget_state}); what this runner adds is the
-    bookkeeping the correctness proof reads:
+    The eviction decisions are exactly those of ALG-DISCRETE: the run
+    is an engine replay of a {!Budget_state} policy.  What this runner
+    adds is the bookkeeping the correctness proof reads:
 
     - [y.(t)]   — the amount the dual variable [y_t] increases at step
       [t] (zero unless an eviction happens; otherwise the victim's
@@ -21,6 +21,7 @@
     (and this is itself one of the checked identities). *)
 
 module Cf = Ccache_cost.Cost_function
+module Policy = Ccache_sim.Policy
 open Ccache_trace
 
 type interval = {
@@ -47,85 +48,61 @@ type run = {
   result_cache : Page.t list;  (** cache contents at the end *)
 }
 
-(** Replay [trace] with cache size [k], recording duals.
+(** Replay [trace] with cache size [k], recording duals.  The engine
+    runs the replay, the terminal flush included; the policy it drives
+    is Figure 3 on a {!Budget_state} whose handlers also keep the
+    intervals: a hit or insertion closes the page's previous interval
+    and opens the next, and an eviction records [y], [x] and the
+    eviction metadata on the victim's open interval.
 
     @param flush append the paper's terminal dummy-user flush so every
            page's last interval ends with an eviction (default false;
            the invariant checker handles both accountings). *)
 let run ?(mode = Cf.Discrete) ?(flush = false) ~k ~costs trace =
   if k <= 0 then invalid_arg "Alg_cont.run: k must be positive";
-  let real_users = Trace.n_users trace in
-  if Array.length costs <> real_users then
+  let n_users = Trace.n_users trace in
+  if Array.length costs <> n_users then
     invalid_arg "Alg_cont.run: costs/users mismatch";
-  let n = Trace.length trace in
-  let st = Budget_state.create ~costs ~mode ~n_users:(Trace.n_users trace) in
-  let y = Array.make (n + if flush then k else 0) 0.0 in
+  let st = Budget_state.create ~costs ~mode ~n_users in
+  let y = Array.make (Trace.length trace + if flush then k else 0) 0.0 in
   let current : interval Page.Tbl.t = Page.Tbl.create 256 in
   let all = ref [] in
-  let cached : unit Page.Tbl.t = Page.Tbl.create 256 in
-  let misses = Array.make (Trace.n_users trace) 0 in
-  for pos = 0 to n - 1 do
-    let p = Trace.request trace pos in
-    (* the previous interval of p (if any) ends here; a new one opens *)
+  let open_interval ~pos page =
     let j =
-      match Page.Tbl.find_opt current p with
+      match Page.Tbl.find_opt current page with
       | Some iv ->
           iv.end_pos <- Some pos;
           iv.j + 1
       | None -> 1
     in
     let iv =
-      { page = p; j; start_pos = pos; end_pos = None; x = false;
+      { page; j; start_pos = pos; end_pos = None; x = false;
         evict_pos = None; m_at_evict = None }
     in
-    Page.Tbl.replace current p iv;
+    Page.Tbl.replace current page iv;
     all := iv :: !all;
-    if not (Page.Tbl.mem cached p) then begin
-      misses.(Page.user p) <- misses.(Page.user p) + 1;
-      if Page.Tbl.length cached >= k then begin
-        let victim, _ = Budget_state.min_budget st in
-        let victim_iv =
-          match Page.Tbl.find_opt current victim with
-          | Some iv -> iv
-          | None -> assert false (* cached pages always have an open interval *)
-        in
-        let delta = Budget_state.evict st victim in
-        y.(pos) <- delta;
-        victim_iv.x <- true;
-        victim_iv.evict_pos <- Some pos;
-        victim_iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim));
-        Page.Tbl.remove cached victim
-      end;
-      Page.Tbl.replace cached p ();
-      Budget_state.touch st p
-    end
-    else Budget_state.touch st p
-  done;
-  (* Terminal flush (paper Section 2.1): k requests by an infinite-cost
-     dummy user, realised as pinned non-insertions — each one evicts
-     the minimum-budget real page, closing its last interval with an
-     eviction so the (ICP) accounting (evictions = misses) holds. *)
-  if flush then
-    for step = 0 to k - 1 do
-      if Page.Tbl.length cached > 0 then begin
-        let pos = n + step in
-        let victim, _ = Budget_state.min_budget st in
-        let victim_iv =
-          match Page.Tbl.find_opt current victim with
-          | Some iv -> iv
-          | None -> assert false
-        in
-        let delta = Budget_state.evict st victim in
-        y.(pos) <- delta;
-        victim_iv.x <- true;
-        victim_iv.evict_pos <- Some pos;
-        victim_iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim));
-        Page.Tbl.remove cached victim
-      end
-    done;
-  let final_m =
-    Array.init (Trace.n_users trace) (fun u -> Budget_state.evictions st u)
+    Budget_state.touch st page
   in
+  let on_evict ~pos victim =
+    (* cached pages always have an open interval *)
+    let iv = Page.Tbl.find current victim in
+    y.(pos) <- Budget_state.evict st victim;
+    iv.x <- true;
+    iv.evict_pos <- Some pos;
+    iv.m_at_evict <- Some (Budget_state.evictions st (Page.user victim))
+  in
+  let policy =
+    Policy.make ~name:"alg-cont" (fun _ ->
+        {
+          Policy.on_hit = open_interval;
+          wants_evict = Policy.never_evict_early;
+          choose_victim =
+            (fun ~pos:_ ~incoming:_ -> fst (Budget_state.min_budget st));
+          on_insert = open_interval;
+          on_evict;
+        })
+  in
+  let r = Ccache_sim.Engine.replay ~flush ~k ~costs policy trace in
   {
     trace;
     k;
@@ -133,10 +110,9 @@ let run ?(mode = Cf.Discrete) ?(flush = false) ~k ~costs trace =
     mode;
     y;
     intervals = List.rev !all;
-    final_m;
-    misses_per_user = misses;
-    result_cache =
-      Page.Tbl.fold (fun p () acc -> p :: acc) cached [] |> List.sort Page.compare;
+    final_m = Array.init n_users (Budget_state.evictions st);
+    misses_per_user = r.Ccache_sim.Engine.misses_per_user;
+    result_cache = r.Ccache_sim.Engine.final_cache;
   }
 
 (** Prefix sums of [y]: [prefix.(t)] = sum of y over positions [0..t-1],
@@ -166,11 +142,4 @@ let z_of run prefix iv =
       y_between prefix ~after:ev ~before:end_pos
 
 (** Total cost of the run: [sum_i f_i(misses_i)] over real users. *)
-let total_cost run =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u misses ->
-      if u < Array.length run.costs then
-        acc := !acc +. Cf.eval run.costs.(u) (float_of_int misses))
-    run.misses_per_user;
-  !acc
+let total_cost run = Cf.total run.costs run.misses_per_user

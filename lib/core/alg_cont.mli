@@ -1,9 +1,11 @@
 (** ALG-CONT (paper Figure 2): the continuous primal-dual algorithm,
     instrumented with its dual variables.
 
-    Decisions are exactly those of ALG-DISCRETE (both run on
-    {!Budget_state}); this runner additionally records what the
-    correctness proof reads: the per-step dual increases [y], and one
+    Decisions are exactly those of ALG-DISCRETE: the run is one
+    {!Ccache_sim.Engine.replay} of a {!Budget_state} policy, so the
+    engine owns the cache, the miss counts and the terminal flush.  Its
+    handlers additionally record what the correctness proof reads: the
+    per-step dual increases [y], and one
     {!interval} record per (page, request-interval) carrying the
     primal variable x(p,j) and the eviction metadata.  The z(p,j)
     duals need no explicit tracking — z grows in lockstep with y while
@@ -48,7 +50,10 @@ val run :
   run
 (** Replay with dual recording.  [~flush:true] (paper Section 2.1)
     appends k pinned dummy evict-steps so every page's last interval
-    ends in an eviction — required for the full invariant (3a). *)
+    ends in an eviction — required for the full invariant (3a).  The
+    replay records no observability counters.
+    @raise Invalid_argument if [k <= 0] or [costs] has not one entry
+    per user. *)
 
 val y_prefix : run -> float array
 (** [prefix.(t)] = sum of y over positions < t. *)
@@ -61,4 +66,4 @@ val z_of : run -> float array -> interval -> float
 (** z(p,j) via the closed form (0 for unevicted intervals). *)
 
 val total_cost : run -> float
-(** [sum_i f_i(misses_i)] over real users. *)
+(** [sum_i f_i(misses_i)] over real users ({!Ccache_cost.Cost_function.total}). *)

@@ -37,32 +37,6 @@ let variant_name { mode; bump; subtract } =
   in
   match parts with [] -> base | _ -> base ^ "[" ^ String.concat "," parts ^ "]"
 
-(* A variant-aware clone of Budget_state.evict: the shared module
-   implements the paper's rules; ablations re-derive the update here. *)
-let ablated_evict (st : Budget_state.t) ~bump ~subtract victim =
-  let delta =
-    match Budget_state.budget st victim with
-    | Some b -> b
-    | None -> invalid_arg "alg-discrete: victim not cached"
-  in
-  let owner = Page.user victim in
-  let bump_amount =
-    if bump then
-      Budget_state.rate st owner ~offset:2 -. Budget_state.rate st owner ~offset:1
-    else 0.0
-  in
-  Page.Tbl.remove st.Budget_state.b victim;
-  let slot = Stdlib.min owner (Array.length st.Budget_state.m - 1) in
-  st.Budget_state.m.(slot) <- st.Budget_state.m.(slot) + 1;
-  (* in-place sweep, mirroring Budget_state.evict: no intermediate
-     O(k) update list per eviction *)
-  Page.Tbl.filter_map_inplace
-    (fun page b ->
-      let b = if subtract then b -. delta else b in
-      Some (if Page.user page = owner then b +. bump_amount else b))
-    st.Budget_state.b;
-  delta
-
 (* Candidate-set buckets: occupancy at an eviction is bounded by k. *)
 let candidate_bounds =
   [| 4.0; 16.0; 64.0; 256.0; 1024.0; 4096.0; 16384.0; 65536.0 |]
@@ -110,11 +84,8 @@ let make_variant variant =
                victim is still in the budget table here) *)
             let candidates = if obs then Budget_state.cached_count st else 0 in
             let delta =
-              if variant.bump && variant.subtract then
-                Budget_state.evict st victim
-              else
-                ablated_evict st ~bump:variant.bump ~subtract:variant.subtract
-                  victim
+              Budget_state.evict ~bump:variant.bump ~subtract:variant.subtract
+                st victim
             in
             if obs then
               record_evict ~name:(variant_name variant) ~pos ~candidates

@@ -1,7 +1,9 @@
 (** The budget state machine of ALG-DISCRETE (paper Figure 3).
 
-    Shared by the {!Alg_discrete} policy and the dual-instrumented
-    {!Alg_cont} runner so both provably make identical decisions.
+    The one implementation of Figure 3's updates, driven by the
+    {!Alg_discrete} policy (and its E9 ablations), {!Alg_windowed} and
+    the dual-instrumented {!Alg_cont} runner, so all of them provably
+    make identical decisions.
 
     State: a budget [B(p)] for every cached page and the per-user
     eviction counts [m(i,t)].  The three update rules:
@@ -75,10 +77,12 @@ let min_budget t =
   | Some pb -> pb
   | None -> invalid_arg "Budget_state.min_budget: empty cache"
 
-(** Apply the full Figure-3 eviction update for [victim]; returns the
+(** Apply the Figure-3 eviction update for [victim]; returns the
     victim's budget [delta] (the amount [y_t] increases by in
-    ALG-CONT).  The incoming page must not yet have been [touch]ed. *)
-let evict t victim =
+    ALG-CONT).  The incoming page must not yet have been [touch]ed.
+    [~bump:false] / [~subtract:false] drop one rule each (the E9
+    ablations). *)
+let evict ?(bump = true) ?(subtract = true) t victim =
   let delta =
     match Page.Tbl.find_opt t.b victim with
     | Some b -> b
@@ -87,7 +91,9 @@ let evict t victim =
   Page.Tbl.remove t.b victim;
   let owner = Page.user victim in
   (* marginal bump uses the pre-eviction count m *)
-  let bump = rate t owner ~offset:2 -. rate t owner ~offset:1 in
+  let bump_amount =
+    if bump then rate t owner ~offset:2 -. rate t owner ~offset:1 else 0.0
+  in
   let slot = Stdlib.min owner (Array.length t.m - 1) in
   t.m.(slot) <- t.m.(slot) + 1;
   (* single in-place sweep: subtract delta everywhere, add bump to
@@ -96,13 +102,20 @@ let evict t victim =
      O(k) garbage. *)
   Page.Tbl.filter_map_inplace
     (fun page b ->
-      let b = b -. delta in
-      Some (if Page.user page = owner then b +. bump else b))
+      let b = if subtract then b -. delta else b in
+      Some (if Page.user page = owner then b +. bump_amount else b))
     t.b;
   delta
 
-(** All budgets, sorted by page — used by tests and the fast-impl
-    equivalence property. *)
+(** Window reset: every eviction count restarts at zero and every
+    cached budget is re-based to the fresh marginal f'(1), in place. *)
+let new_window t =
+  Array.fill t.m 0 (Array.length t.m) 0;
+  Page.Tbl.filter_map_inplace
+    (fun page _ -> Some (rate t (Page.user page) ~offset:1))
+    t.b
+
+(** All budgets, sorted by page — used by tests. *)
 let budgets t =
   Page.Tbl.fold (fun p b acc -> (p, b) :: acc) t.b []
   |> List.sort (fun (a, _) (b, _) -> Page.compare a b)

@@ -153,6 +153,16 @@ let marginal t x =
   if x < 1 then invalid_arg "Cost_function.marginal: x must be >= 1";
   eval t (float_of_int x) -. eval t (float_of_int (x - 1))
 
+(** The paper's objective [sum_i f_i(c_i)]: one left fold from 0.0 in
+    user order, so every total in the repository adds its terms in the
+    same order. *)
+let total costs counts =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun u c -> acc := !acc +. eval costs.(u) (float_of_int c))
+    counts;
+  !acc
+
 (** Which derivative notion an algorithm should use. *)
 type derivative_mode = Analytic | Discrete
 

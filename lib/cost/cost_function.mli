@@ -74,6 +74,12 @@ val marginal : t -> int -> float
 (** [marginal f x] = f(x) - f(x-1), the cost of the [x]-th miss.
     @raise Invalid_argument if [x < 1]. *)
 
+val total : t array -> int array -> float
+(** [total costs counts] is the paper's objective [sum_i f_i(c_i)],
+    user [i]'s count [counts.(i)] priced by [costs.(i)], added left to
+    right from [0.0].
+    @raise Invalid_argument if [counts] is longer than [costs]. *)
+
 type derivative_mode = Analytic | Discrete
 (** Which derivative notion an algorithm uses (paper Section 2.5). *)
 

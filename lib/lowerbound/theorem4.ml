@@ -23,20 +23,13 @@ type point = {
   theory_curve : float;  (** (k/4)^beta, the paper's Omega(k)^beta form *)
 }
 
-let cost_of ~costs misses =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u m -> acc := !acc +. Cf.eval costs.(u) (float_of_int m))
-    misses;
-  !acc
-
 let measure ?(steps_per_user = 200) ~n_users ~beta policy =
   let costs = Array.init n_users (fun _ -> Cf.monomial ~beta ()) in
   let steps = steps_per_user * n_users in
   let adv = Adversary.drive ~n_users ~steps ~costs policy in
-  let online_cost = cost_of ~costs adv.Adversary.online_misses in
+  let online_cost = Cf.total costs adv.Adversary.online_misses in
   let batch = Batch.run ~k:adv.Adversary.k adv.Adversary.trace in
-  let offline_cost = cost_of ~costs batch.Batch.misses_per_user in
+  let offline_cost = Cf.total costs batch.Batch.misses_per_user in
   let ratio = if offline_cost > 0.0 then online_cost /. offline_cost else infinity in
   {
     policy = Ccache_sim.Policy.name policy;

@@ -15,9 +15,6 @@ type point = {
   theory_curve : float;  (** (k/4)^beta *)
 }
 
-val cost_of :
-  costs:Ccache_cost.Cost_function.t array -> int array -> float
-
 val measure :
   ?steps_per_user:int ->
   n_users:int ->

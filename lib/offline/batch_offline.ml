@@ -114,10 +114,4 @@ let run ~k trace =
     batch_length; batches = !batches }
 
 (** Total cost of the batch schedule under [costs]. *)
-let cost ~costs r =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u m ->
-      acc := !acc +. Ccache_cost.Cost_function.eval costs.(u) (float_of_int m))
-    r.misses_per_user;
-  !acc
+let cost ~costs r = Ccache_cost.Cost_function.total costs r.misses_per_user

@@ -13,7 +13,6 @@
 
 module Engine = Ccache_sim.Engine
 module Metrics = Ccache_sim.Metrics
-module Cf = Ccache_cost.Cost_function
 open Ccache_trace
 
 type outcome = {
@@ -71,11 +70,3 @@ let compute ?(local_search_rounds = 40) ?exact_dp ~cache_size ~costs trace =
     misses_per_user = misses;
     all = List.map (fun (n, c, _) -> (n, c)) entries |> List.rev;
   }
-
-(** Sum of f_i over a miss vector — convenience mirrored from Metrics. *)
-let cost_of ~costs misses =
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u m -> acc := !acc +. Cf.eval costs.(u) (float_of_int m))
-    misses;
-  !acc

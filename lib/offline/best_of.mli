@@ -23,7 +23,3 @@ val compute :
   outcome
 (** [local_search_rounds] defaults to 40 (0 disables); [exact_dp]
     defaults to automatic (only on clearly tiny instances). *)
-
-val cost_of :
-  costs:Ccache_cost.Cost_function.t array -> int array -> float
-(** [sum_i f_i(misses_i)] over a miss vector. *)

@@ -102,12 +102,9 @@ let solve ?(max_states = 2_000_000) ?(pinned = fun (_ : Page.t) -> false)
     (fun _ front ->
       List.iter
         (fun v ->
-          let c = ref 0.0 in
-          Array.iteri
-            (fun u m -> c := !c +. Cf.eval costs.(u) (float_of_int m))
-            v;
-          if !c < !best then begin
-            best := !c;
+          let c = Cf.total costs v in
+          if c < !best then begin
+            best := c;
             best_v := Some v
           end)
         front)

@@ -1,6 +1,6 @@
 (** Replay-form service (see the interface).  The only moving parts
-    are [plan] (serial, engine-free) and the per-shard
-    [Shard.run_schedule] calls; everything after the merge — including
+    are [plan] (serial, engine-free) and the per-shard [replay_shard]
+    calls; everything after the merge — including
     every service-level obs write — happens on the calling domain in
     shard order, which is what keeps exports width-independent. *)
 
@@ -69,10 +69,6 @@ let merge config ~costs trace schedule engines =
         (fun u m -> misses_per_user.(u) <- misses_per_user.(u) + m)
         r.Engine.misses_per_user)
     engines;
-  let total_cost = ref 0. in
-  Array.iteri
-    (fun u m -> total_cost := !total_cost +. Cf.eval costs.(u) (float_of_int m))
-    misses_per_user;
   let throughput =
     if schedule.Scheduler.rounds = 0 then 0.
     else
@@ -85,7 +81,7 @@ let merge config ~costs trace schedule engines =
     engines;
     misses_per_user;
     hits = !hits;
-    total_cost = !total_cost;
+    total_cost = Cf.total costs misses_per_user;
     throughput;
   }
 
@@ -123,15 +119,20 @@ let record_obs result =
     s.Scheduler.shards;
   Array.iter Engine.record_result_obs result.engines
 
+(* A shard is a plain engine run over the requests it drained, in
+   drain order: its batches tile that sequence in order, so replaying
+   them batch by batch is replaying the sequence. *)
+let replay_shard config ~costs ~n_users (ss : Scheduler.shard_schedule) =
+  Engine.replay ~k:config.shard_k ~costs config.policy
+    (Trace.of_pages ~n_users ss.Scheduler.pages)
+
 let run_inner ?pool config ~costs trace =
   validate config ~costs trace;
   let schedule = plan config trace in
   let n_users = Trace.n_users trace in
   let engines =
     Domain_pool.map_list ?pool
-      ~f:(fun ss ->
-        Shard.run_schedule ~k:config.shard_k ~costs ~policy:config.policy
-          ~n_users ss)
+      ~f:(fun ss -> replay_shard config ~costs ~n_users ss)
       (Array.to_list schedule.Scheduler.shards)
     |> Array.of_list
   in
@@ -239,9 +240,7 @@ let run_supervised ?pool ?policy ?fault ?checkpoint ?on_event config ~costs
            {
              Supervisor.id = shard_task_id ss.Scheduler.shard;
              run =
-               (fun _ctx ->
-                 Shard.run_schedule ~k:config.shard_k ~costs
-                   ~policy:config.policy ~n_users ss);
+               (fun _ctx -> replay_shard config ~costs ~n_users ss);
            })
   in
   let replayed = ref [] in

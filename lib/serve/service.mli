@@ -3,8 +3,8 @@
     [run] is the whole pipeline: {!Scheduler.clients_of_trace} deals
     the recorded trace over the configured clients,
     {!Scheduler.build} derives the deterministic round schedule, every
-    shard replays its schedule through its own engine
-    ({!Shard.run_schedule}) — on [?pool]'s worker domains when given —
+    shard replays the requests it drained, in drain order, as one
+    {!Ccache_sim.Engine.replay} — on [?pool]'s worker domains when given —
     and the per-shard results are merged into service-level
     accounting: summed per-user miss counts, total convex cost
     [sum_i f_i(m_i)] over the {e merged} counts, and logical
@@ -78,7 +78,7 @@ val run :
   result
 (** Serve the whole trace.  @raise Invalid_argument if [costs] has not
     exactly one entry per trace user (shards re-validate their
-    sub-traces), or via {!Scheduler.build} / {!Shard.create}. *)
+    sub-traces), or via {!Scheduler.build} / {!Ccache_sim.Engine.replay}. *)
 
 (** {1 Supervised execution} *)
 

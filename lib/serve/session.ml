@@ -30,7 +30,7 @@ type ticket = {
 type stage = Open | Drain | Abort
 
 type shard_rt = {
-  sh : Shard.t;
+  engine : Engine.Step.t;  (** built over an empty trace, driven by [feed] *)
   last : outcome ref;  (** written by the engine's [on_event] in [feed] *)
   mu : Mutex.t;
   not_full : Condition.t;
@@ -57,7 +57,7 @@ let process_locked s batch =
   let n = min batch (Queue.length s.queue) in
   for _ = 1 to n do
     let page, tk = Queue.pop s.queue in
-    Shard.feed s.sh page;
+    Engine.Step.feed s.engine page;
     let oc = !(s.last) in
     Mutex.lock tk.tk_mu;
     tk.tk_state <- Done oc;
@@ -98,18 +98,16 @@ let create ?(policy = Ccache_core.Alg_fast.policy) ?(workers = false) ~router
     invalid_arg
       (Printf.sprintf "Session.create: offline policy %s cannot serve"
          (Policy.name policy));
-  let n_users = Array.length costs in
+  let empty = Trace.of_pages ~n_users:(Array.length costs) [||] in
   let shards =
-    Array.init (Router.shards router) (fun id ->
+    Array.init (Router.shards router) (fun _ ->
         let last = ref Hit in
         let on_event = function
           | Engine.Hit _ -> last := Hit
           | Engine.Miss_insert _ | Engine.Miss_evict _ -> last := Miss
         in
         {
-          sh =
-            Shard.create_dynamic ~on_event ~id ~k:shard_k ~costs ~policy
-              ~n_users ();
+          engine = Engine.Step.init ~on_event ~k:shard_k ~costs policy empty;
           last;
           mu = Mutex.create ();
           not_full = Condition.create ();
@@ -244,7 +242,7 @@ let sum_over_shards t f =
 
 let pending t = sum_over_shards t (fun s -> Queue.length s.queue)
 let waiters t = sum_over_shards t (fun s -> s.sh_waiters)
-let served t = sum_over_shards t (fun s -> Shard.served s.sh)
+let served t = sum_over_shards t (fun s -> Engine.Step.served s.engine)
 
 (* Lifecycle.  [begin_transition] consumes the single Live token; only
    the caller that wins it may join workers and finish engines. *)
@@ -281,7 +279,7 @@ let close t =
   Array.map
     (fun s ->
       Mutex.lock s.mu;
-      let r = Shard.finish s.sh in
+      let r = Engine.Step.finish s.engine in
       Mutex.unlock s.mu;
       r)
     t.shards

@@ -3,10 +3,11 @@
     Where {!Service} replays a recorded trace under the logical clock,
     a session accepts requests {e as they arrive} from any number of
     client domains.  Each shard owns a bounded FIFO queue of
-    [(page, ticket)] pairs and a dynamic engine state
-    ({!Shard.create_dynamic}); clients {!submit} (blocking while the
-    shard's queue is full — the [Block] backpressure of the scheduler,
-    realised with a condition variable) or {!try_submit} (returning
+    [(page, ticket)] pairs and an engine state built over an empty
+    trace and driven by {!Ccache_sim.Engine.Step.feed}; clients
+    {!submit} (blocking while the shard's queue is full — the [Block]
+    backpressure of the scheduler, realised with a condition variable)
+    or {!try_submit} (returning
     [Error `Overloaded] instead — the [Reject] mode), then {!wait} on
     the ticket for the hit/miss outcome.
 

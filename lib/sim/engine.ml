@@ -85,11 +85,11 @@ let record_obs r =
 
 (** Stepping form of the engine: [init] builds the per-run state,
     [step] replays one trace position, [finish] runs the optional
-    terminal flush and assembles the {!result}.  [run_inner] below is
+    terminal flush and assembles the {!result}.  {!replay} below is
     exactly [init] + a [step] loop + [finish]; the split exists so the
-    serving layer's shards and sessions can hold an engine between
-    requests and advance it one request at a time.  The state is one
-    record of flat arrays and mutable counters. *)
+    serving layer's sessions and the lower-bound adversary can hold an
+    engine between requests and advance it one request at a time.  The
+    state is one record of flat arrays and mutable counters. *)
 module Step = struct
   type t = {
     policy : Policy.t;
@@ -124,11 +124,16 @@ module Step = struct
     let h = Policy.instantiate policy config in
     (* The cache set keys on the packed page int directly: an
        open-addressing table with flat int arrays, no boxed keys to hash
-       and nothing allocated per request.  Capacity k+1 already gives a
-       table that never rehashes mid-trace (it is sized to twice the
-       requested capacity, and occupancy never exceeds k); asking for
-       more just spreads the hot probes over more cache lines. *)
-    let cached = Ccache_util.Int_tbl.create ~capacity:(k + 1) () in
+       and nothing allocated per request.  A cache never holds more
+       distinct pages than there are requests, so the table is sized
+       for [min k length + 1]: a [k] the trace cannot fill costs
+       nothing, and a state built for [feed] (over an empty trace)
+       starts small and grows amortised as pages arrive. *)
+    let cached =
+      Ccache_util.Int_tbl.create
+        ~capacity:(Stdlib.min k (Trace.length trace) + 1)
+        ()
+    in
     {
       policy;
       trace;
@@ -261,7 +266,9 @@ module Step = struct
     }
 end
 
-let run_inner ?flush ?on_event ?index ~k ~costs policy trace =
+(* The one trace-replay loop: {!run}, the sharded service and
+   ALG-CONT's dual recording all go through it. *)
+let replay ?flush ?on_event ?index ~k ~costs policy trace =
   let st = Step.init ?flush ?on_event ?index ~k ~costs policy trace in
   for pos = 0 to Step.length st - 1 do
     Step.step st pos
@@ -269,13 +276,13 @@ let run_inner ?flush ?on_event ?index ~k ~costs policy trace =
   Step.finish st
 
 (* Exported for the sharded service, which computes shard results
-   through {!Step} and must then account them exactly as {!run} would
+   through {!replay} and must then account them exactly as {!run} would
    have. *)
 let record_result_obs = record_obs
 
 let run ?flush ?on_event ?index ~k ~costs policy trace =
   if not (Ccache_obs.Control.enabled ()) then
-    run_inner ?flush ?on_event ?index ~k ~costs policy trace
+    replay ?flush ?on_event ?index ~k ~costs policy trace
   else
     Ccache_obs.Span.with_ ~cat:"engine"
       ~args:
@@ -286,7 +293,7 @@ let run ?flush ?on_event ?index ~k ~costs policy trace =
         ]
       "engine.run"
       (fun () ->
-        let r = run_inner ?flush ?on_event ?index ~k ~costs policy trace in
+        let r = replay ?flush ?on_event ?index ~k ~costs policy trace in
         record_obs r;
         r)
 

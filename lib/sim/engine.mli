@@ -44,11 +44,11 @@ exception Policy_error of string
 (** Stepping form of the engine.  [init] builds the full per-run state
     (policy instance, cache set, accounting arrays); [step t pos]
     replays the request at trace position [pos]; [finish] runs the
-    optional terminal flush and assembles the {!result}.  {!run} is
+    optional terminal flush and assembles the {!result}.  {!replay} is
     exactly [init] + a [step] loop over [0 .. length - 1] + [finish] —
-    the split lets the serving layer ({!Ccache_serve.Shard},
-    {!Ccache_serve.Session}) keep an engine alive between requests and
-    drive it one request at a time.
+    the split lets the live serving layer ({!Ccache_serve.Session})
+    and the lower-bound adversary keep an engine alive between
+    requests and drive it one request at a time.
 
     Positions must be fed in order [0, 1, ..., length - 1], each
     exactly once, before [finish]; [finish] must be called at most
@@ -80,9 +80,10 @@ module Step : sig
       ({!Ccache_serve.Session}) feeds requests as they arrive instead
       of replaying a prebuilt trace; a state meant for [feed] is
       normally built over an empty trace (which only fixes [n_users]
-      and the cost vector).  [step] and [feed] run the same decision
-      body, and may be mixed only if the caller keeps positions
-      consecutive.  @raise Policy_error as [step]. *)
+      and the cost vector), and its cache set then grows amortised.
+      [step] and [feed] run the same decision body, and may be mixed
+      only if the caller keeps positions consecutive.
+      @raise Policy_error as [step]. *)
 
   val served : t -> int
   (** Requests replayed so far through [step]/[feed]. *)
@@ -93,11 +94,26 @@ module Step : sig
       actually replayed (= the trace length after a full [step] loop). *)
 end
 
+val replay :
+  ?flush:bool ->
+  ?on_event:(event -> unit) ->
+  ?index:Trace.Index.t ->
+  k:int ->
+  costs:Ccache_cost.Cost_function.t array ->
+  Policy.t ->
+  Trace.t ->
+  result
+(** The one trace-replay loop: exactly [Step.init] + a [Step.step] loop
+    over the whole trace + [Step.finish], with no span and no
+    observability counters.  {!run} is [replay] plus that recording;
+    the sharded service ({!Ccache_serve.Service}) replays each shard
+    through it, and {!Ccache_core.Alg_cont} reads its duals off it. *)
+
 val record_result_obs : result -> unit
 (** Record the per-run observability counters {!run} records after a
     completed run; no-op while recording is off.  Exposed so the
-    sharded service ({!Ccache_serve.Service}), whose shards finish
-    through {!Step}, accounts each shard exactly as a {!run} would. *)
+    sharded service ({!Ccache_serve.Service}), whose shards run through
+    {!replay}, accounts each shard exactly as a {!run} would. *)
 
 val run :
   ?flush:bool ->
@@ -108,7 +124,9 @@ val run :
   Policy.t ->
   Trace.t ->
   result
-(** [run ~k ~costs policy trace] replays [trace].
+(** [run ~k ~costs policy trace] replays [trace] ({!replay} inside an
+    [engine.run] span, plus {!record_result_obs} while recording is
+    on).
 
     @param flush terminal dummy-user flush (default false)
     @param on_event called for every decision, in trace order

@@ -17,13 +17,7 @@ let counts ~accounting (r : Engine.result) =
 let total_cost ?(accounting = By_misses) ~costs (r : Engine.result) =
   if Array.length costs <> r.Engine.n_users then
     invalid_arg "Metrics.total_cost: costs/users mismatch";
-  let cs = counts ~accounting r in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun u c ->
-      acc := !acc +. Ccache_cost.Cost_function.eval costs.(u) (float_of_int c))
-    cs;
-  !acc
+  Ccache_cost.Cost_function.total costs (counts ~accounting r)
 
 (** Per-user cost vector. *)
 let per_user_cost ?(accounting = By_misses) ~costs (r : Engine.result) =

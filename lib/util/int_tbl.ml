@@ -34,6 +34,10 @@ let slot_of_key mask key =
 let rec pow2 n c = if c >= n then c else pow2 n (c * 2)
 
 let create ?(capacity = 16) () =
+  (* past the largest power of two an array can hold, [pow2] would
+     double beyond [max_int] to 0 and never return *)
+  if capacity > (Sys.max_array_length + 1) / 2 then
+    invalid_arg "Int_tbl.create: capacity exceeds the largest array";
   let cap = pow2 (Stdlib.max 8 capacity) 8 in
   {
     keys = Array.make cap empty_key;

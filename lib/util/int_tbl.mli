@@ -19,8 +19,10 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [create ~capacity ()] sizes the table for at least [capacity]
-    entries without growing (rounded up to a power of two, minimum 8). *)
+(** [create ~capacity ()] allocates [capacity] slots rounded up to a
+    power of two (minimum 8); the table doubles as soon as half of them
+    are full.
+    @raise Invalid_argument if no array can hold that many slots. *)
 
 val length : t -> int
 

@@ -47,7 +47,7 @@ let test_bracket () =
 
 let test_cost_of () =
   let costs = [| Cf.monomial ~beta:2.0 (); Cf.linear ~slope:2.0 () |] in
-  checkf "sum" 13.0 (A.Competitive.cost_of ~costs [| 3; 2 |])
+  checkf "sum" 13.0 (Cf.total costs [| 3; 2 |])
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)

@@ -206,6 +206,234 @@ let cont_equals_discrete =
       && r.Engine.final_cache = c.Cont.result_cache)
 
 (* ------------------------------------------------------------------ *)
+(* The previous implementations, kept as oracles                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Costs whose marginals are not integers, so a reordered float
+   operation would show in the bits. *)
+let float_costs n =
+  Array.init n (fun i ->
+      match i mod 4 with
+      | 0 -> Cf.monomial ~beta:1.7 ()
+      | 1 -> Cf.linear ~slope:0.3 ()
+      | 2 -> Ccache_cost.Sla.hinge ~tolerance:3.0 ~penalty_rate:2.5
+      | _ -> Cf.monomial ~beta:2.3 ())
+
+(* ALG-CONT as a hand-written replay: its own cached-page table, miss
+   array, victim choice and terminal flush around {!Budget_state}. *)
+module Reference_cont = struct
+  let run ?(mode = Cf.Discrete) ?(flush = false) ~k ~costs trace =
+    let n = Trace.length trace in
+    let st = Bs.create ~costs ~mode ~n_users:(Trace.n_users trace) in
+    let y = Array.make (n + if flush then k else 0) 0.0 in
+    let current : Cont.interval Page.Tbl.t = Page.Tbl.create 256 in
+    let all = ref [] in
+    let cached : unit Page.Tbl.t = Page.Tbl.create 256 in
+    let misses = Array.make (Trace.n_users trace) 0 in
+    let evict_min pos =
+      let victim, _ = Bs.min_budget st in
+      let victim_iv = Page.Tbl.find current victim in
+      let delta = Bs.evict st victim in
+      y.(pos) <- delta;
+      victim_iv.Cont.x <- true;
+      victim_iv.Cont.evict_pos <- Some pos;
+      victim_iv.Cont.m_at_evict <- Some (Bs.evictions st (Page.user victim));
+      Page.Tbl.remove cached victim
+    in
+    for pos = 0 to n - 1 do
+      let p = Trace.request trace pos in
+      let j =
+        match Page.Tbl.find_opt current p with
+        | Some iv ->
+            iv.Cont.end_pos <- Some pos;
+            iv.Cont.j + 1
+        | None -> 1
+      in
+      let iv =
+        { Cont.page = p; j; start_pos = pos; end_pos = None; x = false;
+          evict_pos = None; m_at_evict = None }
+      in
+      Page.Tbl.replace current p iv;
+      all := iv :: !all;
+      if not (Page.Tbl.mem cached p) then begin
+        misses.(Page.user p) <- misses.(Page.user p) + 1;
+        if Page.Tbl.length cached >= k then evict_min pos;
+        Page.Tbl.replace cached p ()
+      end;
+      Bs.touch st p
+    done;
+    if flush then
+      for step = 0 to k - 1 do
+        if Page.Tbl.length cached > 0 then evict_min (n + step)
+      done;
+    {
+      Cont.trace;
+      k;
+      costs;
+      mode;
+      y;
+      intervals = List.rev !all;
+      final_m = Array.init (Trace.n_users trace) (Bs.evictions st);
+      misses_per_user = misses;
+      result_cache =
+        Page.Tbl.fold (fun p () acc -> p :: acc) cached []
+        |> List.sort Page.compare;
+    }
+end
+
+(* Figure 3 with the E9 switches and the windowed reset, over its own
+   budget table and eviction counts. *)
+module Reference_fig3 = struct
+  type t = {
+    costs : Cf.t array;
+    mode : Cf.derivative_mode;
+    b : float Page.Tbl.t;
+    m : int array;
+  }
+
+  let create ~costs ~mode ~n_users =
+    { costs; mode; b = Page.Tbl.create 256; m = Array.make (n_users + 1) 0 }
+
+  let rate t user ~offset = Cf.rate t.costs.(user) t.mode (t.m.(user) + offset)
+  let touch t page = Page.Tbl.replace t.b page (rate t (Page.user page) ~offset:1)
+
+  let evict t ~bump ~subtract victim =
+    let delta = Page.Tbl.find t.b victim in
+    let owner = Page.user victim in
+    let bump_amount =
+      if bump then rate t owner ~offset:2 -. rate t owner ~offset:1 else 0.0
+    in
+    Page.Tbl.remove t.b victim;
+    t.m.(owner) <- t.m.(owner) + 1;
+    Page.Tbl.filter_map_inplace
+      (fun page b ->
+        let b = if subtract then b -. delta else b in
+        Some (if Page.user page = owner then b +. bump_amount else b))
+      t.b;
+    delta
+
+  let new_window t =
+    Array.fill t.m 0 (Array.length t.m) 0;
+    let pages = Page.Tbl.fold (fun p _ acc -> p :: acc) t.b [] in
+    List.iter (touch t) pages
+
+  let budgets t =
+    Page.Tbl.fold (fun p b acc -> (p, b) :: acc) t.b []
+    |> List.sort (fun (a, _) (b, _) -> Page.compare a b)
+end
+
+let bits = Int64.bits_of_float
+let budget_bits l = List.map (fun (p, b) -> (Page.pack p, bits b)) l
+
+let intervals_equal (a : Cont.interval list) (b : Cont.interval list) =
+  let key (iv : Cont.interval) =
+    ( Page.pack iv.Cont.page,
+      iv.Cont.j,
+      iv.Cont.start_pos,
+      iv.Cont.end_pos,
+      iv.Cont.x,
+      iv.Cont.evict_pos,
+      iv.Cont.m_at_evict )
+  in
+  List.map key a = List.map key b
+
+(* (a) the engine-driven ALG-CONT equals the hand-written replay, field
+   by field, the duals bit for bit *)
+let cont_equals_reference =
+  QCheck.Test.make ~name:"alg-cont = reference replay, field by field"
+    ~count:150
+    QCheck.(
+      quad (int_range 1 8) (int_range 1 4) (pair bool bool)
+        (pair bool small_nat))
+    (fun (k, users, (flush, analytic), (float_cost, seed)) ->
+      let costs = if float_cost then float_costs users else int_costs users in
+      let mode = if analytic then Cf.Analytic else Cf.Discrete in
+      let t = random_trace ~seed:(seed + 31) ~users ~pages:12 ~len:150 in
+      let a = Cont.run ~mode ~flush ~k ~costs t in
+      let b = Reference_cont.run ~mode ~flush ~k ~costs t in
+      Array.map bits a.Cont.y = Array.map bits b.Cont.y
+      && intervals_equal a.Cont.intervals b.Cont.intervals
+      && a.Cont.final_m = b.Cont.final_m
+      && a.Cont.misses_per_user = b.Cont.misses_per_user
+      && a.Cont.result_cache = b.Cont.result_cache)
+
+type fig3_op = Touch of int * int | Evict of int | Window
+
+let fig3_ops ~window =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      ([
+         (6, map2 (fun u i -> Touch (u, i)) (int_range 0 2) (int_range 0 9));
+         (3, map (fun i -> Evict i) (int_range 0 63));
+       ]
+      @ if window then [ (1, return Window) ] else [])
+  in
+  list_size (int_range 1 120) op
+
+let show_op = function
+  | Touch (u, i) -> Printf.sprintf "touch %d/%d" u i
+  | Evict i -> Printf.sprintf "evict #%d" i
+  | Window -> "window"
+
+(* Replays [ops] on both state machines; after every operation the
+   budgets (and every delta) must agree bit for bit. *)
+let fig3_agree ~bump ~subtract ~analytic ops =
+  let costs = float_costs 3 in
+  let mode = if analytic then Cf.Analytic else Cf.Discrete in
+  let st = Bs.create ~costs ~mode ~n_users:3 in
+  let model = Reference_fig3.create ~costs ~mode ~n_users:3 in
+  List.for_all
+    (fun op ->
+      let same_delta =
+        match op with
+        | Touch (u, i) ->
+            Bs.touch st (p u i);
+            Reference_fig3.touch model (p u i);
+            true
+        | Evict i -> (
+            match Bs.budgets st with
+            | [] -> true
+            | cached ->
+                let victim = fst (List.nth cached (i mod List.length cached)) in
+                bits (Bs.evict ~bump ~subtract st victim)
+                = bits (Reference_fig3.evict model ~bump ~subtract victim))
+        | Window ->
+            Bs.new_window st;
+            Reference_fig3.new_window model;
+            true
+      in
+      same_delta
+      && budget_bits (Bs.budgets st) = budget_bits (Reference_fig3.budgets model)
+      && List.for_all
+           (fun u -> Bs.evictions st u = model.Reference_fig3.m.(u))
+           [ 0; 1; 2 ])
+    ops
+
+(* (b) Budget_state.evict under all four E9 switch settings equals the
+   Figure-3 model *)
+let evict_switches_equal_model =
+  QCheck.Test.make ~name:"Budget_state.evict = Figure-3 model, all switches"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (_, ops) -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(pair bool (fig3_ops ~window:false)))
+    (fun (analytic, ops) ->
+      List.for_all
+        (fun (bump, subtract) -> fig3_agree ~bump ~subtract ~analytic ops)
+        [ (true, true); (false, true); (true, false); (false, false) ])
+
+(* (c) Budget_state.new_window equals the old reset: zero m, re-touch
+   every cached page *)
+let new_window_equals_reset =
+  QCheck.Test.make ~name:"Budget_state.new_window = zero m + re-touch"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (_, ops) -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(pair bool (fig3_ops ~window:true)))
+    (fun (analytic, ops) -> fig3_agree ~bump:true ~subtract:true ~analytic ops)
+
+(* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -501,7 +729,12 @@ let () =
           Alcotest.test_case "ablations differ" `Quick test_alg_ablations_run_and_differ;
         ] );
       ( "equivalence",
-        qsuite [ fast_equals_reference; fast_equals_reference_flush; cont_equals_discrete ] );
+        qsuite
+          [
+            fast_equals_reference; fast_equals_reference_flush;
+            cont_equals_discrete; cont_equals_reference;
+            evict_switches_equal_model; new_window_equals_reset;
+          ] );
       ( "invariants",
         [
           Alcotest.test_case "unflushed live form" `Quick test_invariants_unflushed_live_form;

@@ -144,7 +144,7 @@ let test_batch_on_adversarial_instance () =
   let total_evictions = Array.fold_left ( + ) 0 b.Batch.evictions_per_user in
   checkb "<= one eviction per batch" true (total_evictions <= b.Batch.batches);
   (* offline far cheaper than online *)
-  let online = Ccache_lb.Theorem4.cost_of ~costs adv.Ccache_lb.Adversary.online_misses in
+  let online = Cf.total costs adv.Ccache_lb.Adversary.online_misses in
   let offline = Batch.cost ~costs b in
   checkb "offline much cheaper" true (offline *. 2.0 < online);
   (* evictions spread evenly: max within factor ~3 of mean *)
@@ -204,7 +204,7 @@ let test_best_of_picks_minimum () =
   List.iter
     (fun (_, c) -> checkb "winner is min" true (b.Best.cost <= c +. 1e-9))
     b.Best.all;
-  checkf "cost matches vector" b.Best.cost (Best.cost_of ~costs b.Best.misses_per_user)
+  checkf "cost matches vector" b.Best.cost (Cf.total costs b.Best.misses_per_user)
 
 let test_best_of_uses_dp_on_tiny () =
   let t = Trace.of_list ~n_users:1 [ p 0 0; p 0 1; p 0 2; p 0 0; p 0 1; p 0 2 ] in

@@ -421,6 +421,32 @@ let test_cli_flags_exit_2 () =
   check_exit cli "run --workload foo";
   check_exit cli "run --cost foo"
 
+(* A cache size the trace cannot fill: the engine sizes its cache set
+   by the requests, not by k, so the run returns at once with the
+   counts of a k that holds every page (200 requests, so k = 200). *)
+let test_cli_k_beyond_trace () =
+  let report k =
+    let out = Filename.temp_file "ccache_cli_k" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s run --policy lru --workload zipf --length 200 -k %s > %s"
+           (Filename.quote cli) k (Filename.quote out))
+    in
+    let lines = In_channel.with_open_bin out In_channel.input_lines in
+    Sys.remove out;
+    (* drop the "(k=...)" echo: everything after it must match *)
+    let strip_k line =
+      match String.index_opt line ':' with
+      | Some i -> String.sub line i (String.length line - i)
+      | None -> line
+    in
+    (code, List.map strip_k lines)
+  in
+  let code, huge = report "4611686018427387902" in
+  checki "huge k exits 0" 0 code;
+  let _, k200 = report "200" in
+  Alcotest.(check (list string)) "hits and misses of k = 200" k200 huge
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -468,5 +494,7 @@ let () =
           Alcotest.test_case "cli exit 2" `Quick test_cli_exit_2;
           Alcotest.test_case "cli flag errors exit 2" `Quick
             test_cli_flags_exit_2;
+          Alcotest.test_case "cli k beyond the trace" `Quick
+            test_cli_k_beyond_trace;
         ] );
     ]

@@ -470,6 +470,17 @@ let test_int_tbl_min_int_rejected () =
     (Invalid_argument "Int_tbl: key min_int is reserved") (fun () ->
       Itbl.set t min_int 1)
 
+(* A capacity no array can hold is refused: rounding it up to a power
+   of two would double past [max_int]. *)
+let test_int_tbl_capacity_too_large () =
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "capacity %d" capacity)
+        (Invalid_argument "Int_tbl.create: capacity exceeds the largest array")
+        (fun () -> ignore (Itbl.create ~capacity ())))
+    [ max_int; max_int - 1; Sys.max_array_length; ((Sys.max_array_length + 1) / 2) + 1 ]
+
 (* Model test vs Hashtbl: exercises growth from minimum capacity and
    backward-shift deletion under heavy key reuse (keys from a small
    range collide in probe runs once the table folds them down). *)
@@ -642,6 +653,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_int_tbl_basic;
           Alcotest.test_case "min_int reserved" `Quick
             test_int_tbl_min_int_rejected;
+          Alcotest.test_case "capacity too large" `Quick
+            test_int_tbl_capacity_too_large;
         ]
         @ qsuite [ int_tbl_model_test ] );
       ( "interner",

@@ -14,7 +14,10 @@
     Also collected per module:
     - local module aliases ([module Heap = Ccache_util.Indexed_heap]):
       the typedtree records uses as [Heap.create], so call paths are
-      expanded through this map before they become graph keys;
+      expanded through this map before they become graph keys.  A
+      same-file submodule ([module Step = struct … end]) is an alias
+      of its own full path, so [Step.step] called from later toplevel
+      code resolves to the node [Lib.Module.Step.step];
     - the set of toplevel value idents — the "module-level mutable
       state" universe for the global-write effect class.
 
@@ -294,7 +297,11 @@ let collect (unit_ : Cmt_load.unit_) : modinfo =
         in
         match unwrap mb.mb_expr with
         | Tmod_ident (p, _) -> Hashtbl.replace aliases name (canonical_path p)
-        | Tmod_structure s -> walk_structure (prefix ^ "." ^ name) s
+        | Tmod_structure s ->
+            (* code after the submodule calls [Sub.f]: resolve it to
+               the node [Lib.Module.Sub.f] *)
+            Hashtbl.replace aliases name (prefix ^ "." ^ name);
+            walk_structure (prefix ^ "." ^ name) s
         | _ -> ())
     | _ -> ()
   in
