@@ -18,6 +18,9 @@
    `--smoke` runs every group once with a tiny measurement quota — a
    CI-friendly time-boxed pass proving the harness itself still works.
 
+   `--json PATH` writes this run's rows to PATH in the BENCH_NNNN.json
+   shape; without it no file is written.
+
    `--baseline PATH` compares this run against a committed artifact
    (BENCH_NNNN.json): a per-row delta table is printed, and the process
    exits non-zero if any row regressed beyond `--threshold PCT`
@@ -42,12 +45,11 @@ let flag_value name =
     Sys.argv;
   !v
 
-(* --json PATH overrides the artifact destination; --smoke alone writes
-   the CI artifact BENCH_0007.json next to the working directory. *)
-let json_path =
-  match flag_value "--json" with
-  | Some _ as p -> p
-  | None -> if smoke then Some "BENCH_0007.json" else None
+(* An artifact is written only to an explicit --json PATH, never to a
+   default one: a default could be the committed baseline that
+   --baseline reads, and each run would then be diffed against its own
+   numbers. *)
+let json_path = flag_value "--json"
 
 let baseline_path = flag_value "--baseline"
 

@@ -106,16 +106,16 @@ let run_cmd policy_name trace_file workload tenants pages skew seed length k cos
 let gen_cmd workload tenants pages skew seed length binary out trace_cache =
   set_trace_cache trace_cache;
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
-  let write_file, to_string =
-    if binary then
-      (Ccache_trace.Trace_binary.write_file, Ccache_trace.Trace_binary.to_string)
-    else (Ccache_trace.Trace_io.write_file, Ccache_trace.Trace_io.to_string)
+  let write_file, write_channel =
+    let open Ccache_trace in
+    if binary then (Trace_binary.write_file, Trace_binary.write_channel)
+    else (Trace_io.write_file, Trace_io.write_channel)
   in
   (match out with
   | Some path ->
       write_file path trace;
       Fmt.pr "wrote %d requests to %s@." (Ccache_trace.Trace.length trace) path
-  | None -> print_string (to_string trace));
+  | None -> write_channel stdout trace);
   0
 
 (* --- certify command --- *)
@@ -474,9 +474,9 @@ let trace_convert_cmd in_file format page_shift text out =
     exit 2
   end;
   let trace = parse_input ~format ~page_shift (Tio.read_all in_file) in
-  let write_file, to_string =
-    if text then (Tio.write_file, Tio.to_string)
-    else (Tbin.write_file, Tbin.to_string)
+  let write_file, write_channel =
+    if text then (Tio.write_file, Tio.write_channel)
+    else (Tbin.write_file, Tbin.write_channel)
   in
   (match out with
   | Some path ->
@@ -486,7 +486,7 @@ let trace_convert_cmd in_file format page_shift text out =
         (Ccache_trace.Trace.n_users trace)
         (Ccache_trace.Trace.n_pages trace)
         path
-  | None -> print_string (to_string trace));
+  | None -> write_channel stdout trace);
   0
 
 let trace_stat_cmd in_file =

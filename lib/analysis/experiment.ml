@@ -1,4 +1,4 @@
-(** Experiment descriptors and the registry (see DESIGN.md Section 4).
+(** Experiment descriptors (see DESIGN.md Section 4).
 
     Each experiment is a pure function from a size knob to a set of
     tables; `bin/experiments.ml` prints them and EXPERIMENTS.md records
@@ -22,41 +22,17 @@ type t = {
   run : size -> output;
 }
 
-(* Registration normally happens at module-initialisation time (single
-   domain), but nothing stops a caller registering from a pool task, so
-   the registry guards its shared ref with a mutex rather than merely
-   documenting main-domain-only use. *)
-let registry : t list ref = ref []
-let registry_mutex = Mutex.create ()
-let register e =
-  Mutex.protect registry_mutex (fun () -> registry := e :: !registry)
-  [@@effects.forgive "gwrite"]
-let all () = List.rev (Mutex.protect registry_mutex (fun () -> !registry))
-let find id = List.find_opt (fun e -> e.id = id) (all ())
-
 let output ~id ~title ?(notes = []) tables = { id; title; tables; notes }
 
 (** Run independent experiments, optionally on a domain pool.  Outputs
     come back in spec order, so callers can collect-then-print and get
     byte-identical reports at any pool size (each experiment seeds its
     own PRNGs internally and shares no mutable state). *)
-let run_all ?pool ?chunk ~size specs =
-  Ccache_util.Domain_pool.map_list ?pool ?chunk
+let run_all ?pool ~size specs =
+  Ccache_util.Domain_pool.map_list ?pool
     ~f:(fun e ->
       Ccache_obs.Span.with_ ~cat:"experiment"
         ~args:[ ("id", Ccache_obs.Sink.Str e.id) ]
         ("experiment:" ^ e.id)
         (fun () -> e.run size))
     specs
-
-(** Supervised runner: one raising experiment is quarantined (its slot
-    reports the failure) while the rest of the suite completes; injected
-    transients and deadline misses are retried.  Experiments re-seed
-    their own PRNGs on every call, so a retried run recomputes exactly
-    the first attempt's tables and outputs stay byte-identical. *)
-let run_all_supervised ?pool ?policy ?fault ?on_event ~size specs =
-  let module S = Ccache_util.Supervisor in
-  let tasks =
-    List.map (fun e -> { S.id = e.id; run = (fun _ctx -> e.run size) }) specs
-  in
-  List.combine specs (S.run ?pool ?policy ?fault ?on_event tasks)

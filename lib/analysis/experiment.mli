@@ -25,39 +25,11 @@ val output :
   Ccache_util.Ascii_table.t list ->
   output
 
-val register : t -> unit
-(** Add an experiment to the global registry.  Mutex-guarded, so it is
-    safe from any domain (registration normally happens at module
-    initialisation, before any pool exists). *)
-
-val all : unit -> t list
-(** Registered experiments in registration order (mutex-guarded
-    snapshot). *)
-
-val find : string -> t option
-
 val run_all :
   ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
   size:size ->
   t list ->
   output list
 (** Run experiments (in parallel when [?pool] is given), returning
     outputs in spec order.  Every experiment derives its randomness
-    from fixed seeds, so the outputs are identical at any pool size —
-    and at any [?chunk] grain (consecutive experiments batched per pool
-    task, see {!Ccache_util.Domain_pool.parallel_map}). *)
-
-val run_all_supervised :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?policy:Ccache_util.Supervisor.policy ->
-  ?fault:Ccache_util.Fault.t ->
-  ?on_event:(Ccache_util.Supervisor.event -> unit) ->
-  size:size ->
-  t list ->
-  (t * output Ccache_util.Supervisor.outcome) list
-(** Like {!run_all} under supervision: a crashing experiment is
-    quarantined in place while every other spec completes; injected
-    transients and deadline misses are retried.  Experiments re-seed
-    internally on each call, so retries reproduce the first attempt's
-    output bit-for-bit and the completed outputs match {!run_all}'s. *)
+    from fixed seeds, so the outputs are identical at any pool size. *)

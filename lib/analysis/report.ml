@@ -26,9 +26,6 @@ let render_output fmt (o : Experiment.output) =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let run_and_render ?(fmt = Text) ~size (e : Experiment.t) =
-  render_output fmt (e.Experiment.run size)
-
 (* Collect-then-print: with a pool the experiments run concurrently but
    all rendering happens afterwards, in spec order, so the suite report
    is byte-identical to the sequential one. *)

@@ -4,7 +4,6 @@
 type format = Text | Markdown
 
 val render_output : format -> Experiment.output -> string
-val run_and_render : ?fmt:format -> size:Experiment.size -> Experiment.t -> string
 val run_suite :
   ?fmt:format ->
   ?pool:Ccache_util.Domain_pool.t ->

@@ -7,14 +7,6 @@ type t = {
   costs : Ccache_cost.Cost_function.t array;
 }
 
-val make :
-  name:string ->
-  seed:int ->
-  length:int ->
-  specs:Ccache_trace.Workloads.tenant_spec list ->
-  costs:Ccache_cost.Cost_function.t array ->
-  t
-
 val mixed_costs : int -> Ccache_cost.Cost_function.t array
 (** Cycles x^2 / linear / hinge SLA. *)
 

@@ -22,12 +22,3 @@ let all : Experiment.t list =
 let find id = List.find_opt (fun (e : Experiment.t) -> e.Experiment.id = id) all
 
 let ids = List.map (fun (e : Experiment.t) -> e.Experiment.id) all
-
-(** Run the whole suite, optionally on a domain pool; outputs are in
-    DESIGN.md order whatever the pool size. *)
-let run_all ?pool ~size () = Experiment.run_all ?pool ~size all
-
-(** Supervised whole-suite run: quarantines are isolated per
-    experiment, outcomes stay in DESIGN.md order. *)
-let run_all_supervised ?pool ?policy ?fault ?on_event ~size () =
-  Experiment.run_all_supervised ?pool ?policy ?fault ?on_event ~size all

@@ -1,25 +1,5 @@
-(** The complete experiment suite, in DESIGN.md order (E1..E14). *)
+(** The complete experiment suite, in DESIGN.md order (E1..E15). *)
 
 val all : Experiment.t list
 val find : string -> Experiment.t option
 val ids : string list
-
-val run_all :
-  ?pool:Ccache_util.Domain_pool.t ->
-  size:Experiment.size ->
-  unit ->
-  Experiment.output list
-(** Run every experiment (concurrently when [?pool] is given); outputs
-    are always in DESIGN.md order. *)
-
-val run_all_supervised :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?policy:Ccache_util.Supervisor.policy ->
-  ?fault:Ccache_util.Fault.t ->
-  ?on_event:(Ccache_util.Supervisor.event -> unit) ->
-  size:Experiment.size ->
-  unit ->
-  (Experiment.t * Experiment.output Ccache_util.Supervisor.outcome) list
-(** {!run_all} under supervision: a crashing experiment is quarantined
-    in place while the rest of the suite completes; outcomes stay in
-    DESIGN.md order. *)

@@ -103,5 +103,3 @@ let no_bump = make_variant { default_variant with bump = false }
 
 (** Ablation: no uniform budget decay (greedy marginal-cost eviction). *)
 let no_subtract = make_variant { default_variant with subtract = false }
-
-let make ?(mode = Cf.Discrete) () = make_variant { default_variant with mode }

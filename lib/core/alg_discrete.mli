@@ -12,22 +12,9 @@
       policy to greedy minimum-marginal-cost eviction (no recency
       signal at all). *)
 
-type variant = {
-  mode : Ccache_cost.Cost_function.derivative_mode;
-  bump : bool;
-  subtract : bool;
-}
-
-val default_variant : variant
-(** Discrete marginals, both rules on — the paper's algorithm. *)
-
 val candidate_bounds : float array
 (** Histogram buckets for eviction candidate-set sizes (shared with
     {!Alg_fast} so the two policies' telemetry is comparable). *)
-
-val variant_name : variant -> string
-
-val make_variant : variant -> Ccache_sim.Policy.t
 
 val policy : Ccache_sim.Policy.t
 (** The paper's algorithm ("alg-discrete"), discrete marginals. *)
@@ -40,6 +27,3 @@ val no_bump : Ccache_sim.Policy.t
 
 val no_subtract : Ccache_sim.Policy.t
 (** Ablation: greedy marginal-cost eviction. *)
-
-val make :
-  ?mode:Ccache_cost.Cost_function.derivative_mode -> unit -> Ccache_sim.Policy.t

@@ -125,4 +125,3 @@ let make ?(mode = Cf.Discrete) () =
       })
 
 let policy = make ()
-let analytic = make ~mode:Cf.Analytic ()

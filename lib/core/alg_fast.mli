@@ -13,10 +13,5 @@
     (property-tested); with general float costs ties may resolve
     differently, changing victims but not the guarantees. *)
 
-val make :
-  ?mode:Ccache_cost.Cost_function.derivative_mode -> unit -> Ccache_sim.Policy.t
-
 val policy : Ccache_sim.Policy.t
 (** "alg-discrete-fast", discrete marginals. *)
-
-val analytic : Ccache_sim.Policy.t

@@ -36,13 +36,6 @@ type failure = {
   detail : string;
 }
 
-let pp_failure ppf f =
-  Fmt.pf ppf "[%s]%a%a %s" f.condition
-    (Fmt.option (fun ppf p -> Fmt.pf ppf " page=%a" Page.pp p))
-    f.page
-    (Fmt.option (fun ppf j -> Fmt.pf ppf " j=%d" j))
-    f.j f.detail
-
 type report = {
   checked_intervals : int;
   checked_steps : int;

@@ -23,8 +23,6 @@ type failure = {
   detail : string;
 }
 
-val pp_failure : Format.formatter -> failure -> unit
-
 type report = {
   checked_intervals : int;
   checked_steps : int;

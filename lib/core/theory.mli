@@ -39,8 +39,6 @@ type bound_check = {
   slack : float;  (** rhs - lhs *)
 }
 
-val make_check : lhs:float -> rhs:float -> bound_check
-
 val check_thm11 :
   ?alpha:float ->
   costs:Ccache_cost.Cost_function.t array ->
@@ -68,10 +66,6 @@ val check_thm13 :
 
     For convex increasing f with f(0) = 0 and non-negative x_j:
     [f'(S) * S <= alpha * sum_j x_j f'(prefix_j)], S = sum x_j. *)
-
-val claim23_sides :
-  ?alpha:float -> Ccache_cost.Cost_function.t -> float array -> float * float
-(** (lhs, rhs) of the claim. *)
 
 val claim23_holds :
   ?alpha:float -> ?tol:float -> Ccache_cost.Cost_function.t -> float array -> bool

@@ -12,9 +12,6 @@ type violation = {
   detail : string;
 }
 
-let pp_violation ppf v =
-  Fmt.pf ppf "%s violated at x=%g: %s" v.property v.at v.detail
-
 (** Geometric + integer sampling grid over (0, max_x]. *)
 let grid ?(max_x = 10_000.0) () =
   let pts = ref [] in

@@ -7,20 +7,6 @@
 
 type violation = { property : string; at : float; detail : string }
 
-val pp_violation : Format.formatter -> violation -> unit
-
-val grid : ?max_x:float -> unit -> float list
-(** The sampling grid: small integers densely, then geometric. *)
-
-val check_nonnegative : ?max_x:float -> Cost_function.t -> violation list
-(** f(0) = 0 and f >= 0 on the grid. *)
-
-val check_increasing : ?max_x:float -> Cost_function.t -> violation list
-
-val check_convex : ?max_x:float -> Cost_function.t -> violation list
-(** Midpoint convexity on consecutive integer triples — sufficient for
-    the integer arguments the algorithms use. *)
-
 val check_derivative :
   ?max_x:float -> ?tol:float -> Cost_function.t -> violation list
 (** Analytic derivative vs central differences. *)

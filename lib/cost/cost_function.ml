@@ -265,5 +265,3 @@ let sum a b =
           alpha = Some (Float.max (alpha a) (alpha b));
         };
   }
-
-let pp ppf t = Fmt.string ppf t.name

@@ -34,7 +34,6 @@ type shape =
 type t
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Constructors}
 

@@ -74,9 +74,3 @@ let deriv segs x =
   if x < 0.0 then invalid_arg "Piecewise.deriv: negative x";
   let _, s = segs.(segment_index segs x) in
   s
-
-(** Total number of segments. *)
-let length = Array.length
-
-let breakpoints segs = Array.map fst segs
-let slopes segs = Array.map snd segs

@@ -15,15 +15,8 @@ val validate : (float * float) array -> (float * float) array
 
 val is_convex : (float * float) array -> bool
 
-val segment_index : (float * float) array -> float -> int
-(** Greatest [i] with [breakpoint_i <= x] (binary search). *)
-
 val eval : (float * float) array -> float -> float
 (** @raise Invalid_argument if [x < 0]. *)
 
 val deriv : (float * float) array -> float -> float
 (** Right derivative: the marginal rate of the segment containing [x]. *)
-
-val length : (float * float) array -> int
-val breakpoints : (float * float) array -> float array
-val slopes : (float * float) array -> float array

@@ -35,8 +35,6 @@ let monotonic : t =
   in
   go ()
 
-let fixed v : t = fun () -> v
-
 let counting ?(start = 0.0) ?(step = 1.0) () : t =
   let n = Atomic.make 0 in
   fun () -> start +. (step *. float_of_int (Atomic.fetch_and_add n 1))

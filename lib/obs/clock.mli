@@ -22,9 +22,6 @@ val monotonic : t
 (** Wall clock monotonised through a global latch: never decreases,
     even across system clock adjustments.  The default span clock. *)
 
-val fixed : float -> t
-(** [fixed v] always returns [v] — for golden-file tests. *)
-
 val counting : ?start:float -> ?step:float -> unit -> t
 (** [counting ()] returns [start], [start +. step], [start +. 2*.step],
     ... on successive reads (atomically, so it is usable across

@@ -13,10 +13,6 @@
     - a gauge resolves to the write with the largest [(domain, seq)]
       stamp. *)
 
-val default_bounds : float array
-(** Default histogram bucket upper bounds (plus an implicit overflow
-    bucket). *)
-
 val incr : ?by:int -> string -> unit
 (** Add [by] (default 1) to the named counter. *)
 
@@ -25,7 +21,8 @@ val set_gauge : string -> float -> unit
 
 val observe : ?bounds:float array -> string -> float -> unit
 (** Add an observation to the named histogram.  [bounds] (default
-    {!default_bounds}) takes effect on the first observation per name
+    [0, 0.5, 1, 2, 5, ..., 1000, 10000] plus an implicit overflow
+    bucket) takes effect on the first observation per name
     per shard; every call site for a given name must pass the same
     bounds or merging raises. *)
 
@@ -45,8 +42,6 @@ type snapshot = {
 }
 
 val empty : snapshot
-
-val of_shard : Sink.shard -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** @raise Invalid_argument on histogram bounds mismatch. *)

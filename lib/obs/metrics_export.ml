@@ -63,7 +63,3 @@ let to_markdown (s : Metrics.snapshot) =
            h.Metrics.sum mean))
     s.Metrics.hists;
   Buffer.contents buf
-
-let write ~path s =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (to_json s))

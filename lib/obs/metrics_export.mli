@@ -9,6 +9,3 @@ val to_json : Metrics.snapshot -> string
     name-sorted keys. *)
 
 val to_markdown : Metrics.snapshot -> string
-
-val write : path:string -> Metrics.snapshot -> unit
-(** [to_json] straight to a file. *)

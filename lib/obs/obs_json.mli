@@ -1,8 +1,5 @@
 (** JSON emission helpers for the exporters (byte-stable by design). *)
 
-val escape : string -> string
-(** JSON string-body escaping: quotes, backslashes, control chars. *)
-
 val str : string -> string
 (** A quoted, escaped JSON string literal. *)
 

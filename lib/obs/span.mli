@@ -6,7 +6,7 @@
     a [Fun.protect] finaliser).
 
     The [?now] capability overrides the configured clock for this span
-    only — tests pass {!Clock.counting} or {!Clock.fixed} so exported
+    only — tests pass {!Clock.counting} so exported
     traces are byte-stable. *)
 
 val with_ :

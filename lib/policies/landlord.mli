@@ -3,11 +3,8 @@
     eviction (O(log k) via a global offset).  Cost-aware but without
     ALG-DISCRETE's same-owner coupling. *)
 
-type weight_mode =
-  | Static  (** weight = f_i(1), the user's first-miss cost *)
-  | Adaptive  (** weight = the user's current marginal cost *)
-
-val mode_name : weight_mode -> string
-val make : mode:weight_mode -> Ccache_sim.Policy.t
 val static : Ccache_sim.Policy.t
+(** Weight = f_i(1), the user's first-miss cost. *)
+
 val adaptive : Ccache_sim.Policy.t
+(** Weight = the user's current marginal cost. *)

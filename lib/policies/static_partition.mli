@@ -7,5 +7,4 @@ val slice_sizes : k:int -> n_users:int -> weights:float array option -> int arra
 (** Proportional-with-floor allocation; every tenant gets >= 1 slot
     when [k >= n_users].  Exposed for tests. *)
 
-val make : ?weights:float array -> unit -> Ccache_sim.Policy.t
 val equal_split : Ccache_sim.Policy.t

@@ -2,8 +2,4 @@
     pages, A1out ghost FIFO of expelled identities, Am LRU for proven
     reusers.  Scan-resistant. *)
 
-val make : ?kin_fraction:float -> ?kout_fraction:float -> unit -> Ccache_sim.Policy.t
-(** Queue quotas as fractions of k (defaults 0.25 and 0.5).
-    @raise Invalid_argument outside (0,1) / nonpositive. *)
-
 val policy : Ccache_sim.Policy.t

@@ -1,6 +1,6 @@
 (** Shard routing (see the interface).  The page-hash partition mixes
     the packed page through a SplitMix64-style avalanche before the
-    modulo: [Page.hash] alone leaves the low bits dominated by the page
+    modulo: the page's own hash alone leaves the low bits dominated by the page
     id, which for the dense ids the workload generators emit would turn
     [mod shards] into a round-robin over ids — adjacent pages of one
     tenant on adjacent shards, i.e. an accidentally adversarial
@@ -34,8 +34,6 @@ let by_tenant ?assignment ~shards ~n_users () =
   By_tenant { shards; assignment }
 
 let shards = function By_page { shards } | By_tenant { shards; _ } -> shards
-
-let is_by_tenant = function By_page _ -> false | By_tenant _ -> true
 
 let name = function By_page _ -> "page" | By_tenant _ -> "tenant"
 

@@ -31,8 +31,6 @@ val by_tenant : ?assignment:int array -> shards:int -> n_users:int -> unit -> t
 
 val shards : t -> int
 
-val is_by_tenant : t -> bool
-
 val name : t -> string
 (** ["page"] or ["tenant"] — stable, used in fingerprints and
     reports. *)

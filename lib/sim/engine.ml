@@ -29,9 +29,6 @@ type event =
       (** compulsory or capacity-free miss: inserted without eviction *)
   | Miss_evict of { pos : int; page : Page.t; victim : Page.t }
 
-let event_pos = function
-  | Hit { pos; _ } | Miss_insert { pos; _ } | Miss_evict { pos; _ } -> pos
-
 type result = {
   policy : string;
   k : int;
@@ -87,8 +84,8 @@ let record_obs r =
     [step] replays one trace position, [finish] runs the optional
     terminal flush and assembles the {!result}.  {!replay} below is
     exactly [init] + a [step] loop + [finish]; the split exists so the
-    serving layer's sessions and the lower-bound adversary can hold an
-    engine between requests and advance it one request at a time.  The
+    lower-bound adversary can hold an engine between requests and
+    advance it one request at a time.  The
     state is one record of flat arrays and mutable counters. *)
 module Step = struct
   type t = {
@@ -164,10 +161,9 @@ module Step = struct
      those branches.
 
      [apply] is the decision body shared by [step] (trace replay) and
-     [feed] (dynamically arriving requests from the serving layer):
-     both spellings run the exact same cache and accounting code, which
-     is what makes the sharded service differentially testable against
-     plain trace runs. *)
+     [feed] (requests chosen one at a time by the lower-bound
+     adversary): both spellings run the exact same cache and accounting
+     code, so a fed run is an ordinary engine run. *)
   let apply t pos page =
     t.fed <- pos + 1;
     let h = t.h in
@@ -219,8 +215,6 @@ module Step = struct
 
   let feed t page = apply t t.fed page
     [@@effects.no_alloc] [@@effects.deterministic]
-
-  let served t = t.fed
 
   (* Terminal flush: the dummy user's k requests evict every remaining
      real page; dummy pages are pinned so they are never inserted. *)

@@ -22,8 +22,6 @@ type event =
       (** miss absorbed without eviction *)
   | Miss_evict of { pos : int; page : Page.t; victim : Page.t }
 
-val event_pos : event -> int
-
 type result = {
   policy : string;
   k : int;
@@ -46,9 +44,8 @@ exception Policy_error of string
     replays the request at trace position [pos]; [finish] runs the
     optional terminal flush and assembles the {!result}.  {!replay} is
     exactly [init] + a [step] loop over [0 .. length - 1] + [finish] —
-    the split lets the live serving layer ({!Ccache_serve.Session})
-    and the lower-bound adversary keep an engine alive between
-    requests and drive it one request at a time.
+    the split lets the lower-bound adversary keep an engine alive
+    between requests and drive it one request at a time.
 
     Positions must be fed in order [0, 1, ..., length - 1], each
     exactly once, before [finish]; [finish] must be called at most
@@ -76,17 +73,14 @@ module Step : sig
 
   val feed : t -> Ccache_trace.Page.t -> unit
   (** Dynamic form of [step]: replay [page] as the next request, at
-      position = number of requests replayed so far.  The serving layer
-      ({!Ccache_serve.Session}) feeds requests as they arrive instead
-      of replaying a prebuilt trace; a state meant for [feed] is
-      normally built over an empty trace (which only fixes [n_users]
-      and the cost vector), and its cache set then grows amortised.
+      position = number of requests replayed so far.  The lower-bound
+      adversary feeds requests as it picks them instead of replaying a
+      prebuilt trace; a state meant for [feed] is normally built over
+      an empty trace (which only fixes [n_users] and the cost vector),
+      and its cache set then grows amortised.
       [step] and [feed] run the same decision body, and may be mixed
       only if the caller keeps positions consecutive.
       @raise Policy_error as [step]. *)
-
-  val served : t -> int
-  (** Requests replayed so far through [step]/[feed]. *)
 
   val finish : t -> result
   (** Terminal flush (when [init] was given [~flush:true]) plus result

@@ -6,8 +6,6 @@ type accounting =
   | By_misses  (** the objective the experiments report *)
   | By_evictions  (** the (ICP) accounting; equals misses under flush *)
 
-val counts : accounting:accounting -> Engine.result -> int array
-
 val total_cost :
   ?accounting:accounting ->
   costs:Ccache_cost.Cost_function.t array ->

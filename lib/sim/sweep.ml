@@ -49,24 +49,11 @@ let cell_span i f =
 
 (** Map with the sweep point available for labelling.  With [?pool] the
     cells are evaluated on the pool's worker domains; results keep the
-    input order either way.  [?chunk] batches consecutive cells into
-    one pool task (grain control for cheap cells); the output is
-    identical at every chunk size. *)
-let run ?pool ?chunk points ~f =
+    input order either way. *)
+let run ?pool points ~f =
   let cells = List.mapi (fun i p -> (i, p)) points in
-  Ccache_util.Domain_pool.map_list ?pool ?chunk cells ~f:(fun (i, p) ->
+  Ccache_util.Domain_pool.map_list ?pool cells ~f:(fun (i, p) ->
       (p, cell_span i (fun () -> f p)))
-
-(** Seeded sweep: each cell gets its own PRNG stream, derived from the
-    cell's *position* before any cell runs, so the output is identical
-    whether cells execute sequentially or on any number of domains. *)
-let run_seeded ?pool ?chunk ~seed points ~f =
-  let parent = Ccache_util.Prng.create ~seed in
-  let cells =
-    List.mapi (fun i p -> (i, p, Ccache_util.Prng.split parent)) points
-  in
-  Ccache_util.Domain_pool.map_list ?pool ?chunk cells ~f:(fun (i, p, g) ->
-      (p, cell_span i (fun () -> f g p)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-cell sweeps                                                  *)

@@ -17,28 +17,12 @@ val linspace : start:float -> stop:float -> count:int -> float list
 
 val run :
   ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
   'a list ->
   f:('a -> 'b) ->
   ('a * 'b) list
 (** Map keeping the sweep point for labelling.  With [?pool] the cells
     are evaluated in parallel on the pool's workers; the result list is
-    in input order either way.  [?chunk] batches that many consecutive
-    cells per pool task (see
-    {!Ccache_util.Domain_pool.parallel_map}) — grain control only,
-    never a result change. *)
-
-val run_seeded :
-  ?pool:Ccache_util.Domain_pool.t ->
-  ?chunk:int ->
-  seed:int ->
-  'a list ->
-  f:(Ccache_util.Prng.t -> 'a -> 'b) ->
-  ('a * 'b) list
-(** Like {!run} but hands each cell a private {!Ccache_util.Prng}
-    stream derived deterministically from [seed] and the cell index
-    before any cell executes.  Output is bit-for-bit identical across
-    pool sizes, including no pool at all. *)
+    in input order either way. *)
 
 (** {1 Engine-cell sweeps}
 
@@ -89,7 +73,8 @@ val run_supervised :
   'a list ->
   f:(Ccache_util.Supervisor.ctx -> Ccache_util.Prng.t -> 'a -> 'b) ->
   ('a * 'b Ccache_util.Supervisor.outcome) list
-(** Supervised variant of {!run_seeded}: per-cell deadlines and
+(** Supervised variant of {!run} that hands each cell a private
+    {!Ccache_util.Prng} stream: per-cell deadlines and
     cooperative cancellation (the [ctx]), bounded deterministic retry,
     quarantine of permanently-failing cells, fault injection, and
     checkpoint replay ([?checkpoint] requires [?codec]).

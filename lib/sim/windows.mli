@@ -10,11 +10,6 @@ type t = {
   misses : int array array;  (** misses.(window).(user) *)
 }
 
-val of_events :
-  window:int -> n_users:int -> trace_length:int -> Engine.event list -> t
-(** Flush events (positions past the trace end) are ignored.
-    @raise Invalid_argument if [window <= 0]. *)
-
 val cost : costs:Ccache_cost.Cost_function.t array -> t -> float
 
 val total_misses : t -> int array

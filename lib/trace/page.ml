@@ -56,11 +56,9 @@ let equal (a : t) (b : t) = a = b [@@effects.pure] [@@effects.no_alloc]
    iteration order golden outputs were recorded under). *)
 let hash t = (user t * 0x9E3779B1) lxor id t
 
-let pp ppf t = Fmt.pf ppf "u%d:p%d" (user t) (id t)
-
 let to_string t = Printf.sprintf "u%d:p%d" (user t) (id t)
 
-(** Parse the [uU:pI] form produced by {!to_string}/{!pp}. *)
+(** Parse the [uU:pI] form produced by {!to_string}. *)
 let of_string s =
   match String.split_on_char ':' s with
   | [ u; p ]

@@ -35,13 +35,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** Equals the historical record-representation hash
-    [(user * 0x9E3779B1) lxor id], keeping every [Tbl] bucket layout —
-    and with it all recorded iteration-order-sensitive output —
-    unchanged. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t option

@@ -212,9 +212,6 @@ module Index = struct
     done;
     { trace; interval; next_use; prev_use; distinct_upto; counts; first_pos }
 
-  let trace t = t.trace
-  let length t = Array.length t.trace.requests
-
   (** j(p, pos): which interval of page p the position falls in. *)
   let interval_index t pos = t.interval.(pos)
     [@@effects.no_alloc] [@@effects.deterministic]
@@ -251,7 +248,3 @@ module Index = struct
   let is_last_request t pos = t.next_use.(pos) = Int.max_int
     [@@effects.no_alloc] [@@effects.deterministic]
 end
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>trace: T=%d users=%d distinct=%d@]" (length t) t.n_users
-    (n_pages t)

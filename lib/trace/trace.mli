@@ -69,17 +69,12 @@ val with_flush : k:int -> t -> t
     pages instead (see {!Ccache_sim.Engine.run} and
     {!Ccache_cp.Formulation.of_trace}). *)
 
-val pp : Format.formatter -> t -> unit
-
 module Index : sig
   type trace := t
   type t
 
   val build : trace -> t
   (** O(T) single pass. *)
-
-  val trace : t -> trace
-  val length : t -> int
 
   val interval_index : t -> int -> int
   (** [interval_index t pos] = j(p, pos): 1-based rank of this request

@@ -55,7 +55,6 @@ type handle = {
 let n_users h = h.n_users
 let n_pages h = Array.length h.pages
 let length h = h.length
-let page_of_dense h d = h.pages.(d)
 
 let dense_at h i =
   let base = 4 * i in
@@ -77,51 +76,54 @@ let add_u64 buf v =
     Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF))
   done
 
-let header_string trace =
-  let buf = Buffer.create header_bytes in
+(* The one encoder: [emit] receives the image in chunks of about
+   [chunk_bytes], so a file and a string are written by the same code,
+   with the same checks, and a file write never holds the whole
+   image. *)
+let chunk_bytes = 64 * 1024
+
+let encode trace ~emit =
+  require_little_endian ();
+  let p = Trace.n_pages trace in
+  if p > 0xFFFFFFFF then error 20 "trace has too many distinct pages for u32";
+  let buf = Buffer.create chunk_bytes in
+  let flush_full () =
+    if Buffer.length buf >= chunk_bytes then begin
+      emit buf;
+      Buffer.clear buf
+    end
+  in
   Buffer.add_string buf magic;
   add_u32 buf version;
   add_u32 buf endian_tag;
   add_u32 buf (Trace.n_users trace);
-  add_u32 buf (Trace.n_pages trace);
+  add_u32 buf p;
   add_u64 buf (Trace.length trace);
   add_u64 buf 0;
-  Buffer.contents buf
-
-let write_channel oc trace =
-  require_little_endian ();
-  let p = Trace.n_pages trace in
-  if p > 0xFFFFFFFF then error 20 "trace has too many distinct pages for u32";
-  output_string oc (header_string trace);
-  let buf = Buffer.create (8 * 1024) in
   for d = 0 to p - 1 do
-    add_u64 buf (Page.pack (Trace.page_of_dense trace d))
+    add_u64 buf (Page.pack (Trace.page_of_dense trace d));
+    flush_full ()
   done;
-  Buffer.output_buffer oc buf;
-  Buffer.clear buf;
-  let dense = Trace.dense trace in
   Array.iter
     (fun d ->
       add_u32 buf d;
-      if Buffer.length buf >= 64 * 1024 then begin
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      end)
-    dense;
-  Buffer.output_buffer oc buf
+      flush_full ())
+    (Trace.dense trace);
+  emit buf
+
+let write_channel oc trace = encode trace ~emit:(Buffer.output_buffer oc)
 
 let write_file path trace =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc trace)
 
 let to_string trace =
-  let buf = Buffer.create (header_bytes + (4 * Trace.length trace)) in
-  Buffer.add_string buf (header_string trace);
-  for d = 0 to Trace.n_pages trace - 1 do
-    add_u64 buf (Page.pack (Trace.page_of_dense trace d))
-  done;
-  Array.iter (fun d -> add_u32 buf d) (Trace.dense trace);
-  Buffer.contents buf
+  let out =
+    Buffer.create
+      (header_bytes + (8 * Trace.n_pages trace) + (4 * Trace.length trace))
+  in
+  encode trace ~emit:(Buffer.add_buffer out);
+  Buffer.contents out
 
 (* {2 Reading} *)
 

@@ -12,19 +12,18 @@ exception Format_error of { offset : int; msg : string }
     or dense stream.  [offset] is the byte offset of the offending
     field. *)
 
-val magic : string
-(** The 8-byte file magic, ["CCTRACE0"]. *)
-
-val version : int
-
 (** {1 Writing} *)
 
 val write_file : string -> Trace.t -> unit
-(** @raise Format_error on a big-endian host. *)
+(** @raise Format_error on a big-endian host, or when the page count
+    does not fit the u32 header field. *)
 
 val write_channel : out_channel -> Trace.t -> unit
+(** {!write_file}'s encoder on an open channel (e.g. [stdout]); same
+    checks. *)
 
 val to_string : Trace.t -> string
+(** The same image in memory; same checks. *)
 
 (** {1 Zero-copy handles} *)
 
@@ -48,7 +47,6 @@ val dense_at : handle -> int -> int
     Unvalidated: a crafted file can yield an id >= [n_pages] here;
     {!to_trace} is the validating path. *)
 
-val page_of_dense : handle -> int -> Page.t
 val page_at : handle -> int -> Page.t
 
 val to_trace : handle -> Trace.t

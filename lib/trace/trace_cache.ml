@@ -18,7 +18,6 @@
 let dir : string option ref = ref None
 
 let set_dir d = dir := d
-let current_dir () = !dir
 
 (* FNV-1a-64 is stable across runs and processes, unlike [Hashtbl.hash]
    which the lint rules also frown on for keys that reach the

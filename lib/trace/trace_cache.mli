@@ -12,8 +12,6 @@ val set_dir : string option -> unit
 (** Enable the cache at a directory (created on first store), or
     disable it with [None] (the default). *)
 
-val current_dir : unit -> string option
-
 val memoize : fingerprint:string -> (unit -> Trace.t) -> Trace.t
 (** Return the cached trace for [fingerprint], or run the generator,
     store its result, and return it.  Pass-through when disabled. *)

@@ -13,13 +13,27 @@
 
 let magic = "# convex-caching trace v1"
 
-let write_channel oc trace =
-  output_string oc magic;
-  output_char oc '\n';
-  Printf.fprintf oc "users %d\n" (Trace.n_users trace);
+(* The one encoder: [emit] receives the image in chunks of about
+   [chunk_bytes], so a file and a string are written by the same code
+   and a file write never holds the whole image. *)
+let chunk_bytes = 64 * 1024
+
+let encode trace ~emit =
+  let buf = Buffer.create chunk_bytes in
+  Buffer.add_string buf magic;
+  Buffer.add_char buf '\n';
+  Printf.bprintf buf "users %d\n" (Trace.n_users trace);
   Array.iter
-    (fun p -> Printf.fprintf oc "%d %d\n" (Page.user p) (Page.id p))
-    (Trace.requests trace)
+    (fun p ->
+      Printf.bprintf buf "%d %d\n" (Page.user p) (Page.id p);
+      if Buffer.length buf >= chunk_bytes then begin
+        emit buf;
+        Buffer.clear buf
+      end)
+    (Trace.requests trace);
+  emit buf
+
+let write_channel oc trace = encode trace ~emit:(Buffer.output_buffer oc)
 
 let write_file path trace =
   let oc = open_out path in
@@ -28,14 +42,9 @@ let write_file path trace =
     (fun () -> write_channel oc trace)
 
 let to_string trace =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "users %d\n" (Trace.n_users trace));
-  Array.iter
-    (fun p -> Buffer.add_string buf (Printf.sprintf "%d %d\n" (Page.user p) (Page.id p)))
-    (Trace.requests trace);
-  Buffer.contents buf
+  let out = Buffer.create 1024 in
+  encode trace ~emit:(Buffer.add_buffer out);
+  Buffer.contents out
 
 exception Parse_error of { line : int; msg : string }
 

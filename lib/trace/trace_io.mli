@@ -8,9 +8,6 @@
     ...
     v} *)
 
-val magic : string
-(** The mandatory first line. *)
-
 exception Parse_error of { line : int; msg : string }
 (** Malformed text input; [line] is 1-based (0 for whole-input
     problems such as a missing [users] directive). *)

@@ -77,16 +77,6 @@ let max_hit_ratio t =
   if t.length = 0 then 0.0
   else float_of_int (t.length - t.cold_misses) /. float_of_int t.length
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>T=%d users=%d distinct=%d cold=%d max-hit=%.3f" t.length
-    t.n_users t.distinct_pages t.cold_misses (max_hit_ratio t);
-  Array.iter
-    (fun u ->
-      Fmt.pf ppf "@,  user %d: %d requests over %d pages" u.user u.requests
-        u.distinct_pages)
-    t.per_user;
-  Fmt.pf ppf "@]"
-
 let to_table t =
   let open Ccache_util.Ascii_table in
   let tbl =

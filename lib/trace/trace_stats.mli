@@ -22,5 +22,4 @@ val reuse_distances : Trace.t -> float array
 val max_hit_ratio : t -> float
 (** 1 - compulsory miss rate: the best any cache could do. *)
 
-val pp : Format.formatter -> t -> unit
 val to_table : t -> Ccache_util.Ascii_table.t

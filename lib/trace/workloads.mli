@@ -32,9 +32,6 @@ val validate_pattern : pattern -> unit
 val footprint : pattern -> int
 (** Number of distinct page ids the pattern can emit. *)
 
-val make_sampler : pattern -> Ccache_util.Prng.t -> unit -> int
-(** Stateful page-id sampler (validates first). *)
-
 type tenant_spec = {
   pattern : pattern;
   weight : float;  (** relative request rate *)

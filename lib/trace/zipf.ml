@@ -27,9 +27,6 @@ let create ~n ~skew =
   Array.iteri (fun i c -> cumulative.(i) <- c /. total) cumulative;
   { n; skew; cumulative }
 
-let n t = t.n
-let skew t = t.skew
-
 (** Probability mass of rank [i] (0-based; rank 0 is most popular). *)
 let pmf t i =
   if i < 0 || i >= t.n then invalid_arg "Zipf.pmf: rank out of range";
@@ -46,6 +43,3 @@ let sample t rng =
       if t.cumulative.(mid) > u then bsearch lo mid else bsearch (mid + 1) hi
   in
   bsearch 0 (t.n - 1)
-
-(** Draw [count] ranks. *)
-let sample_many t rng ~count = Array.init count (fun _ -> sample t rng)

@@ -8,11 +8,7 @@ type t
 val create : n:int -> skew:float -> t
 (** @raise Invalid_argument if [n <= 0] or [skew < 0]. *)
 
-val n : t -> int
-val skew : t -> float
-
 val pmf : t -> int -> float
 (** Probability of rank [i] (rank 0 is most popular). *)
 
 val sample : t -> Ccache_util.Prng.t -> int
-val sample_many : t -> Ccache_util.Prng.t -> count:int -> int array

@@ -28,8 +28,6 @@ let add_row t row =
     invalid_arg "Ascii_table.add_row: row width mismatch";
   t.rows_rev <- row :: t.rows_rev
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let rows t = List.rev t.rows_rev
 
 (* Column widths: max over header and all cells. *)

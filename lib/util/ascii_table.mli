@@ -13,8 +13,6 @@ val create : ?title:string -> ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val rows : t -> string list list
 (** Rows in insertion order. *)
 

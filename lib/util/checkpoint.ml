@@ -29,9 +29,6 @@ let create ?(flush_every = 1) ~path ~fingerprint () =
     flush_every;
   }
 
-let path t = t.path
-let fingerprint t = t.fingerprint
-
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -80,7 +77,6 @@ let record t ~id payload =
       if t.dirty >= t.flush_every then flush_locked t)
 
 let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries id)
-let mem t id = Option.is_some (find t id)
 
 let ids t =
   Mutex.protect t.lock (fun () ->

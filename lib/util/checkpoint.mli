@@ -37,9 +37,6 @@ val load_or_create :
   ?flush_every:int -> path:string -> fingerprint:string -> unit -> (t, string) result
 (** {!load} when [path] exists, fresh {!create} otherwise. *)
 
-val path : t -> string
-val fingerprint : t -> string
-
 val record : t -> id:string -> string -> unit
 (** Store (or overwrite) a payload; flushes automatically every
     [flush_every] records.  @raise Invalid_argument on a multi-line
@@ -49,7 +46,6 @@ val flush : t -> unit
 (** Write the snapshot now (atomic temp-file + rename). *)
 
 val find : t -> string -> string option
-val mem : t -> string -> bool
 
 val ids : t -> string list
 (** Completed task ids, sorted. *)

@@ -37,9 +37,6 @@ val move_to_front : 'a t -> 'a node -> unit
 
 val move_to_back : 'a t -> 'a node -> unit
 
-val iter : ('a -> unit) -> 'a t -> unit
-val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-
 val to_list : 'a t -> 'a list
 (** Front-to-back element values. *)
 

@@ -194,57 +194,11 @@ let serial_map ~f xs =
          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
        xs)
 
-(* Deterministic contiguous blocks of [n] (last may be shorter):
-   partitioning depends only on [n] and the input, never on timing. *)
-let chunks n xs =
-  let rec go acc cur len = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if len + 1 >= n then go (List.rev (x :: cur) :: acc) [] 0 rest
-        else go acc (x :: cur) (len + 1) rest
-  in
-  go [] [] 0 xs
-
-let parallel_map ?(chunk = 1) t ~f xs =
-  let chunk = Stdlib.max 1 chunk in
+let parallel_map t ~f xs =
   if effective_parallelism t <= 1 then serial_map ~f xs
-  else if chunk = 1 then
+  else
     let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
     first_error_or_values (List.map await_result futs)
-  else
-    (* one task per block; per-element results so a failing element
-       does not mask the rest of its block *)
-    let block b =
-      List.map
-        (fun x ->
-          match f x with
-          | v -> Ok v
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-        b
-    in
-    let futs = List.map (fun b -> submit t (fun () -> block b)) (chunks chunk xs) in
-    let blocks =
-      List.map
-        (fun fut ->
-          match await_result fut with
-          | Ok rs -> rs
-          | Error (e, bt) ->
-              (* submit machinery itself failed (e.g. Pool_shutdown) *)
-              [ Error (e, bt) ])
-        futs
-    in
-    first_error_or_values (List.concat blocks)
-
-let auto_chunk t xs =
-  (* ~4 chunks per worker balances load without queue churn *)
-  let target = t.size * 4 in
-  Stdlib.max 1 ((List.length xs + target - 1) / target)
-
-let parallel_iter ?chunk t ~f xs =
-  let chunk =
-    match chunk with Some c -> Stdlib.max 1 c | None -> auto_chunk t xs
-  in
-  parallel_map ~chunk t ~f:(fun x -> f x) xs |> ignore
 
 (* Both shutdown flavours are idempotent and may be mixed: whoever
    observes [stop] already set returns without touching the (already
@@ -279,21 +233,12 @@ let with_pool ?size f =
   let t = create ?size () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_list ?pool ?chunk ~f xs =
-  (* The block partition is a property of (chunk, input) alone, never of
-     the execution width, and the partition counter below is emitted on
-     every path — so chunk-sensitive obs counters agree between --jobs 1
-     and --jobs N runs of the same sweep. *)
-  let chunk = match chunk with Some c -> Stdlib.max 1 c | None -> 1 in
-  if Ccache_obs.Control.enabled () then begin
-    let n = List.length xs in
-    Ccache_obs.Metrics.incr ~by:((n + chunk - 1) / chunk) "pool/map_blocks"
-  end;
+let map_list ?pool ~f xs =
+  (* One pool task per element, counted on every path, so the counter
+     agrees between --jobs 1 and --jobs N runs of the same sweep (its
+     key is pinned by test/suite_golden). *)
+  if Ccache_obs.Control.enabled () then
+    Ccache_obs.Metrics.incr ~by:(List.length xs) "pool/map_blocks";
   match pool with
-  | None ->
-      if chunk = 1 then List.map f xs
-      else
-        (* serial runs walk the same deterministic blocks the pooled
-           path would submit; purely grain bookkeeping, same output *)
-        List.concat_map (List.map f) (chunks chunk xs)
-  | Some t -> parallel_map ~chunk t ~f xs
+  | None -> List.map f xs
+  | Some t -> parallel_map t ~f xs

@@ -9,8 +9,10 @@
     wall-clock interleaving of side effects differs between pool sizes.
     Callers that need bit-for-bit reproducible randomness must derive
     one {!Prng} stream per task *before* submission (see
-    [Ccache_sim.Sweep.run_seeded]); with that discipline a run with 1
-    worker and a run with 8 workers produce identical output.
+    [Ccache_sim.Sweep.run_supervised], which {!Prng.derive}s each
+    cell's stream from the seed and the cell's id); with that
+    discipline a run with 1 worker and a run with 8 workers produce
+    identical output.
 
     Tasks must not themselves [submit]/[await] on the same pool: a task
     blocking on a future that only its own worker could run can
@@ -38,19 +40,11 @@ val create : ?size:int -> unit -> t
     [\[1, 64\]]).  Without [?size], uses {!default_size}.  The domains
     themselves are spawned on the first {!submit}: an idle domain still
     joins every stop-the-world minor-GC barrier, so a pool whose maps
-    all take the serial-fallback path (see {!effective_parallelism})
+    all take the serial-fallback path (see {!parallel_map})
     never pays for domains it does not use. *)
 
 val size : t -> int
 (** Number of worker domains. *)
-
-val effective_parallelism : t -> int
-(** [min (size t) hw] where [hw] is [Domain.recommended_domain_count]
-    observed when the pool was created.  When this is [<= 1] the pool
-    cannot give any task a core of its own, and {!parallel_map} runs on
-    the submitting domain instead: on OCaml 5 every allocating domain
-    joins each minor-GC stop-the-world barrier, so two domains
-    time-slicing one core are measurably {e slower} than one. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a task.  @raise Invalid_argument if the pool was shut
@@ -62,27 +56,19 @@ val await : 'a future -> 'a
     called any number of times; subsequent calls return (or re-raise)
     immediately. *)
 
-val parallel_map : ?chunk:int -> t -> f:('a -> 'b) -> 'a list -> 'b list
-(** Map [f] over the list on the pool's workers.  Results are in input
-    order.  All elements run to completion even when some raise; the
-    first (in input order) exception is then re-raised.
+val parallel_map : t -> f:('a -> 'b) -> 'a list -> 'b list
+(** Map [f] over the list on the pool's workers, one task per element.
+    Results are in input order.  All elements run to completion even
+    when some raise; the first (in input order) exception is then
+    re-raised.
 
-    [?chunk] (default [1]) batches that many consecutive elements into
-    one pool task, amortising queue and future traffic when individual
-    elements are cheap.  The partition is deterministic — contiguous
-    blocks fixed by [chunk] and the input length, independent of
-    timing — so together with the in-order results the output is
-    identical at every chunk size and pool width.
-
-    When {!effective_parallelism} is [<= 1], runs serially on the
-    calling domain (same results, same exception semantics) rather than
-    shipping tasks to workers that would contend for the one core. *)
-
-val parallel_iter : ?chunk:int -> t -> f:('a -> unit) -> 'a list -> unit
-(** Apply [f] to every element, batching elements into chunks so short
-    tasks amortise queue traffic.  [?chunk] forces a chunk length;
-    the default aims for ~4 chunks per worker.  Exceptions propagate as
-    in {!parallel_map}. *)
+    When [min (size t) hw] is [<= 1], where [hw] is the
+    [Domain.recommended_domain_count] observed at {!create}, runs
+    serially on the calling domain (same results, same exception
+    semantics) rather than shipping tasks to workers that would contend
+    for the one core: on OCaml 5 every allocating domain joins each
+    minor-GC stop-the-world barrier, so two domains time-slicing one
+    core are measurably {e slower} than one. *)
 
 val shutdown : t -> unit
 (** Graceful shutdown: workers finish every queued task, then exit and
@@ -102,11 +88,9 @@ val with_pool : ?size:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and shuts it down
     afterwards, including on exception. *)
 
-val map_list : ?pool:t -> ?chunk:int -> f:('a -> 'b) -> 'a list -> 'b list
+val map_list : ?pool:t -> f:('a -> 'b) -> 'a list -> 'b list
 (** [List.map] when [pool] is [None], {!parallel_map} otherwise.  The
     convenience entry point for code with an optional [?pool]
-    parameter.  [?chunk] applies the same deterministic block partition
-    on every path — serial runs walk the blocks in order — and the
-    partition size is recorded in the [pool/map_blocks] obs counter
-    identically at every execution width, so chunk-sensitive counters
-    match across [--jobs] settings. *)
+    parameter.  Records the element count in the [pool/map_blocks] obs
+    counter identically at every execution width, so the counter
+    matches across [--jobs] settings. *)

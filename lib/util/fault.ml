@@ -36,12 +36,9 @@ let create ?(kill = []) ?(max_delay_s = 0.002) ~seed ~rate () =
       (Printf.sprintf "Fault.create: max_delay_s = %g must be >= 0" max_delay_s);
   { seed; rate; kill; max_delay_s }
 
-let is_none t = t.rate <= 0.0 && t.kill = []
-
 let seed t = t.seed
 let rate t = t.rate
 let kill t ids = { t with kill = ids @ t.kill }
-let killed t = t.kill
 
 (* "seed:rate", e.g. "7:0.2".  The kill list is a separate knob
    (--kill / [kill]) because it names tasks, not a probability. *)
@@ -93,12 +90,3 @@ let at_boundary t ~task ~attempt =
     if attempt = 0 && Prng.bernoulli g ~p:t.rate then
       raise (Injected_transient { task; attempt })
   end
-
-let pp ppf t =
-  if is_none t then Fmt.string ppf "no-faults"
-  else
-    Fmt.pf ppf "chaos(seed=%d, rate=%g%a)" t.seed t.rate
-      (fun ppf -> function
-        | [] -> ()
-        | kill -> Fmt.pf ppf ", kill=%s" (String.concat "," kill))
-      t.kill

@@ -36,24 +36,16 @@ val create : ?kill:string list -> ?max_delay_s:float -> seed:int -> rate:float -
 (** @raise Invalid_argument if [rate] is outside [\[0, 1\]] or
     [max_delay_s < 0] (non-finite values included). *)
 
-val is_none : t -> bool
-(** [true] iff the plan can never inject anything. *)
-
 val seed : t -> int
 val rate : t -> float
 
 val kill : t -> string list -> t
 (** [kill t ids] adds permanently-crashing task ids. *)
 
-val killed : t -> string list
-
 val of_spec : string -> (t, string) result
 (** Parse a ["<seed>:<rate>"] spec (the [--chaos] argument). *)
 
 val to_spec : t -> string
-
-val env_var : string
-(** ["CCACHE_CHAOS"] — ambient spec used when no [--chaos] is given. *)
 
 val from_env : unit -> (t option, string) result
 (** [Ok None] when the variable is unset or empty; [Error _] names the
@@ -64,5 +56,3 @@ val at_boundary : t -> task:string -> attempt:int -> unit
     raise {!Injected_transient} (first attempt only) or
     {!Injected_crash} (killed ids); otherwise returns unit.  The
     decision depends only on [(seed, task, attempt)]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,6 @@
 (** Tolerant float comparison, shared by the dual-variable invariant
     checks and the tests. *)
 
-val default_tol : float
-(** [1e-9]. *)
-
 val approx_eq : ?tol:float -> float -> float -> bool
 (** [approx_eq a b] iff [|a - b| <= tol * max(1, |a|, |b|)]. *)
 

@@ -319,11 +319,6 @@ let pop t =
     Some (k, p)
   end
 
-let pop_exn t =
-  match pop t with
-  | Some kp -> kp
-  | None -> invalid_arg "Indexed_heap.pop_exn: empty heap"
-
 (** Remove an arbitrary key. Raises [Not_found] if absent. *)
 let remove t key = remove_slot t (find_slot t key)
   [@@effects.no_alloc] [@@effects.deterministic]
@@ -355,16 +350,6 @@ let set t ~key ~prio =
   | -1 -> add t ~key ~prio
   | i -> reprioritize t i prio
   [@@effects.no_alloc] [@@effects.deterministic]
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.keys.(i) (Float.Array.get t.prios i)
-  done
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun k p -> acc := (k, p) :: !acc) t;
-  List.rev !acc
 
 (** Heap-order and index consistency; used by tests. *)
 let invariant_ok t =

@@ -41,7 +41,6 @@ val peek_exn : t -> int * float
 (** @raise Invalid_argument on an empty heap. *)
 
 val pop : t -> (int * float) option
-val pop_exn : t -> int * float
 
 val remove : t -> int -> unit
 (** Remove an arbitrary key. @raise Not_found if absent. *)
@@ -52,9 +51,6 @@ val update : t -> key:int -> prio:float -> unit
 
 val set : t -> key:int -> prio:float -> unit
 (** Insert or update. *)
-
-val iter : (int -> float -> unit) -> t -> unit
-val to_list : t -> (int * float) list
 
 val invariant_ok : t -> bool
 (** Heap order and index consistency; used by tests. *)

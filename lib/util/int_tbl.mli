@@ -40,9 +40,6 @@ val set : t -> int -> int -> unit
 val remove : t -> int -> bool
 (** Remove the key if present; returns whether it was. *)
 
-val iter : (int -> int -> unit) -> t -> unit
-(** Iterate live bindings in unspecified (slot) order. *)
-
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val clear : t -> unit

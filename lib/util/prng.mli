@@ -64,9 +64,6 @@ val categorical : t -> weights:float array -> int
 (** Index sampled proportionally to unnormalised non-negative
     [weights]. @raise Invalid_argument if they sum to 0 or less. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
 val shuffle : t -> 'a array -> 'a array
 (** Shuffled copy; the input is untouched. *)
 

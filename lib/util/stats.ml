@@ -151,7 +151,3 @@ let summarize a =
     p95 = quantile a 0.95;
     max = max a;
   }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g"
-    s.n s.mean s.stddev s.min s.median s.p95 s.max

@@ -3,7 +3,6 @@
     Total on non-empty inputs; functions without a neutral value raise
     [Invalid_argument] on empty arrays. *)
 
-val sum : float array -> float
 val mean : float array -> float
 
 val variance : float array -> float
@@ -57,4 +56,3 @@ type summary = {
 }
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit

@@ -89,9 +89,6 @@ type ctx = {
   deadline : float option;
 }
 
-let task_id ctx = ctx.ctx_task
-let attempt ctx = ctx.ctx_attempt
-
 let check ctx =
   match ctx.deadline with
   | Some d when wall_now () > d ->
@@ -99,9 +96,6 @@ let check ctx =
         (Timed_out
            { task = ctx.ctx_task; elapsed_s = wall_now () -. ctx.started })
   | _ -> ()
-
-let unsupervised_ctx ~task =
-  { ctx_task = task; ctx_attempt = 0; started = 0.0; deadline = None }
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes and events                                                 *)

@@ -74,20 +74,11 @@ val backoff_delay : policy -> task:string -> attempt:int -> float
 type ctx
 (** Handed to each attempt: identity plus the cooperative deadline. *)
 
-val task_id : ctx -> string
-
-val attempt : ctx -> int
-(** 0-based attempt number (0 = first try). *)
-
 val check : ctx -> unit
 (** Cooperative cancellation point: long-running tasks call this
     periodically.  @raise Timed_out once the attempt deadline has
     passed.  The supervisor also checks at the closing task boundary,
     so even non-cooperative tasks cannot return past their deadline. *)
-
-val unsupervised_ctx : task:string -> ctx
-(** A deadline-free context, for running a supervised task function
-    outside the supervisor (plain paths, tests). *)
 
 (** {1 Outcomes and events} *)
 

@@ -1,15 +1,108 @@
 (* Tests for ccache_cp: the (CP) formulation, Lagrangian inner
-   minimisation, dual solver soundness and rounding. *)
+   minimisation, dual solver soundness (with a KKT-residual oracle) and
+   rounding. *)
 
 open Ccache_trace
 module F = Ccache_cp.Formulation
 module L = Ccache_cp.Lagrangian
 module DS = Ccache_cp.Dual_solver
-module Kkt = Ccache_cp.Kkt
 module R = Ccache_cp.Rounding
 module Cf = Ccache_cost.Cost_function
 module Engine = Ccache_sim.Engine
 module Prng = Ccache_util.Prng
+
+(* KKT residuals for a primal/dual pair of (CP) (paper Section 2.2):
+   how far a pair (x, y) — with z reconstructed as the positive part
+   needed by the gradient condition — is from satisfying the optimality
+   conditions.  The oracle of the KKT test below, on a tiny instance
+   where the dual solver should drive the residuals near zero. *)
+module Kkt = struct
+  type residuals = {
+    primal_infeasibility : float;
+        (** max over t of max(0, rhs_t - activity_t) *)
+    box_infeasibility : float;  (** max distance of any x_v outside [0,1] *)
+    dual_infeasibility : float;  (** max over t of max(0, -y_t) *)
+    stationarity : float;
+        (** max over v of |min-form gradient residual|: for each v the
+            gradient f'_i(S_i) - c_v + z_v - mu_v must vanish with
+            z_v = max(0, c_v - f'(S_i)) (active only when x_v = 1 is
+            optimal) and mu_v = max(0, f'(S_i) - c_v); the residual
+            reported is the complementarity mismatch below *)
+    complementarity : float;
+        (** max over v of
+            x_v * max(0, f'(S_i) - c_v)   (x > 0 needs gradient <= 0
+                                            before z lifts it to 0)
+            and (1 - x_v) * max(0, c_v - f'(S_i))
+                                          (x < 1 needs gradient >= 0) *)
+    constraint_complementarity : float;
+        (** max over t of y_t * (activity_t - rhs_t) *)
+  }
+
+  let worst r =
+    List.fold_left Float.max 0.0
+      [
+        r.primal_infeasibility;
+        r.box_infeasibility;
+        r.dual_infeasibility;
+        r.complementarity;
+        r.constraint_complementarity;
+      ]
+
+  let compute (cp : F.t) ~x ~y =
+    let horizon = cp.F.horizon in
+    if Array.length y <> horizon then invalid_arg "Kkt.compute: y length";
+    if Array.length x <> F.n_vars cp then invalid_arg "Kkt.compute: x length";
+    let y_prefix = Array.make (horizon + 1) 0.0 in
+    for t = 0 to horizon - 1 do
+      y_prefix.(t + 1) <- y_prefix.(t) +. y.(t)
+    done;
+    let c = F.var_costs cp ~y_prefix in
+    let activity = F.constraint_activity cp x in
+    let primal = ref 0.0 and ccomp = ref 0.0 in
+    Array.iteri
+      (fun t rhs ->
+        let gap = float_of_int rhs -. activity.(t) in
+        if gap > !primal then primal := gap;
+        let slackness = y.(t) *. Float.max 0.0 (activity.(t) -. float_of_int rhs) in
+        if slackness > !ccomp then ccomp := slackness)
+      cp.F.rhs;
+    let box = ref 0.0 and dual = ref 0.0 in
+    Array.iter
+      (fun v ->
+        box := Float.max !box (Float.max (-.v) (v -. 1.0)))
+      x;
+    Array.iter (fun v -> dual := Float.max !dual (-.v)) y;
+    (* per-user sums *)
+    let totals = Array.make cp.F.real_users 0.0 in
+    Array.iteri
+      (fun u ids ->
+        totals.(u) <- List.fold_left (fun acc vi -> acc +. x.(vi)) 0.0 ids)
+      cp.F.vars_of_user;
+    let comp = ref 0.0 and stat = ref 0.0 in
+    Array.iteri
+      (fun u ids ->
+        let fprime = Cf.deriv cp.F.costs.(u) totals.(u) in
+        List.iter
+          (fun vi ->
+            let grad = fprime -. c.(vi) in
+            (* x_v > 0 requires grad <= 0 (z then closes the gap only at
+               x_v = 1); x_v < 1 requires grad >= 0 to be optimal at the
+               boundary *)
+            let r1 = x.(vi) *. Float.max 0.0 grad in
+            let r2 = (1.0 -. x.(vi)) *. Float.max 0.0 (-.grad) in
+            comp := Float.max !comp (Float.max r1 r2);
+            stat := Float.max !stat (Float.min r1 r2))
+          ids)
+      cp.F.vars_of_user;
+    {
+      primal_infeasibility = !primal;
+      box_infeasibility = !box;
+      dual_infeasibility = !dual;
+      stationarity = !stat;
+      complementarity = !comp;
+      constraint_complementarity = !ccomp;
+    }
+end
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -310,6 +403,7 @@ let test_kkt_residuals () =
   checkb "box feasible" true (r.Kkt.box_infeasibility <= 1e-9);
   (* inner minimiser satisfies variable complementarity by construction *)
   checkb "complementarity small" true (r.Kkt.complementarity <= 1e-6);
+  checkb "stationarity small" true (r.Kkt.stationarity <= 1e-6);
   checkb "worst is finite" true (Float.is_finite (Kkt.worst r))
 
 let test_rounding_feasible_schedule () =

@@ -30,8 +30,8 @@ let lint args = run_capture (Filename.quote exe ^ " " ^ args)
 
 let golden =
   [
-    "lint_fixtures/lib/bad_capture.ml:7:46: [domain-capture] closure passed \
-     to Domain_pool.parallel_iter mutates ref 'total' bound outside the \
+    "lint_fixtures/lib/bad_capture.ml:7:45: [domain-capture] closure passed \
+     to Domain_pool.parallel_map mutates ref 'total' bound outside the \
      closure: an unsynchronised cross-domain write (data race); accumulate \
      per-task results and combine after await instead";
     "lint_fixtures/lib/bad_float_eq.ml:3:12: [float-eq] exact float \

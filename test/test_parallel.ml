@@ -3,8 +3,6 @@
    and the determinism contract (pool size never changes results). *)
 
 module Pool = Ccache_util.Domain_pool
-module Prng = Ccache_util.Prng
-module Sweep = Ccache_sim.Sweep
 module A = Ccache_analysis
 
 let checkb = Alcotest.(check bool)
@@ -110,21 +108,6 @@ let test_sizing () =
   Pool.with_pool ~size:0 (fun pool -> checki "clamped up" 1 (Pool.size pool));
   Pool.with_pool ~size:3 (fun pool -> checki "as asked" 3 (Pool.size pool))
 
-let test_parallel_iter () =
-  (* chunked iteration visits every element exactly once; per-element
-     counters make that check order-independent *)
-  let n = 100 in
-  let hits = Array.make n 0 in
-  let lock = Mutex.create () in
-  Pool.with_pool ~size:4 (fun pool ->
-      Pool.parallel_iter ~chunk:7 pool
-        ~f:(fun i ->
-          Mutex.lock lock;
-          hits.(i) <- hits.(i) + 1;
-          Mutex.unlock lock)
-        (List.init n Fun.id));
-  Array.iteri (fun i c -> checki (Printf.sprintf "element %d" i) 1 c) hits
-
 (* ------------------------------------------------------------------ *)
 (* parallel_map = List.map (qcheck)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -141,19 +124,11 @@ let map_model_test =
 (* Determinism across pool sizes                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_sweep_seeded_deterministic () =
-  (* run_seeded pins each cell's PRNG before dispatch, so any pool
-     width reproduces the sequential draw exactly *)
-  let points = List.init 12 Fun.id in
-  let f g p = (p, Prng.int g 1_000_000, Prng.float g) in
-  let serial = Sweep.run_seeded ~seed:123 points ~f in
-  Pool.with_pool ~size:4 (fun pool ->
-      let pooled = Sweep.run_seeded ~pool ~seed:123 points ~f in
-      checkb "seeded sweep identical" true (serial = pooled))
-
 let test_suite_output_identical () =
   (* the --jobs 1 vs --jobs 4 contract, on a suite prefix to keep the
-     test fast; bin/experiments.exe routes through this exact code *)
+     test fast; bin/experiments.exe runs the supervised form of this
+     path, Report.run_suite_supervised, whose report is this one when
+     nothing is quarantined *)
   let specs = List.filteri (fun i _ -> i < 3) A.Suite.all in
   let size = A.Experiment.Quick in
   let serial = A.Report.run_suite ~size specs in
@@ -182,12 +157,10 @@ let () =
           Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
           Alcotest.test_case "abortive shutdown" `Quick test_shutdown_now;
           Alcotest.test_case "sizing" `Quick test_sizing;
-          Alcotest.test_case "parallel_iter" `Quick test_parallel_iter;
         ] );
       ("model", qsuite [ map_model_test ]);
       ( "determinism",
         [
-          Alcotest.test_case "seeded sweep" `Quick test_sweep_seeded_deterministic;
           Alcotest.test_case "suite report" `Quick test_suite_output_identical;
         ] );
     ]

@@ -1,15 +1,14 @@
 (* Tests for ccache_serve: routing, the logical-clock scheduler, the
    differential replay harness (sharded service vs independent engines
    on hash-split sub-traces), supervised execution with kill + resume,
-   record/replay byte-identity of the obs exports, and the live
-   session's backpressure and shutdown semantics. *)
+   record/replay byte-identity of the obs exports, and the stepping
+   engine's [feed] form. *)
 
 open Ccache_trace
 module Serve = Ccache_serve
 module Router = Serve.Router
 module Scheduler = Serve.Scheduler
 module Service = Serve.Service
-module Session = Serve.Session
 module Engine = Ccache_sim.Engine
 module Cf = Ccache_cost.Cost_function
 module U = Ccache_util
@@ -834,182 +833,13 @@ let test_feed_equals_run () =
         Engine.Step.init ~k:12 ~costs policy
           (Trace.of_pages ~n_users:3 [||])
       in
-      checki "starts unfed" 0 (Engine.Step.served st);
       Array.iter (fun p -> Engine.Step.feed st p) (pages_of t);
-      checki "served counts feeds" (Trace.length t) (Engine.Step.served st);
       let fed = Engine.Step.finish st in
       let run = Engine.run ~k:12 ~costs policy t in
       checkb "feed = run" true (fed = run);
       checki "dynamic trace_length = requests fed" (Trace.length t)
         fed.Engine.trace_length)
     [ Ccache_core.Alg_fast.policy; Ccache_policies.Lru.policy ]
-
-(* ------------------------------------------------------------------ *)
-(* Live session                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let session ?(shards = 1) ?(workers = false) ?(batch = 4) ?(queue_cap = 4) () =
-  Session.create ~workers ~router:(Router.by_page ~shards) ~shard_k:8 ~batch
-    ~queue_cap
-    ~costs:(costs_of 2)
-    ()
-
-let test_session_manual_fifo () =
-  let s = session ~batch:2 ~queue_cap:8 () in
-  let pages = Array.init 6 (fun i -> Page.make ~user:0 ~id:(i mod 3)) in
-  let tickets = Array.map (fun p -> Session.submit s p) pages in
-  checki "queued" 6 (Session.pending s);
-  checkb "unprocessed ticket polls None" true
-    (Session.poll tickets.(0) = None);
-  checki "first drain takes a batch" 2 (Session.drain s ~shard:0);
-  checki "rest" 4 (Session.pending s);
-  checki "drain_all finishes" 4 (Session.drain_all s);
-  checki "served" 6 (Session.served s);
-  (* all six requests have outcomes; distinct first touches miss *)
-  Array.iter (fun tk -> ignore (Session.wait tk)) tickets;
-  let results = Session.close s in
-  checki "one shard" 1 (Array.length results);
-  checki "engine saw all requests" 6 results.(0).Engine.trace_length
-
-let test_session_outcomes_match_engine () =
-  let t = workload ~seed:19 ~tenants:2 ~length:400 in
-  let costs = costs_of 2 in
-  let router = Router.by_page ~shards:2 in
-  let s =
-    Session.create ~router ~shard_k:8 ~batch:4 ~queue_cap:8 ~costs ()
-  in
-  let outcomes =
-    Array.map
-      (fun p ->
-        let tk = Session.submit s p in
-        ignore (Session.drain_all s);
-        Session.wait tk)
-      (pages_of t)
-  in
-  let results = Session.close s in
-  let expected =
-    Array.map
-      (fun sub -> Engine.run ~k:8 ~costs Ccache_core.Alg_fast.policy sub)
-      (Router.split router t)
-  in
-  Array.iteri
-    (fun i (e : Engine.result) ->
-      checkb (Printf.sprintf "shard %d engine state matches" i) true
-        (results.(i) = e))
-    expected;
-  let miss_outcomes =
-    Array.fold_left
-      (fun a oc -> match oc with Session.Miss -> a + 1 | Session.Hit -> a)
-      0 outcomes
-  in
-  let engine_misses =
-    Array.fold_left (fun a e -> a + Engine.misses e) 0 expected
-  in
-  checki "per-request outcomes consistent with engines" engine_misses
-    miss_outcomes
-
-let test_session_overload_and_recovery () =
-  let s = session ~batch:1 ~queue_cap:1 () in
-  let page i = Page.make ~user:0 ~id:i in
-  let _t0 = Session.submit s (page 0) in
-  (match Session.try_submit s (page 1) with
-  | Error `Overloaded -> ()
-  | Ok _ -> Alcotest.fail "expected Overloaded on a full queue");
-  checki "one queued" 1 (Session.pending s);
-  checki "drain frees a slot" 1 (Session.drain s ~shard:0);
-  (match Session.try_submit s (page 1) with
-  | Ok _ -> ()
-  | Error `Overloaded -> Alcotest.fail "queue should have space again");
-  ignore (Session.drain_all s);
-  ignore (Session.close s)
-
-let test_session_blocking_submit () =
-  let s = session ~batch:4 ~queue_cap:1 () in
-  let page i = Page.make ~user:0 ~id:i in
-  let _t0 = Session.submit s (page 0) in
-  (* a second client blocks on the full queue; the [waiters] hook makes
-     the blocking observable without timing assumptions *)
-  let blocked =
-    Domain.spawn (fun () -> Session.wait (Session.submit s (page 1)))
-  in
-  while Session.waiters s < 1 do
-    Domain.cpu_relax ()
-  done;
-  checki "still only one queued" 1 (Session.pending s);
-  ignore (Session.drain s ~shard:0);
-  (* the blocked submit can now enqueue; drain until it lands *)
-  let rec finish () =
-    if Session.served s < 2 then begin
-      ignore (Session.drain s ~shard:0);
-      Domain.cpu_relax ();
-      finish ()
-    end
-  in
-  finish ();
-  ignore (Domain.join blocked);
-  checki "no waiters left" 0 (Session.waiters s);
-  ignore (Session.close s)
-
-let test_session_shutdown_cancels_pending () =
-  let s = session ~queue_cap:8 () in
-  let tk0 = Session.submit s (Page.make ~user:0 ~id:0) in
-  ignore (Session.drain_all s);
-  let tk1 = Session.submit s (Page.make ~user:0 ~id:1) in
-  Session.shutdown_now s;
-  checkb "processed ticket keeps its outcome" true
-    (Session.poll tk0 = Some Session.Miss);
-  Alcotest.check_raises "pending ticket fails loudly" Session.Cancelled
-    (fun () -> ignore (Session.wait tk1));
-  Alcotest.check_raises "submit after shutdown" Session.Closed (fun () ->
-      ignore (Session.submit s (Page.make ~user:0 ~id:2)));
-  Session.shutdown_now s (* idempotent *)
-
-let test_session_lifecycle () =
-  let s = session () in
-  ignore (Session.close s);
-  Alcotest.check_raises "double close" Session.Closed (fun () ->
-      ignore (Session.close s));
-  let s2 = session () in
-  Session.shutdown_now s2;
-  Alcotest.check_raises "close after shutdown" Session.Closed (fun () ->
-      ignore (Session.close s2))
-
-let test_session_workers () =
-  (* one worker domain per shard; a single submitter keeps per-shard
-     order deterministic, so the engines must match the split
-     sub-traces exactly *)
-  let t = workload ~seed:20 ~tenants:2 ~length:300 in
-  let costs = costs_of 2 in
-  let router = Router.by_page ~shards:2 in
-  let s =
-    Session.create ~workers:true ~router ~shard_k:8 ~batch:4 ~queue_cap:4
-      ~costs ()
-  in
-  Alcotest.check_raises "manual drain refused"
-    (Invalid_argument "Session.drain: session drains through worker domains")
-    (fun () -> ignore (Session.drain s ~shard:0));
-  let tickets = Array.map (fun p -> Session.submit s p) (pages_of t) in
-  let outcomes = Array.map Session.wait tickets in
-  checki "every request served" (Trace.length t) (Session.served s);
-  let results = Session.close s in
-  let expected =
-    Array.map
-      (fun sub -> Engine.run ~k:8 ~costs Ccache_core.Alg_fast.policy sub)
-      (Router.split router t)
-  in
-  Array.iteri
-    (fun i (e : Engine.result) ->
-      checkb (Printf.sprintf "worker shard %d matches engine" i) true
-        (results.(i) = e))
-    expected;
-  let misses =
-    Array.fold_left
-      (fun a oc -> match oc with Session.Miss -> a + 1 | Session.Hit -> a)
-      0 outcomes
-  in
-  checki "outcome misses match engines"
-    (Array.fold_left (fun a e -> a + Engine.misses e) 0 expected)
-    misses
 
 (* ------------------------------------------------------------------ *)
 
@@ -1074,18 +904,5 @@ let () =
           Alcotest.test_case "metrics width-independent" `Quick
             test_metrics_width_independent;
           Alcotest.test_case "Step.feed = Engine.run" `Quick test_feed_equals_run;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "manual FIFO drain" `Quick test_session_manual_fifo;
-          Alcotest.test_case "outcomes match engine" `Quick
-            test_session_outcomes_match_engine;
-          Alcotest.test_case "overload and recovery" `Quick
-            test_session_overload_and_recovery;
-          Alcotest.test_case "blocking submit" `Quick test_session_blocking_submit;
-          Alcotest.test_case "shutdown cancels pending" `Quick
-            test_session_shutdown_cancels_pending;
-          Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
-          Alcotest.test_case "worker domains" `Quick test_session_workers;
         ] );
     ]

@@ -3,8 +3,7 @@
    whether the cells share one trace (and so one index for the offline
    ones) or not — the invariant the suite goldens enforce end to end,
    checked here at the API level.  Also covers the Engine.Step API
-   directly and the deterministic serial chunking of
-   Domain_pool.map_list (the --jobs-width obs contract). *)
+   directly and Domain_pool.map_list, the fan-out under Sweep.run. *)
 
 module Pool = Ccache_util.Domain_pool
 module Sweep = Ccache_sim.Sweep
@@ -114,30 +113,44 @@ let test_rows () =
   | exception Invalid_argument _ -> ()
 
 (* --------------------------------------------------------------- *)
-(* Serial ?chunk determinism (Domain_pool.map_list)                 *)
+(* Domain_pool.map_list                                              *)
 (* --------------------------------------------------------------- *)
 
-let serial_chunk_matches_map =
-  QCheck.Test.make ~name:"map_list without a pool honours ?chunk" ~count:50
-    QCheck.(pair (int_range 1 9) (list small_int))
-    (fun (chunk, xs) ->
-      let f x = (x * 3) + 1 in
-      Pool.map_list ~chunk ~f xs = List.map f xs)
-
-let serial_chunk_order () =
-  (* blocks are walked in input order: the visit sequence is exactly
-     the input sequence at every grain *)
+let test_map_list_serial () =
+  (* without a pool every element runs on the calling domain, in input
+     order *)
+  let f x = (x * 3) + 1 in
   let xs = List.init 23 Fun.id in
-  List.iter
-    (fun chunk ->
-      let seen = ref [] in
-      ignore
-        (Pool.map_list ~chunk ~f:(fun x -> seen := x :: !seen) xs);
-      checkb
-        (Printf.sprintf "chunk %d visits in order" chunk)
-        true
-        (List.rev !seen = xs))
-    [ 1; 2; 5; 23; 100 ]
+  let seen = ref [] in
+  let ys =
+    Pool.map_list
+      ~f:(fun x ->
+        seen := x :: !seen;
+        f x)
+      xs
+  in
+  checkb "= List.map" true (ys = List.map f xs);
+  checkb "visits in input order" true (List.rev !seen = xs)
+
+let test_map_blocks_counter () =
+  (* pool/map_blocks counts elements, with or without a pool *)
+  let count () =
+    Option.value ~default:0
+      (List.assoc_opt "pool/map_blocks"
+         (Ccache_obs.Metrics.snapshot ()).Ccache_obs.Metrics.counters)
+  in
+  let delta run =
+    let before = count () in
+    ignore (run () : int list);
+    count () - before
+  in
+  let xs = List.init 17 Fun.id in
+  Ccache_obs.Control.with_enabled @@ fun () ->
+  Alcotest.(check int) "no pool" 17
+    (delta (fun () -> Pool.map_list ~f:succ xs));
+  Alcotest.(check int) "pool of 2" 17
+    (delta (fun () ->
+         Pool.with_pool ~size:2 (fun pool -> Pool.map_list ~pool ~f:succ xs)))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -152,7 +165,10 @@ let () =
             step_matches_run;
           ] );
       ( "grouping", [ Alcotest.test_case "rows" `Quick test_rows ] );
-      ( "serial chunking",
-        Alcotest.test_case "visit order" `Quick serial_chunk_order
-        :: qsuite [ serial_chunk_matches_map ] );
+      ( "map_list fanout",
+        [
+          Alcotest.test_case "serial order" `Quick test_map_list_serial;
+          Alcotest.test_case "map_blocks counter" `Quick
+            test_map_blocks_counter;
+        ] );
     ]

@@ -447,6 +447,40 @@ let test_cli_k_beyond_trace () =
   let _, k200 = report "200" in
   Alcotest.(check (list string)) "hits and misses of k = 200" k200 huge
 
+(* [gen] and [trace convert] write the same bytes to stdout as to
+   [--out FILE], in both encodings: each format has one encoder. *)
+let test_cli_stdout_matches_out () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let run args =
+    with_temp (fun stdout_file ->
+        with_temp (fun out_file ->
+            let sh redirect =
+              Sys.command
+                (Printf.sprintf "%s %s %s 2> /dev/null" (Filename.quote cli)
+                   args redirect)
+            in
+            checki (args ^ " exits 0") 0 (sh ("> " ^ Filename.quote stdout_file));
+            checki (args ^ " --out exits 0") 0
+              (sh ("--out " ^ Filename.quote out_file ^ " > /dev/null"));
+            let image = read stdout_file in
+            checkb (args ^ ": stdout = --out") true (image = read out_file);
+            image))
+  in
+  let gen = "gen --workload zipf --tenants 2 --pages 64 --length 2000 --seed 9" in
+  let text = run gen in
+  let binary = run (gen ^ " --binary") in
+  checkb "both images hold one trace" true
+    (same_trace (Trace_io.of_string text) (Trace_binary.of_string binary));
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+      checkb "convert to binary = gen --binary" true
+        (run ("trace convert " ^ Filename.quote path) = binary));
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc binary);
+      checkb "convert --text = gen" true
+        (run ("trace convert --text " ^ Filename.quote path) = text))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -496,5 +530,7 @@ let () =
             test_cli_flags_exit_2;
           Alcotest.test_case "cli k beyond the trace" `Quick
             test_cli_k_beyond_trace;
+          Alcotest.test_case "cli stdout = --out" `Quick
+            test_cli_stdout_matches_out;
         ] );
     ]

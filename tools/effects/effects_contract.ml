@@ -29,7 +29,7 @@ open Effects_defs
 let required : (string * contract list) list =
   [
     ("Ccache_sim.Engine.Step.step", [ No_alloc; Deterministic ]);
-    (* a live session shard's per-request call *)
+    (* the Theorem 1.4 adversary's per-request call *)
     ("Ccache_sim.Engine.Step.feed", [ No_alloc; Deterministic ]);
     (* the serve plan: replay and resume rebuild it, so it must not
        depend on time, randomness or domains *)

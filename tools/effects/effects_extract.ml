@@ -42,8 +42,7 @@ type extraction = {
   pool_sites : pool_site list;
 }
 
-let pool_fns =
-  [ "submit"; "parallel_map"; "parallel_iter"; "map_list"; "map_blocks" ]
+let pool_fns = [ "submit"; "parallel_map"; "map_list" ]
 
 let is_pool_call canonical =
   match String.rindex_opt canonical '.' with
