@@ -146,7 +146,7 @@ let dual_solver_test =
     lazy
       (let small_trace = W.generate ~seed:5 ~length:400 (W.sqlvm_mix ~scale:1) in
        let costs = Array.init 5 (fun _ -> Cf.monomial ~beta:2.0 ()) in
-       Ccache_cp.Formulation.of_trace ~flush:true ~k:16 ~cache_size:16 ~costs
+       Ccache_cp.Formulation.of_trace ~flush:true ~cache_size:16 ~costs
          small_trace)
   in
   Test.make ~name:"dual_solver_20iters"

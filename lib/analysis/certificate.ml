@@ -19,7 +19,6 @@ module Cont = Ccache_core.Alg_cont
 module F = Ccache_cp.Formulation
 module L = Ccache_cp.Lagrangian
 module DS = Ccache_cp.Dual_solver
-module Cf = Ccache_cost.Cost_function
 
 type t = {
   online_cost : float;  (** sum_i f_i(misses_i) of the run *)
@@ -36,10 +35,10 @@ let scales = [ 0.05; 0.1; 0.25; 0.5; 0.75; 1.0; 1.5; 2.0; 4.0 ]
 
     @param ascent_iterations warm-started refinement steps (default 50;
       0 disables). *)
-let certify ?(ascent_iterations = 50) ?(mode = Cf.Discrete) ~k ~costs trace =
-  let run = Cont.run ~mode ~flush:true ~k ~costs trace in
+let certify ?(ascent_iterations = 50) ~k ~costs trace =
+  let run = Cont.run ~flush:true ~k ~costs trace in
   let online_cost = Cont.total_cost run in
-  let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs trace in
+  let cp = F.of_trace ~flush:true ~cache_size:k ~costs trace in
   if F.horizon cp <> Array.length run.Cont.y then
     invalid_arg "Certificate.certify: horizon mismatch (internal)";
   let eval_scaled c =

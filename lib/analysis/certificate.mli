@@ -21,12 +21,11 @@ type t = {
 
 val certify :
   ?ascent_iterations:int ->
-  ?mode:Ccache_cost.Cost_function.derivative_mode ->
   k:int ->
   costs:Ccache_cost.Cost_function.t array ->
   Ccache_trace.Trace.t ->
   t
-(** Runs ALG-CONT (flushed) and certifies it.  [ascent_iterations]
-    defaults to 50 (0 disables refinement). *)
+(** Runs ALG-CONT (flushed, discrete marginals) and certifies it.
+    [ascent_iterations] defaults to 50 (0 disables refinement). *)
 
 val pp : Format.formatter -> t -> unit

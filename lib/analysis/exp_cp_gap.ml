@@ -31,7 +31,7 @@ let run size =
     (fun (seed, tenants, pages, length, k) ->
       let s = Scenarios.tiny ~seed ~tenants ~pages_per_tenant:pages ~length in
       let costs = s.Scenarios.costs in
-      let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs s.Scenarios.trace in
+      let cp = F.of_trace ~flush:true ~cache_size:k ~costs s.Scenarios.trace in
       let sol = DS.solve ~options:{ DS.default_options with iterations = dual_iters } cp in
       let dual_lb = sol.DS.bound in
       (* DP on the same accounting: flushed trace makes misses =

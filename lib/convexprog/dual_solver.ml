@@ -121,5 +121,5 @@ let solve ?(options = default_options) (cp : Formulation.t) =
     bi-criteria program (CP-h)). *)
 let lower_bound ?options ?cache_size ~k ~costs trace =
   let cache_size = Option.value cache_size ~default:k in
-  let cp = Formulation.of_trace ~flush:true ~k ~cache_size ~costs trace in
+  let cp = Formulation.of_trace ~flush:true ~cache_size ~costs trace in
   (solve ?options cp).bound

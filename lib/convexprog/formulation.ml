@@ -53,11 +53,8 @@ let horizon t = t.horizon
       The flush width MUST equal the program's cache size: with pinned
       dummies a wider flush makes the program infeasible (the j-th
       dummy constraint needs j <= cache_size), which would render the
-      dual unbounded — not a valid lower bound.  The [k] parameter is
-      kept for call-site symmetry with the engine but does not affect
-      the program. *)
-let of_trace ?(flush = true) ~k ~cache_size ~costs trace =
-  ignore k;
+      dual unbounded — not a valid lower bound. *)
+let of_trace ?(flush = true) ~cache_size ~costs trace =
   if cache_size <= 0 then invalid_arg "Formulation.of_trace: cache_size > 0";
   let real_users = Trace.n_users trace in
   if Array.length costs <> real_users then

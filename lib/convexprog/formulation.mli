@@ -40,15 +40,13 @@ val horizon : t -> int
 
 val of_trace :
   ?flush:bool ->
-  k:int ->
   cache_size:int ->
   costs:Ccache_cost.Cost_function.t array ->
   Trace.t ->
   t
 (** [flush] (default true) appends [cache_size] pinned dummy requests
     — the flush width must equal the program's cache size or the
-    pinned program becomes infeasible (dual unbounded); [k] is kept
-    for call-site symmetry and does not affect the program. *)
+    pinned program becomes infeasible (dual unbounded). *)
 
 val var_costs : t -> y_prefix:float array -> float array
 (** Per-variable dual mass c_v = sum of y over the open span, given

@@ -1,14 +1,19 @@
 (** Feasibility repair: turn a fractional (CP) solution into an
     integral schedule by simulation.
 
-    Replays the trace with a cache of size [cache_size]; whenever an
-    eviction is forced, the victim is the cached page whose current
-    fractional variable x(p, j(p,t)) is largest ("the relaxation most
-    wanted this page out"), ties broken by page order.  The result is a
-    feasible integral solution whose objective upper-bounds the (ICP)
-    optimum — used in E8 to sandwich the relaxation gap from above. *)
+    Replays the program's real requests through {!Ccache_sim.Engine}
+    with a cache of size [cache_size]; whenever an eviction is forced,
+    the victim is the cached page whose current fractional variable
+    x(p, j(p,t)) is largest ("the relaxation most wanted this page
+    out"), ties broken to the smaller page.  A flushed program replays
+    with the engine's terminal flush, which evicts exactly as the
+    program's pinned dummy requests would.  The result is a feasible
+    integral solution whose objective upper-bounds the (ICP) optimum —
+    used in E8 to sandwich the relaxation gap from above. *)
 
 open Ccache_trace
+module Engine = Ccache_sim.Engine
+module Policy = Ccache_sim.Policy
 module Cf = Ccache_cost.Cost_function
 
 type outcome = {
@@ -18,69 +23,48 @@ type outcome = {
   cost_by_evictions : float;
 }
 
+(* Evicts the cached page with the largest current x.  The replayed
+   trace has one request per variable, in variable order, so the
+   request at position [pos] opens variable [pos]: a cached page's
+   current variable is the position of its latest request. *)
+let max_x ~x =
+  Policy.make ~name:"cp-rounding" (fun _ ->
+      let latest : int Page.Tbl.t = Page.Tbl.create 64 in
+      let touch ~pos page = Page.Tbl.replace latest page pos in
+      {
+        Policy.on_hit = touch;
+        wants_evict = Policy.never_evict_early;
+        choose_victim =
+          (fun ~pos:_ ~incoming:_ ->
+            let pick q qpos best =
+              let f = x.(qpos) in
+              match best with
+              | Some (bq, bf) when not (f > bf || (f = bf && Page.compare q bq < 0))
+                ->
+                  best
+              | _ -> Some (q, f)
+            in
+            fst (Option.get (Page.Tbl.fold pick latest None)));
+        on_insert = touch;
+        on_evict = (fun ~pos:_ page -> Page.Tbl.remove latest page);
+      })
+
 let round (cp : Formulation.t) ~x =
   if Array.length x <> Formulation.n_vars cp then
     invalid_arg "Rounding.round: dimension mismatch";
-  let trace = cp.Formulation.trace in
-  let n = Trace.length trace in
-  let real = cp.Formulation.real_users in
-  let k = cp.Formulation.cache_size in
-  (* var id of (page at pos): variables were built in position order,
-     one per real-user request; rebuild the per-position map *)
-  let var_at = Array.make n (-1) in
-  Array.iteri (fun vi v -> var_at.(v.Formulation.start_pos) <- vi) cp.Formulation.vars;
-  (* cached page -> position of its latest request (to find its current var) *)
-  let cached : int Page.Tbl.t = Page.Tbl.create 64 in
-  let misses = Array.make (real + 1) 0 in
-  let evictions = Array.make (real + 1) 0 in
-  let frac pos =
-    let vi = var_at.(pos) in
-    if vi < 0 then 1e9 (* flush pages never enter, see below *) else x.(vi)
+  let real = cp.Formulation.real_users and costs = cp.Formulation.costs in
+  let requests =
+    Trace.of_pages ~n_users:real
+      (Array.map (fun v -> v.Formulation.page) cp.Formulation.vars)
   in
-  for pos = 0 to n - 1 do
-    let p = Trace.request trace pos in
-    let u = Stdlib.min (Page.user p) real in
-    if Page.Tbl.mem cached p then Page.Tbl.replace cached p pos
-    else begin
-      misses.(u) <- misses.(u) + 1;
-      if u < real || Page.Tbl.length cached > 0 then begin
-        if Page.Tbl.length cached >= k || (u >= real && Page.Tbl.length cached > 0)
-        then begin
-          (* evict max-fractional cached page *)
-          let victim = ref None in
-          Page.Tbl.iter
-            (fun q qpos ->
-              let f = frac qpos in
-              match !victim with
-              | None -> victim := Some (q, f)
-              | Some (bq, bf) ->
-                  if f > bf || (f = bf && Page.compare q bq < 0) then
-                    victim := Some (q, f))
-            cached;
-          match !victim with
-          | Some (q, _) ->
-              Page.Tbl.remove cached q;
-              evictions.(Stdlib.min (Page.user q) real) <-
-                evictions.(Stdlib.min (Page.user q) real) + 1
-          | None -> ()
-        end;
-        (* flush pages are pinned out of the cache: they evict but do
-           not occupy (their variables are fixed to 0 in the program) *)
-        if u < real then Page.Tbl.replace cached p pos
-      end
-    end
-  done;
-  let eval_cost counts =
-    let acc = ref 0.0 in
-    for u = 0 to real - 1 do
-      acc :=
-        !acc +. Cf.eval cp.Formulation.costs.(u) (float_of_int counts.(u))
-    done;
-    !acc
+  let r =
+    Engine.replay
+      ~flush:(Trace.n_users cp.Formulation.trace > real)
+      ~k:cp.Formulation.cache_size ~costs (max_x ~x) requests
   in
   {
-    misses_per_user = Array.sub misses 0 real;
-    evictions_per_user = Array.sub evictions 0 real;
-    cost_by_misses = eval_cost misses;
-    cost_by_evictions = eval_cost evictions;
+    misses_per_user = r.Engine.misses_per_user;
+    evictions_per_user = r.Engine.evictions_per_user;
+    cost_by_misses = Cf.total costs r.Engine.misses_per_user;
+    cost_by_evictions = Cf.total costs r.Engine.evictions_per_user;
   }

@@ -1,7 +1,9 @@
 (** Feasibility repair: turn a fractional (CP) solution into an
-    integral schedule by replaying the trace and evicting the cached
-    page with the largest current fractional variable.  The result's
-    objective upper-bounds the (ICP) optimum — E8's upper jaw. *)
+    integral schedule by replaying the program's requests through
+    {!Ccache_sim.Engine}, evicting the cached page with the largest
+    current fractional variable (with the engine's terminal flush when
+    the program is flushed).  The result's objective upper-bounds the
+    (ICP) optimum — E8's upper jaw. *)
 
 type outcome = {
   misses_per_user : int array;

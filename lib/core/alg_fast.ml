@@ -24,12 +24,9 @@ module Cf = Ccache_cost.Cost_function
 module Heap = Ccache_util.Indexed_heap
 open Ccache_trace
 
-let make ?(mode = Cf.Discrete) () =
-  let name =
-    match mode with
-    | Cf.Discrete -> "alg-discrete-fast"
-    | Cf.Analytic -> "alg-discrete-fast[analytic]"
-  in
+let name = "alg-discrete-fast"
+
+let policy =
   Policy.make ~name (fun config ->
       let n_users = config.Policy.Config.n_users in
       let n_slots = n_users + 1 (* + flush dummy *) in
@@ -47,7 +44,7 @@ let make ?(mode = Cf.Discrete) () =
       let costs = Array.init n_slots (fun u -> Policy.Config.cost config u) in
       let rate u ~offset =
         let s = slot u in
-        Cf.rate costs.(s) mode (m.(s) + offset)
+        Cf.rate costs.(s) Cf.Discrete (m.(s) + offset)
       in
       (* f'_i(m_i + 1) for every slot, refreshed when m_i moves: touch
          needs this value on every request, and computing it live costs
@@ -123,5 +120,3 @@ let make ?(mode = Cf.Discrete) () =
         on_insert = (fun ~pos:_ page -> touch page);
         on_evict = evict;
       })
-
-let policy = make ()

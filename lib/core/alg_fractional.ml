@@ -50,7 +50,7 @@ type page_state = {
   mutable interval_start : int;  (** position that opened the interval *)
 }
 
-let run ?(tol = 1e-9) ~k ~costs trace =
+let run ~k ~costs trace =
   if k <= 0 then invalid_arg "Alg_fractional.run: k must be positive";
   let n_users = Trace.n_users trace in
   if Array.length costs <> n_users then
@@ -92,7 +92,8 @@ let run ?(tol = 1e-9) ~k ~costs trace =
           (fun q s acc -> if Page.equal q p then acc else acc +. s.x)
           states 0.0
       in
-      if current < need -. tol then begin
+      (* a shortfall within 1e-9 counts as met *)
+      if current < need -. 1e-9 then begin
         (* find the water-level rise dy making the constraint tight:
            x_q(dy) = min(1, (x_q + 1/k) e^{dy/w_q} - 1/k) summed over
            q <> p is monotone in dy *)

@@ -28,7 +28,6 @@ type result = {
 }
 
 val run :
-  ?tol:float ->
   k:int ->
   costs:Ccache_cost.Cost_function.t array ->
   Ccache_trace.Trace.t ->

@@ -17,13 +17,13 @@
 module Policy = Ccache_sim.Policy
 module Cf = Ccache_cost.Cost_function
 
-let make ?(mode = Cf.Discrete) ~window () =
+let make ~window () =
   if window <= 0 then invalid_arg "Alg_windowed.make: window must be positive";
   Policy.make
     ~name:(Printf.sprintf "alg-discrete[w=%d]" window)
     (fun config ->
       let st =
-        Budget_state.create ~costs:config.Policy.Config.costs ~mode
+        Budget_state.create ~costs:config.Policy.Config.costs ~mode:Cf.Discrete
           ~n_users:config.Policy.Config.n_users
       in
       let current_window = ref 0 in

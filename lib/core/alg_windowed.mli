@@ -5,9 +5,6 @@
     window's cost landscape while keeping the cache contents.
     Experiment E14 measures the cumulative-vs-windowed trade. *)
 
-val make :
-  ?mode:Ccache_cost.Cost_function.derivative_mode ->
-  window:int ->
-  unit ->
-  Ccache_sim.Policy.t
-(** @raise Invalid_argument if [window <= 0]. *)
+val make : window:int -> unit -> Ccache_sim.Policy.t
+(** Discrete marginals, as {!Alg_discrete.policy}.
+    @raise Invalid_argument if [window <= 0]. *)

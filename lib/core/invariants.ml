@@ -54,7 +54,10 @@ let rate_of (run : Alg_cont.run) page x =
   if u >= Array.length run.Alg_cont.costs then 0.0
   else Cf.rate run.Alg_cont.costs.(u) run.Alg_cont.mode x
 
-let check ?(tol = 1e-9) (run : Alg_cont.run) =
+(* Slack allowed on every numeric condition. *)
+let tol = 1e-9
+
+let check (run : Alg_cont.run) =
   let failures = ref [] in
   let push f = failures := f :: !failures in
   let prefix = Alg_cont.y_prefix run in
@@ -145,6 +148,6 @@ let check ?(tol = 1e-9) (run : Alg_cont.run) =
   { checked_intervals = List.length intervals; checked_steps = !steps; failures = List.rev !failures }
 
 (** Convenience: run ALG-CONT and check in one call. *)
-let run_and_check ?tol ?mode ?(flush = true) ~k ~costs trace =
+let run_and_check ?mode ?(flush = true) ~k ~costs trace =
   let run = Alg_cont.run ?mode ~flush ~k ~costs trace in
-  (run, check ?tol run)
+  (run, check run)

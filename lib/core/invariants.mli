@@ -31,10 +31,10 @@ type report = {
 
 val ok : report -> bool
 
-val check : ?tol:float -> Alg_cont.run -> report
+val check : Alg_cont.run -> report
+(** Every numeric condition is checked with a 1e-9 slack. *)
 
 val run_and_check :
-  ?tol:float ->
   ?mode:Ccache_cost.Cost_function.derivative_mode ->
   ?flush:bool ->
   k:int ->

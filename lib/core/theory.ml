@@ -79,10 +79,10 @@ let check_thm13 ?alpha ~costs ~k ~h ~a ~b () =
 
 (** Claim 2.3: for convex increasing f with f(0) = 0 and non-negative
     x_1..x_n,
-    f'(S) * S <= alpha * sum_j x_j f'(prefix_j)   with S = sum x_j.
-    Returns (lhs, rhs). *)
-let claim23_sides ?alpha f xs =
-  let alpha = match alpha with Some a -> a | None -> Cf.alpha f in
+    f'(S) * S <= alpha * sum_j x_j f'(prefix_j)   with S = sum x_j,
+    alpha = [Cf.alpha f], up to a relative slack of 1e-9. *)
+let claim23_holds f xs =
+  let alpha = Cf.alpha f in
   let s = Array.fold_left ( +. ) 0.0 xs in
   let lhs = Cf.deriv f s *. s in
   let rhs = ref 0.0 in
@@ -92,15 +92,12 @@ let claim23_sides ?alpha f xs =
       prefix := !prefix +. x;
       rhs := !rhs +. (x *. Cf.deriv f !prefix))
     xs;
-  (lhs, alpha *. !rhs)
-
-let claim23_holds ?alpha ?(tol = 1e-9) f xs =
-  let lhs, rhs = claim23_sides ?alpha f xs in
-  lhs <= rhs +. (tol *. Float.max 1.0 rhs)
+  let rhs = alpha *. !rhs in
+  lhs <= rhs +. (1e-9 *. Float.max 1.0 rhs)
 
 (** The inner inequality (6) used to prove Claim 2.3:
-    sum_j x_j f'(prefix_j) >= f(S). *)
-let claim23_inner_holds ?(tol = 1e-9) f xs =
+    sum_j x_j f'(prefix_j) >= f(S), up to the same relative slack. *)
+let claim23_inner_holds f xs =
   let s = Array.fold_left ( +. ) 0.0 xs in
   let rhs = Cf.eval f s in
   let lhs = ref 0.0 in
@@ -110,4 +107,4 @@ let claim23_inner_holds ?(tol = 1e-9) f xs =
       prefix := !prefix +. x;
       lhs := !lhs +. (x *. Cf.deriv f !prefix))
     xs;
-  !lhs >= rhs -. (tol *. Float.max 1.0 rhs)
+  !lhs >= rhs -. (1e-9 *. Float.max 1.0 rhs)

@@ -67,10 +67,10 @@ val check_thm13 :
     For convex increasing f with f(0) = 0 and non-negative x_j:
     [f'(S) * S <= alpha * sum_j x_j f'(prefix_j)], S = sum x_j. *)
 
-val claim23_holds :
-  ?alpha:float -> ?tol:float -> Ccache_cost.Cost_function.t -> float array -> bool
+val claim23_holds : Ccache_cost.Cost_function.t -> float array -> bool
+(** The claim with [alpha = Cost_function.alpha f], up to a relative
+    slack of 1e-9. *)
 
-val claim23_inner_holds :
-  ?tol:float -> Ccache_cost.Cost_function.t -> float array -> bool
+val claim23_inner_holds : Ccache_cost.Cost_function.t -> float array -> bool
 (** The inner inequality (6) used to prove the claim:
-    [sum_j x_j f'(prefix_j) >= f(S)]. *)
+    [sum_j x_j f'(prefix_j) >= f(S)], up to the same slack. *)

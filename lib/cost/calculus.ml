@@ -2,9 +2,8 @@
 
     The guarantees of Theorem 1.1 require each [f_i] to be
     differentiable, convex, increasing and non-negative with
-    [f_i(0) = 0].  These checks verify the properties on a sample grid —
-    they are used by the test suite and by [Experiment] preflight to
-    reject malformed user-supplied cost functions early. *)
+    [f_i(0) = 0].  These checks verify the properties on a sample grid;
+    only the test suite runs them. *)
 
 type violation = {
   property : string;

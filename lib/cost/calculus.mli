@@ -2,8 +2,8 @@
 
     Theorem 1.1 requires each [f_i] to be convex, increasing and
     non-negative with [f_i(0) = 0].  These checks verify the properties
-    on a sample grid — used by the test suite and as experiment
-    preflight to reject malformed user-supplied cost functions. *)
+    on a sample grid.  Only the test suite runs them; no binary
+    validates cost functions with them. *)
 
 type violation = { property : string; at : float; detail : string }
 

@@ -45,19 +45,17 @@ let require_finite ~fn ~field v =
     invalid_arg
       (Printf.sprintf "Cost_function.%s: %s = %g is not finite" fn field v)
 
-let linear ?name ~slope () =
+let linear ~slope () =
   require_finite ~fn:"linear" ~field:"slope" slope;
   if slope < 0.0 then invalid_arg "Cost_function.linear: negative slope";
-  let name = Option.value name ~default:(Printf.sprintf "linear(w=%g)" slope) in
-  { name; shape = Linear slope }
+  { name = Printf.sprintf "linear(w=%g)" slope; shape = Linear slope }
 
-let monomial ?name ~beta () =
+let monomial ~beta () =
   require_finite ~fn:"monomial" ~field:"beta" beta;
   if beta < 1.0 then invalid_arg "Cost_function.monomial: beta must be >= 1";
-  let name = Option.value name ~default:(Printf.sprintf "x^%g" beta) in
-  { name; shape = Monomial beta }
+  { name = Printf.sprintf "x^%g" beta; shape = Monomial beta }
 
-let polynomial ?name coeffs =
+let polynomial coeffs =
   if Array.length coeffs = 0 then invalid_arg "Cost_function.polynomial: empty";
   Array.iter
     (fun c ->
@@ -69,17 +67,15 @@ let polynomial ?name coeffs =
   if (coeffs.(0) <> 0.0 [@lint.allow "float-eq"]) then
     invalid_arg "Cost_function.polynomial: constant term must be 0 (f(0)=0)";
   let name =
-    Option.value name
-      ~default:
-        (String.concat " + "
-           (List.filteri (fun _ s -> s <> "")
-              (Array.to_list
-                 (Array.mapi
-                    (* exact zero only elides the term from the name *)
-                    (fun d c ->
-                      if (c = 0.0 [@lint.allow "float-eq"]) then ""
-                      else Printf.sprintf "%gx^%d" c d)
-                    coeffs))))
+    String.concat " + "
+      (List.filteri (fun _ s -> s <> "")
+         (Array.to_list
+            (Array.mapi
+               (* exact zero only elides the term from the name *)
+               (fun d c ->
+                 if (c = 0.0 [@lint.allow "float-eq"]) then ""
+                 else Printf.sprintf "%gx^%d" c d)
+               coeffs)))
   in
   { name; shape = Polynomial coeffs }
 
@@ -88,15 +84,15 @@ let piecewise_linear ?name segments =
   let name = Option.value name ~default:"piecewise-linear" in
   { name; shape = Piecewise_linear segs }
 
-let exponential ?name ~rate ~scale () =
+let exponential ~rate ~scale () =
   require_finite ~fn:"exponential" ~field:"rate" rate;
   require_finite ~fn:"exponential" ~field:"scale" scale;
   if rate <= 0.0 || scale <= 0.0 then
     invalid_arg "Cost_function.exponential: rate and scale must be positive";
-  let name =
-    Option.value name ~default:(Printf.sprintf "%g(e^{%gx}-1)" scale rate)
-  in
-  { name; shape = Exponential { rate; scale } }
+  {
+    name = Printf.sprintf "%g(e^{%gx}-1)" scale rate;
+    shape = Exponential { rate; scale };
+  }
 
 let custom ~name ~eval ~deriv ?alpha () =
   { name; shape = Custom { eval; deriv; alpha } }

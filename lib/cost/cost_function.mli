@@ -45,11 +45,11 @@ val name : t -> string
     otherwise slip past the sign checks and silently poison every
     downstream theorem check. *)
 
-val linear : ?name:string -> slope:float -> unit -> t
-val monomial : ?name:string -> beta:float -> unit -> t
-val polynomial : ?name:string -> float array -> t
+val linear : slope:float -> unit -> t
+val monomial : beta:float -> unit -> t
+val polynomial : float array -> t
 val piecewise_linear : ?name:string -> (float * float) array -> t
-val exponential : ?name:string -> rate:float -> scale:float -> unit -> t
+val exponential : rate:float -> scale:float -> unit -> t
 
 val custom :
   name:string ->

@@ -7,13 +7,15 @@
 
     Model implemented here:
 
-    - [pools] caches, each of size [pool_size], each running its own
-      instance of a policy (ALG-DISCRETE by default);
+    - [pools] caches, each of size [pool_size], each an
+      {!Ccache_sim.Engine.Step} running its own instance of a policy
+      (ALG-DISCRETE by default), so every pool keeps the engine's cache
+      contract;
     - every user is assigned to exactly one pool; all its requests are
-      served by that pool's cache;
+      fed to that pool's engine;
     - an optional periodic rebalancer migrates users between pools; a
       migration costs [switch_cost] plus the implicit cost of losing
-      the user's cached pages (its pages in the old pool are dropped).
+      the user's cached pages (the old pool's engine evicts them).
 
     Assignment strategies:
     - [Static_round_robin] — user u on pool (u mod pools), never moves;
@@ -22,7 +24,7 @@
       the lowest total recent pressure, if the estimated gain exceeds
       [switch_cost]. *)
 
-module Policy = Ccache_sim.Policy
+module Engine = Ccache_sim.Engine
 module Cf = Ccache_cost.Cost_function
 open Ccache_trace
 
@@ -44,22 +46,6 @@ type result = {
   total_cost : float;  (** sum_i f_i(misses_i) + switch costs *)
 }
 
-(* One pool: its own policy instance and cache bookkeeping, mirroring
-   the single-cache engine. *)
-type pool = {
-  handlers : Policy.handlers;
-  cached : unit Page.Tbl.t;
-  mutable occupancy : int;
-}
-
-let make_pool ~policy ~pool_size ~costs =
-  let config = Policy.Config.make ~k:pool_size ~costs () in
-  {
-    handlers = Policy.instantiate policy config;
-    cached = Page.Tbl.create 64;
-    occupancy = 0;
-  }
-
 let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
     ~pools:n_pools ~pool_size ~strategy ~costs trace =
   if n_pools <= 0 then invalid_arg "Multi_engine.run: pools must be positive";
@@ -67,6 +53,8 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
   let n_users = Trace.n_users trace in
   if Array.length costs <> n_users then
     invalid_arg "Multi_engine.run: costs/users mismatch";
+  if Ccache_sim.Policy.needs_future policy then
+    invalid_arg "Multi_engine.run: offline policies cannot serve pools";
   let pool_of_user =
     match initial_assignment with
     | None -> Array.init n_users (fun u -> u mod n_pools)
@@ -80,54 +68,56 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
           a;
         Array.copy a
   in
-  let pools = Array.init n_pools (fun _ -> make_pool ~policy ~pool_size ~costs) in
   let misses = Array.make n_users 0 in
   (* sliding pressure window: marginal cost of each user's recent misses *)
   let pressure = Array.make n_users 0.0 in
   let pool_pressure = Array.make n_pools 0.0 in
   let migrations = ref 0 in
   let switch_paid = ref 0.0 in
-  let serve pos page =
-    let pool = pools.(pool_of_user.(Page.user page)) in
-    if Page.Tbl.mem pool.cached page then pool.handlers.Policy.on_hit ~pos page
-    else begin
-      let u = Page.user page in
-      misses.(u) <- misses.(u) + 1;
-      let marginal =
-        Cf.eval costs.(u) (float_of_int misses.(u))
-        -. Cf.eval costs.(u) (float_of_int (misses.(u) - 1))
-      in
-      pressure.(u) <- pressure.(u) +. marginal;
-      pool_pressure.(pool_of_user.(u)) <- pool_pressure.(pool_of_user.(u)) +. marginal;
-      if pool.occupancy >= pool_size then begin
-        let victim = pool.handlers.Policy.choose_victim ~pos ~incoming:page in
-        if not (Page.Tbl.mem pool.cached victim) then
-          invalid_arg "Multi_engine.run: policy evicted uncached page";
-        Page.Tbl.remove pool.cached victim;
-        pool.occupancy <- pool.occupancy - 1;
-        pool.handlers.Policy.on_evict ~pos victim
-      end;
-      Page.Tbl.replace pool.cached page ();
-      pool.occupancy <- pool.occupancy + 1;
-      pool.handlers.Policy.on_insert ~pos page
-    end
+  (* Each pool's resident pages, kept from its engine's events and read
+     only for a migration's drop list and its warm-up footprint.  Every
+     drop runs the policy's eviction update (Figure 3's subtract and
+     bump for ALG-DISCRETE), so the drop order, this table's
+     [Page.Tbl.fold] order, is part of E10's output; a benchmark change
+     that re-records E10 may replace it with a sorted order. *)
+  let resident = Array.init n_pools (fun _ -> Page.Tbl.create 64) in
+  let on_miss q page =
+    let u = Page.user page in
+    misses.(u) <- misses.(u) + 1;
+    let marginal =
+      Cf.eval costs.(u) (float_of_int misses.(u))
+      -. Cf.eval costs.(u) (float_of_int (misses.(u) - 1))
+    in
+    pressure.(u) <- pressure.(u) +. marginal;
+    pool_pressure.(q) <- pool_pressure.(q) +. marginal;
+    Page.Tbl.replace resident.(q) page ()
+  in
+  let on_event q = function
+    | Engine.Hit _ -> ()
+    | Engine.Miss_insert { page; _ } -> on_miss q page
+    | Engine.Miss_evict { page; victim; _ } ->
+        Page.Tbl.remove resident.(q) victim;
+        on_miss q page
+  in
+  let empty = Trace.of_list ~n_users [] in
+  let engines =
+    Array.init n_pools (fun q ->
+        Engine.Step.init ~on_event:(on_event q) ~k:pool_size ~costs policy empty)
   in
   (* migrate user u to pool q: drop its pages from the old pool (they
      are simply lost — the new pool warms up from scratch) *)
-  let migrate ~pos u q =
+  let migrate u q =
     let p = pool_of_user.(u) in
     if p <> q then begin
-      let pool = pools.(p) in
       let mine =
         Page.Tbl.fold
           (fun page () acc -> if Page.user page = u then page :: acc else acc)
-          pool.cached []
+          resident.(p) []
       in
       List.iter
         (fun page ->
-          Page.Tbl.remove pool.cached page;
-          pool.occupancy <- pool.occupancy - 1;
-          pool.handlers.Policy.on_evict ~pos page)
+          Page.Tbl.remove resident.(p) page;
+          Engine.Step.evict engines.(p) page)
         mine;
       pool_of_user.(u) <- q;
       incr migrations
@@ -167,7 +157,7 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
         let footprint =
           Page.Tbl.fold
             (fun page () acc -> if Page.user page = u then acc + 1 else acc)
-            pools.(!hot_pool).cached 0
+            resident.(!hot_pool) 0
         in
         let marginal =
           Cf.eval costs.(u) (float_of_int (misses.(u) + 1))
@@ -185,7 +175,7 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
            the hot pool at least as pressured as the cold one *)
         let stable = pressure.(u) <= 0.75 *. gap in
         if stable && expected_gain > switch_cost +. warmup_cost then begin
-          migrate ~pos u !cold_pool;
+          migrate u !cold_pool;
           last_migration := pos;
           switch_paid := !switch_paid +. switch_cost
         end
@@ -197,7 +187,8 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
   in
   let n = Trace.length trace in
   for pos = 0 to n - 1 do
-    serve pos (Trace.request trace pos);
+    let page = Trace.request trace pos in
+    Engine.Step.feed engines.(pool_of_user.(Page.user page)) page;
     match strategy with
     | Greedy_cost { rebalance_every; switch_cost }
       when pos > 0 && pos mod rebalance_every = 0 ->

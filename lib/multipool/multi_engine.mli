@@ -1,8 +1,9 @@
 (** Multiple memory pools — the paper's future-work extension (§5):
-    each tenant is assigned to one pool (its own cache + policy
-    instance); an optional rebalancer migrates tenants between pools,
-    paying a switching cost and losing the migrated tenant's warm
-    pages.
+    each tenant is assigned to one pool, an {!Ccache_sim.Engine.Step}
+    with its own policy instance, so every pool keeps the engine's
+    cache contract ([wants_evict] included); an optional rebalancer
+    migrates tenants between pools, paying a switching cost and losing
+    the migrated tenant's warm pages (the old pool evicts them).
 
     The greedy rebalancer fires every [rebalance_every] requests and
     moves the highest-pressure tenant from the most- to the
@@ -38,4 +39,5 @@ val run :
   result
 (** [policy] defaults to ALG-DISCRETE; [initial_assignment] defaults
     to round-robin.  @raise Invalid_argument on malformed pools,
-    sizes, costs or assignments. *)
+    sizes, costs or assignments, or an offline [policy].
+    @raise Ccache_sim.Engine.Policy_error if the policy misbehaves. *)

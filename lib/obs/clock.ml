@@ -4,8 +4,9 @@
     in [lib/] allowed to read it (enforced by the [no-wall-clock] lint
     rule), and timestamps only ever flow *out* of the simulation into
     observability sinks — never into simulation state.  Code that needs
-    a timestamp takes an explicit [t] (a [~now] capability), so tests
-    substitute a deterministic clock and golden files stay stable. *)
+    a timestamp reads an explicit [t] (spans read {!Control.clock}), so
+    tests substitute a deterministic clock and golden files stay
+    stable. *)
 
 type t = unit -> float
 
@@ -35,6 +36,6 @@ let monotonic : t =
   in
   go ()
 
-let counting ?(start = 0.0) ?(step = 1.0) () : t =
+let counting () : t =
   let n = Atomic.make 0 in
-  fun () -> start +. (step *. float_of_int (Atomic.fetch_and_add n 1))
+  fun () -> float_of_int (Atomic.fetch_and_add n 1)

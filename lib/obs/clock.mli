@@ -22,8 +22,7 @@ val monotonic : t
 (** Wall clock monotonised through a global latch: never decreases,
     even across system clock adjustments.  The default span clock. *)
 
-val counting : ?start:float -> ?step:float -> unit -> t
-(** [counting ()] returns [start], [start +. step], [start +. 2*.step],
-    ... on successive reads (atomically, so it is usable across
-    domains).  Defaults: [start = 0.], [step = 1.].  Deterministic
+val counting : unit -> t
+(** [counting ()] returns [0.], [1.], [2.], ... on successive reads
+    (atomically, so it is usable across domains).  Deterministic
     substitute for [monotonic] in tests. *)

@@ -7,14 +7,13 @@
     are well-formed by construction: a span's parent is whatever span
     was open on the same domain when it started.
 
-    Timestamps come from the configured {!Control.clock} unless an
-    explicit [~now] capability is passed; wall-clock never enters
-    simulation state either way (see {!Clock}). *)
+    Timestamps come from the configured {!Control.clock}; wall-clock
+    never enters simulation state (see {!Clock}). *)
 
-let with_ ?now ?(cat = "app") ?(args = []) name f =
+let with_ ?(cat = "app") ?(args = []) name f =
   if not (Control.enabled ()) then f ()
   else begin
-    let clock = match now with Some c -> c | None -> Control.clock () in
+    let clock = Control.clock () in
     let sh = Sink.shard () in
     let seq = Sink.next_seq sh in
     let parent =
@@ -56,9 +55,9 @@ let with_ ?now ?(cat = "app") ?(args = []) name f =
       f
   end
 
-let instant ?now ?(cat = "app") ?(args = []) name =
+let instant ?(cat = "app") ?(args = []) name =
   if Control.enabled () then begin
-    let clock = match now with Some c -> c | None -> Control.clock () in
+    let clock = Control.clock () in
     let sh = Sink.shard () in
     let seq = Sink.next_seq sh in
     let parent =

@@ -5,12 +5,11 @@
     construction even across exceptions (the closing record happens in
     a [Fun.protect] finaliser).
 
-    The [?now] capability overrides the configured clock for this span
-    only — tests pass {!Clock.counting} so exported
-    traces are byte-stable. *)
+    Timestamps come from the configured {!Control.clock}; tests install
+    a {!Clock.counting} clock with [Control.with_enabled ~clock] so
+    exported traces are byte-stable. *)
 
 val with_ :
-  ?now:Clock.t ->
   ?cat:string ->
   ?args:(string * Sink.arg) list ->
   string ->
@@ -19,8 +18,7 @@ val with_ :
 (** [with_ name f] runs [f] inside a span.  The span is recorded even
     if [f] raises. *)
 
-val instant :
-  ?now:Clock.t -> ?cat:string -> ?args:(string * Sink.arg) list -> string -> unit
+val instant : ?cat:string -> ?args:(string * Sink.arg) list -> string -> unit
 (** Record a zero-duration event, parented to the innermost open span
     on this domain. *)
 

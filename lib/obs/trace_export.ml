@@ -70,6 +70,6 @@ let to_json ?origin spans =
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
-let write ?origin ~path spans =
+let write ~path spans =
   Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (to_json ?origin spans))
+      Out_channel.output_string oc (to_json spans))

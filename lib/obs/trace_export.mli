@@ -10,5 +10,5 @@ val to_json : ?origin:float -> Sink.span list -> string
 (** Render spans (pass them in {!Span.collect} order for a
     deterministic document). *)
 
-val write : ?origin:float -> path:string -> Sink.span list -> unit
-(** [to_json] straight to a file. *)
+val write : path:string -> Sink.span list -> unit
+(** [to_json] (default origin) straight to a file. *)

@@ -35,14 +35,15 @@ let insert_front front v =
 
 (** Exact optimal offline cost for [trace] with cache size
     [cache_size].  Raises {!Too_large} when the distinct-page count
-    exceeds 62 or the state space exceeds [max_states] (default 2M
-    front entries summed over a step).
+    exceeds 62 or the state space exceeds [max_states] front entries
+    summed over a step.
 
     @param pinned pages that may never be evicted once cached (used to
       model the paper's infinite-cost flush user: its pages must stay);
       states with no legal victim are simply dropped. *)
-let solve ?(max_states = 2_000_000) ?(pinned = fun (_ : Page.t) -> false)
-    ~cache_size ~costs trace =
+let max_states = 2_000_000
+
+let solve ?(pinned = fun (_ : Page.t) -> false) ~cache_size ~costs trace =
   if cache_size <= 0 then invalid_arg "Dp_opt.solve: cache_size must be positive";
   let n_users = Trace.n_users trace in
   if Array.length costs <> n_users then invalid_arg "Dp_opt.solve: costs mismatch";

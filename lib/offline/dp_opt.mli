@@ -16,7 +16,6 @@ type result = {
 }
 
 val solve :
-  ?max_states:int ->
   ?pinned:(Ccache_trace.Page.t -> bool) ->
   cache_size:int ->
   costs:Ccache_cost.Cost_function.t array ->
@@ -25,5 +24,5 @@ val solve :
 (** @param pinned pages that may never be evicted once cached (models
       the paper's infinite-cost flush user); states with no legal
       victim are dropped.
-    @raise Too_large beyond 62 distinct pages or [max_states]
-      (default 2M) front entries in a step. *)
+    @raise Too_large beyond 62 distinct pages or 2M front entries in
+      a step. *)

@@ -1,7 +1,7 @@
 (** Local search over offline schedules.
 
-    Starts from a recorded run of a seed offline policy (default
-    convex-Belady) and hill-climbs: pick an eviction event, force a
+    Starts from a recorded run of the seed offline policy,
+    convex-Belady, and hill-climbs: pick an eviction event, force a
     different victim there, let the seed policy finish the rest of the
     trace, and keep the change if total cost drops.  The "replay then
     delegate" wrapper feeds the inner policy every event so its state
@@ -49,18 +49,15 @@ type result = {
   evaluations : int;
 }
 
-(** Improve a schedule for [trace] with cache size [cache_size].
+(** Improve a schedule for [trace] with cache size [cache_size],
+    starting from and delegating to convex-Belady; move sampling is
+    seeded with the constant 1234.
 
-    @param rounds   candidate moves to evaluate (default 60)
-    @param seed_policy offline policy to start from and delegate to
-    @param rng_seed deterministic sampling seed *)
-let improve ?(rounds = 60) ?(rng_seed = 1234) ?seed_policy ~cache_size ~costs trace
-    =
-  let inner =
-    Option.value seed_policy ~default:Ccache_policies.Convex_belady.policy
-  in
+    @param rounds   candidate moves to evaluate (default 60) *)
+let improve ?(rounds = 60) ~cache_size ~costs trace =
+  let inner = Ccache_policies.Convex_belady.policy in
   let index = Trace.Index.build trace in
-  let rng = Prng.create ~seed:rng_seed in
+  let rng = Prng.create ~seed:1234 in
   let run_policy policy =
     Engine.run_logged ~index ~k:cache_size ~costs policy trace
   in

@@ -1,5 +1,5 @@
 (** Local search over offline schedules: hill-climbs from a recorded
-    run of a seed offline policy by forcing alternative victims at
+    run of convex-Belady by forcing alternative victims at
     sampled eviction events and letting the seed policy finish the
     trace.  Deterministically seeded; never worse than the seed. *)
 
@@ -12,11 +12,8 @@ type result = {
 
 val improve :
   ?rounds:int ->
-  ?rng_seed:int ->
-  ?seed_policy:Ccache_sim.Policy.t ->
   cache_size:int ->
   costs:Ccache_cost.Cost_function.t array ->
   Ccache_trace.Trace.t ->
   result
-(** [rounds] candidate moves (default 60); [seed_policy] defaults to
-    convex-Belady. *)
+(** [rounds] candidate moves (default 60). *)

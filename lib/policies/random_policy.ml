@@ -1,6 +1,7 @@
 (** Uniform-random eviction (deterministically seeded).
 
-    The seed comes from [Config.rng_seed], so runs are reproducible.
+    Every instance seeds with the constant 42, so runs are
+    reproducible.
     Maintains a dense array of cached pages with O(1) swap-removal. *)
 
 module Policy = Ccache_sim.Policy
@@ -9,8 +10,8 @@ open Ccache_trace
 module Prng = Ccache_util.Prng
 
 let policy =
-  Policy.make ~name:"random" (fun config ->
-      let rng = Prng.create ~seed:config.Policy.Config.rng_seed in
+  Policy.make ~name:"random" (fun _ ->
+      let rng = Prng.create ~seed:42 in
       let slots : (Page.t, int) Hashtbl.t = Hashtbl.create 256 in
       let pages = ref (Array.make 16 (Page.make ~user:0 ~id:0)) in
       let count = ref 0 in

@@ -1,4 +1,4 @@
-(** Uniform-random eviction, deterministically seeded from
-    [Policy.Config.rng_seed]. *)
+(** Uniform-random eviction, deterministically seeded with the
+    constant 42. *)
 
 val policy : Ccache_sim.Policy.t

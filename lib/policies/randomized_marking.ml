@@ -3,8 +3,8 @@
 
     The classical O(log k)-competitive randomized paging algorithm —
     the integral counterpart of the fractional exponential-update
-    scheme (see {!Ccache_core.Alg_fractional}).  Seeded from
-    [Config.rng_seed], so runs are reproducible; against the
+    scheme (see {!Ccache_core.Alg_fractional}).  Seeded with the
+    constant 42, so runs are reproducible; against the
     Theorem 1.4 adversary it only helps in expectation, and since our
     adversary reacts to the realised cache state, single runs still
     thrash — the textbook oblivious-vs-adaptive adversary distinction,
@@ -15,8 +15,8 @@ open Ccache_trace
 module Prng = Ccache_util.Prng
 
 let policy =
-  Policy.make ~name:"randomized-marking" (fun config ->
-      let rng = Prng.create ~seed:config.Policy.Config.rng_seed in
+  Policy.make ~name:"randomized-marking" (fun _ ->
+      let rng = Prng.create ~seed:42 in
       (* unmarked pages in a dense array for O(1) uniform choice *)
       let unmarked_slots : (Page.t, int) Hashtbl.t = Hashtbl.create 64 in
       let unmarked = ref (Array.make 16 (Page.make ~user:0 ~id:0)) in

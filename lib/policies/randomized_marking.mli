@@ -1,5 +1,5 @@
 (** Randomized marking (Fiat et al.): uniformly random unmarked
     victim; the classical O(log k)-competitive randomized paging
-    algorithm, seeded from [Policy.Config.rng_seed]. *)
+    algorithm, seeded with the constant 42. *)
 
 val policy : Ccache_sim.Policy.t

@@ -84,8 +84,8 @@ let record_obs r =
     [step] replays one trace position, [finish] runs the optional
     terminal flush and assembles the {!result}.  {!replay} below is
     exactly [init] + a [step] loop + [finish]; the split exists so the
-    lower-bound adversary can hold an engine between requests and
-    advance it one request at a time.  The
+    lower-bound adversary and the multipool engine's pools can hold an
+    engine between requests and advance it one request at a time.  The
     state is one record of flat arrays and mutable counters. *)
 module Step = struct
   type t = {
@@ -216,6 +216,18 @@ module Step = struct
   let feed t page = apply t t.fed page
     [@@effects.no_alloc] [@@effects.deterministic]
 
+  (* An eviction between requests, ordered by the caller rather than
+     by the policy: the multipool rebalancer drops a migrated tenant's
+     pages this way.  The policy hears it at the next request's
+     position. *)
+  let evict t page =
+    if not (is_cached t page) then
+      invalid_arg ("Engine.Step.evict: " ^ Page.to_string page ^ " is not cached");
+    cache_remove t page;
+    t.evictions_per_user.(Page.user page) <-
+      t.evictions_per_user.(Page.user page) + 1;
+    t.h.Policy.on_evict ~pos:t.fed page
+
   (* Terminal flush: the dummy user's k requests evict every remaining
      real page; dummy pages are pinned so they are never inserted. *)
   let finish t =
@@ -260,8 +272,8 @@ module Step = struct
     }
 end
 
-(* The one trace-replay loop: {!run}, the sharded service and
-   ALG-CONT's dual recording all go through it. *)
+(* The one trace-replay loop: {!run}, the sharded service, ALG-CONT's
+   dual recording and the (CP) rounding all go through it. *)
 let replay ?flush ?on_event ?index ~k ~costs policy trace =
   let st = Step.init ?flush ?on_event ?index ~k ~costs policy trace in
   for pos = 0 to Step.length st - 1 do

@@ -44,8 +44,10 @@ exception Policy_error of string
     replays the request at trace position [pos]; [finish] runs the
     optional terminal flush and assembles the {!result}.  {!replay} is
     exactly [init] + a [step] loop over [0 .. length - 1] + [finish] —
-    the split lets the lower-bound adversary keep an engine alive
-    between requests and drive it one request at a time.
+    the split lets a caller keep an engine alive between requests and
+    drive it one request at a time.  Two callers do: the lower-bound
+    adversary ({!Ccache_lb.Adversary}) and each pool of the multipool
+    engine ({!Ccache_multipool.Multi_engine}).
 
     Positions must be fed in order [0, 1, ..., length - 1], each
     exactly once, before [finish]; [finish] must be called at most
@@ -82,6 +84,14 @@ module Step : sig
       only if the caller keeps positions consecutive.
       @raise Policy_error as [step]. *)
 
+  val evict : t -> Ccache_trace.Page.t -> unit
+  (** Evict a cached page between requests, by the caller's choice
+      rather than the policy's: the multipool engine drops a migrated
+      tenant's pages this way.  It counts as an eviction of the page's
+      owner and is reported to the policy's [on_evict] at the next
+      request's position; it emits no event.
+      @raise Invalid_argument if [page] is not cached. *)
+
   val finish : t -> result
   (** Terminal flush (when [init] was given [~flush:true]) plus result
       assembly.  [result.trace_length] is the number of requests
@@ -101,7 +111,8 @@ val replay :
     over the whole trace + [Step.finish], with no span and no
     observability counters.  {!run} is [replay] plus that recording;
     the sharded service ({!Ccache_serve.Service}) replays each shard
-    through it, and {!Ccache_core.Alg_cont} reads its duals off it. *)
+    through it, {!Ccache_core.Alg_cont} reads its duals off it, and
+    {!Ccache_cp.Rounding} replays its integral schedule through it. *)
 
 val record_result_obs : result -> unit
 (** Record the per-run observability counters {!run} records after a

@@ -22,14 +22,13 @@ module Config = struct
     costs : Ccache_cost.Cost_function.t array;  (** indexed by user id *)
     index : Trace.Index.t option;
         (** full-trace index; [Some _] only for offline policies *)
-    rng_seed : int;  (** seed for policies that randomise (deterministically) *)
   }
 
-  let make ?(rng_seed = 42) ?index ~k ~costs () =
+  let make ?index ~k ~costs () =
     if k <= 0 then invalid_arg "Policy.Config.make: k must be positive";
     let n_users = Array.length costs in
     if n_users = 0 then invalid_arg "Policy.Config.make: no users";
-    { k; n_users; costs; index; rng_seed }
+    { k; n_users; costs; index }
 
   (** Cost function of [user], tolerating the flush dummy user (id =
       n_users) which has zero cost by construction. *)

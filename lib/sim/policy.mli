@@ -23,12 +23,9 @@ module Config : sig
     costs : Ccache_cost.Cost_function.t array;  (** indexed by user id *)
     index : Trace.Index.t option;
         (** full-trace index; [Some _] only for offline policies *)
-    rng_seed : int;
-        (** seed for policies that randomise (deterministically) *)
   }
 
   val make :
-    ?rng_seed:int ->
     ?index:Trace.Index.t ->
     k:int ->
     costs:Ccache_cost.Cost_function.t array ->

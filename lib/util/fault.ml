@@ -28,13 +28,13 @@ type t = {
 
 let none = { seed = 0; rate = 0.0; kill = []; max_delay_s = 0.0 }
 
-let create ?(kill = []) ?(max_delay_s = 0.002) ~seed ~rate () =
+let create ?(max_delay_s = 0.002) ~seed ~rate () =
   if not (Float.is_finite rate) || rate < 0.0 || rate > 1.0 then
     invalid_arg (Printf.sprintf "Fault.create: rate = %g outside [0, 1]" rate);
   if not (Float.is_finite max_delay_s) || max_delay_s < 0.0 then
     invalid_arg
       (Printf.sprintf "Fault.create: max_delay_s = %g must be >= 0" max_delay_s);
-  { seed; rate; kill; max_delay_s }
+  { seed; rate; kill = []; max_delay_s }
 
 let seed t = t.seed
 let rate t = t.rate

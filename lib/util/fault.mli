@@ -32,8 +32,9 @@ type t
 val none : t
 (** Injects nothing; {!at_boundary} is a no-op. *)
 
-val create : ?kill:string list -> ?max_delay_s:float -> seed:int -> rate:float -> unit -> t
-(** @raise Invalid_argument if [rate] is outside [\[0, 1\]] or
+val create : ?max_delay_s:float -> seed:int -> rate:float -> unit -> t
+(** No task is killed until {!kill} adds some.
+    @raise Invalid_argument if [rate] is outside [\[0, 1\]] or
     [max_delay_s < 0] (non-finite values included). *)
 
 val seed : t -> int

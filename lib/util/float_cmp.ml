@@ -1,9 +1,11 @@
-(** Tolerant float comparison.
+(** Tolerant float comparison with a combined absolute/relative
+    tolerance.
 
-    The dual-variable bookkeeping in ALG-CONT accumulates sums of budget
-    increments; invariant checks compare those sums against analytic
-    derivatives, so all equality tests go through these helpers with a
-    combined absolute/relative tolerance. *)
+    In [lib/] only two callers use it, both through [approx_zero]:
+    [Stats]'s zero-variance guards and ALG-CONT's (2b) invariant
+    check, which compares accumulated dual sums against an analytic
+    derivative.  The tests use the rest; other tolerant comparisons in
+    [lib/] spell out their own slack. *)
 
 let default_tol = 1e-9
 

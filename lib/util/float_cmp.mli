@@ -1,5 +1,7 @@
-(** Tolerant float comparison, shared by the dual-variable invariant
-    checks and the tests. *)
+(** Tolerant float comparison.  In [lib/], [Stats] (its zero-variance
+    guards) and ALG-CONT's (2b) invariant check call {!approx_zero};
+    the tests use the rest.  Other tolerant comparisons in [lib/]
+    spell out their own slack. *)
 
 val approx_eq : ?tol:float -> float -> float -> bool
 (** [approx_eq a b] iff [|a - b| <= tol * max(1, |a|, |b|)]. *)

@@ -563,7 +563,7 @@ let fractional_is_cp_feasible =
       let t = random_trace ~seed:(seed + 41) ~users:2 ~pages:(k + 6) ~len:150 in
       let r = Frac.run ~k ~costs t in
       let cp =
-        Ccache_cp.Formulation.of_trace ~flush:false ~k ~cache_size:k ~costs t
+        Ccache_cp.Formulation.of_trace ~flush:false ~cache_size:k ~costs t
       in
       (* map interval-start positions to variable indices *)
       let x = Array.make (Ccache_cp.Formulation.n_vars cp) 0.0 in

@@ -122,7 +122,7 @@ let sample_trace () =
 
 let test_formulation_vars () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   (* one variable per request of a real user: 6 *)
   checki "vars" 6 (F.n_vars cp);
   checki "horizon" 6 (F.horizon cp);
@@ -132,7 +132,7 @@ let test_formulation_vars () =
 
 let test_formulation_flush_pins_dummy () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:true ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:true ~cache_size:2 ~costs:(mono_costs 2) t in
   (* flush adds 2 dummy requests but no variables for them *)
   checki "horizon includes flush" 8 (F.horizon cp);
   checki "still 6 vars" 6 (F.n_vars cp);
@@ -141,13 +141,13 @@ let test_formulation_flush_pins_dummy () =
 
 let test_formulation_rhs () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   (* distinct counts 1 2 2 3 3 3 minus k=2 *)
   checkb "rhs" true (cp.F.rhs = [| -1; 0; 0; 1; 1; 1 |])
 
 let test_constraint_activity_brute_force () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   let rng = Prng.create ~seed:1 in
   let x = Array.init (F.n_vars cp) (fun _ -> Prng.float rng) in
   let fast = F.constraint_activity cp x in
@@ -165,7 +165,7 @@ let test_constraint_activity_brute_force () =
 
 let test_var_costs_brute_force () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   let y = [| 0.5; 0.0; 1.0; 2.0; 0.0; 0.25 |] in
   let y_prefix = Array.make 7 0.0 in
   for i = 0 to 5 do
@@ -183,7 +183,7 @@ let test_var_costs_brute_force () =
 
 let test_objective () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   let x = Array.make (F.n_vars cp) 1.0 in
   (* user0: 4 vars -> 16; user1: 2 vars -> 4 *)
   checkf "objective" 20.0 (F.objective cp x)
@@ -197,7 +197,7 @@ let test_engine_run_is_feasible () =
   in
   let costs = mono_costs 2 in
   let k = 4 in
-  let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs t in
+  let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
   let _, log = Engine.run_logged ~flush:true ~k ~costs Ccache_policies.Lru.policy t in
   let evictions =
     List.filter_map
@@ -221,7 +221,7 @@ let test_engine_run_is_feasible () =
 
 let test_infeasible_detected () =
   let t = sample_trace () in
-  let cp = F.of_trace ~flush:false ~k:2 ~cache_size:2 ~costs:(mono_costs 2) t in
+  let cp = F.of_trace ~flush:false ~cache_size:2 ~costs:(mono_costs 2) t in
   let x = Array.make (F.n_vars cp) 0.0 in
   (* all-zero violates the rhs=1 constraints at t=3,4,5 *)
   let feas = F.check_feasible cp x in
@@ -301,7 +301,7 @@ let weak_duality =
       in
       let costs = mono_costs 2 in
       let k = 3 in
-      let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs t in
+      let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
       let rng = Prng.create ~seed:(seed * 3 + 1) in
       let y =
         Array.init (F.horizon cp) (fun i ->
@@ -330,7 +330,7 @@ let test_dual_solver_improves_and_sound () =
   in
   let costs = mono_costs 2 in
   let k = 3 in
-  let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs t in
+  let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
   let sol = DS.solve ~options:{ DS.default_options with iterations = 150 } cp in
   checkb "bound non-negative" true (sol.DS.bound >= 0.0);
   checkb "bound positive (trace forces misses)" true (sol.DS.bound > 0.0);
@@ -395,7 +395,7 @@ let test_lower_bound_convenience () =
 let test_kkt_residuals () =
   let t = sample_trace () in
   let costs = mono_costs 2 in
-  let cp = F.of_trace ~flush:true ~k:2 ~cache_size:2 ~costs t in
+  let cp = F.of_trace ~flush:true ~cache_size:2 ~costs t in
   let sol = DS.solve ~options:{ DS.default_options with iterations = 200 } cp in
   let { L.x_star; _ } = L.eval cp ~y:sol.DS.best_y in
   let r = Kkt.compute cp ~x:x_star ~y:sol.DS.best_y in
@@ -413,7 +413,7 @@ let test_rounding_feasible_schedule () =
   in
   let costs = mono_costs 2 in
   let k = 3 in
-  let cp = F.of_trace ~flush:true ~k ~cache_size:k ~costs t in
+  let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
   let sol = DS.solve ~options:{ DS.default_options with iterations = 60 } cp in
   let { L.x_star; _ } = L.eval cp ~y:sol.DS.best_y in
   let rounded = R.round cp ~x:x_star in
@@ -426,6 +426,111 @@ let test_rounding_feasible_schedule () =
        (fun e m -> e <= m)
        rounded.R.evictions_per_user rounded.R.misses_per_user
     || rounded.R.cost_by_evictions <= rounded.R.cost_by_misses +. 1e-9)
+
+(* The rounding as it was hand-written before it replayed through the
+   engine: its own cached-page table, miss and eviction arrays, and the
+   flushed program's pinned dummy requests replayed as requests that
+   evict but never enter.  The oracle of the equivalence property
+   below. *)
+module Reference_rounding = struct
+  let round (cp : F.t) ~x =
+    let trace = cp.F.trace in
+    let n = Trace.length trace in
+    let real = cp.F.real_users in
+    let k = cp.F.cache_size in
+    let var_at = Array.make n (-1) in
+    Array.iteri (fun vi v -> var_at.(v.F.start_pos) <- vi) cp.F.vars;
+    let cached : int Page.Tbl.t = Page.Tbl.create 64 in
+    let misses = Array.make (real + 1) 0 in
+    let evictions = Array.make (real + 1) 0 in
+    let frac pos =
+      let vi = var_at.(pos) in
+      if vi < 0 then 1e9 else x.(vi)
+    in
+    for pos = 0 to n - 1 do
+      let p = Trace.request trace pos in
+      let u = Stdlib.min (Page.user p) real in
+      if Page.Tbl.mem cached p then Page.Tbl.replace cached p pos
+      else begin
+        misses.(u) <- misses.(u) + 1;
+        if u < real || Page.Tbl.length cached > 0 then begin
+          if Page.Tbl.length cached >= k
+             || (u >= real && Page.Tbl.length cached > 0)
+          then begin
+            let victim = ref None in
+            Page.Tbl.iter
+              (fun q qpos ->
+                let f = frac qpos in
+                match !victim with
+                | None -> victim := Some (q, f)
+                | Some (bq, bf) ->
+                    if f > bf || (f = bf && Page.compare q bq < 0) then
+                      victim := Some (q, f))
+              cached;
+            match !victim with
+            | Some (q, _) ->
+                Page.Tbl.remove cached q;
+                evictions.(Stdlib.min (Page.user q) real) <-
+                  evictions.(Stdlib.min (Page.user q) real) + 1
+            | None -> ()
+          end;
+          if u < real then Page.Tbl.replace cached p pos
+        end
+      end
+    done;
+    let eval_cost counts =
+      let acc = ref 0.0 in
+      for u = 0 to real - 1 do
+        acc := !acc +. Cf.eval cp.F.costs.(u) (float_of_int counts.(u))
+      done;
+      !acc
+    in
+    {
+      R.misses_per_user = Array.sub misses 0 real;
+      evictions_per_user = Array.sub evictions 0 real;
+      cost_by_misses = eval_cost misses;
+      cost_by_evictions = eval_cost evictions;
+    }
+end
+
+(* The engine-driven rounding equals the hand-written one, every field,
+   the costs bit for bit, on flushed and unflushed programs; x is drawn
+   from {0, 0.5, 1, uniform} so that ties between cached pages occur
+   and the smaller-page tie-break decides. *)
+let rounding_equals_reference =
+  let bits = Int64.bits_of_float in
+  QCheck.Test.make ~name:"rounding = reference replay, field by field"
+    ~count:300
+    QCheck.(
+      quad (int_range 1 6) (int_range 1 4) bool (pair small_nat bool))
+    (fun (k, users, flush, (seed, float_cost)) ->
+      let rng = Prng.create ~seed in
+      let t =
+        Trace.of_list ~n_users:users
+          (List.init 80 (fun _ ->
+               Page.make ~user:(Prng.int rng users) ~id:(Prng.int rng 6)))
+      in
+      let costs =
+        if float_cost then
+          Array.init users (fun i ->
+              if i mod 2 = 0 then Cf.monomial ~beta:1.7 ()
+              else Ccache_cost.Sla.hinge ~tolerance:3.0 ~penalty_rate:2.5)
+        else mono_costs users
+      in
+      let cp = F.of_trace ~flush ~cache_size:k ~costs t in
+      let x =
+        Array.init (F.n_vars cp) (fun _ ->
+            match Prng.int rng 4 with
+            | 0 -> 0.0
+            | 1 -> 0.5
+            | 2 -> 1.0
+            | _ -> Prng.float rng)
+      in
+      let a = R.round cp ~x and b = Reference_rounding.round cp ~x in
+      a.R.misses_per_user = b.R.misses_per_user
+      && a.R.evictions_per_user = b.R.evictions_per_user
+      && bits a.R.cost_by_misses = bits b.R.cost_by_misses
+      && bits a.R.cost_by_evictions = bits b.R.cost_by_evictions)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -459,5 +564,6 @@ let () =
         [
           Alcotest.test_case "kkt residuals" `Quick test_kkt_residuals;
           Alcotest.test_case "rounding feasible" `Quick test_rounding_feasible_schedule;
-        ] );
+        ]
+        @ qsuite [ rounding_equals_reference ] );
     ]

@@ -838,7 +838,26 @@ let test_feed_equals_run () =
       let run = Engine.run ~k:12 ~costs policy t in
       checkb "feed = run" true (fed = run);
       checki "dynamic trace_length = requests fed" (Trace.length t)
-        fed.Engine.trace_length)
+        fed.Engine.trace_length;
+      (* [Step.evict] between requests: the page leaves the cache as one
+         more eviction of its owner, and evicting it again raises *)
+      let st =
+        Engine.Step.init ~k:12 ~costs policy (Trace.of_pages ~n_users:3 [||])
+      in
+      Array.iter (fun p -> Engine.Step.feed st p) (pages_of t);
+      let victim = List.hd run.Engine.final_cache in
+      Engine.Step.evict st victim;
+      Alcotest.check_raises "evict uncached"
+        (Invalid_argument
+           ("Engine.Step.evict: " ^ Page.to_string victim ^ " is not cached"))
+        (fun () -> Engine.Step.evict st victim);
+      let evicted = Engine.Step.finish st in
+      checkb "victim left the cache" false
+        (List.mem victim evicted.Engine.final_cache);
+      let u = Page.user victim in
+      checki "one more eviction of its owner"
+        (run.Engine.evictions_per_user.(u) + 1)
+        evicted.Engine.evictions_per_user.(u))
     [ Ccache_core.Alg_fast.policy; Ccache_policies.Lru.policy ]
 
 (* ------------------------------------------------------------------ *)
