@@ -170,17 +170,25 @@ let structure_tests =
       ignore (Ccache_util.Indexed_heap.pop h)
     done
   in
-  let dlist_ops () =
-    let l = Ccache_util.Dlist.create () in
-    let nodes = Array.init 1000 Ccache_util.Dlist.node in
-    Array.iter (Ccache_util.Dlist.push_front l) nodes;
-    Array.iter (Ccache_util.Dlist.move_to_front l) nodes;
-    Array.iter (Ccache_util.Dlist.remove l) nodes
+  let rank_list_ops () =
+    let module L = Ccache_util.Rank_list in
+    let l = L.create ~lists:1 in
+    for r = 0 to 999 do
+      L.push_front l 0 r
+    done;
+    (* move to front *)
+    for r = 0 to 999 do
+      L.remove l r;
+      L.push_front l 0 r
+    done;
+    for r = 0 to 999 do
+      L.remove l r
+    done
   in
   Test.make_grouped ~name:"structures"
     [
       Test.make ~name:"indexed_heap_1k" (Staged.stage heap_ops);
-      Test.make ~name:"dlist_1k" (Staged.stage dlist_ops);
+      Test.make ~name:"rank_list_1k" (Staged.stage rank_list_ops);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -7,50 +7,46 @@
 
 module Policy = Ccache_sim.Policy
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
-
-type entry = { page : Page.t; mutable referenced : bool }
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
 
 let policy =
   Policy.make ~name:"clock" (fun _config ->
-      (* the Dlist front is the hand position: entries cycle from front
+      let ranks = Interner.create ~capacity:16 in
+      (* the list front is the hand position: entries cycle from front
          (oldest / next to examine) to back (most recently passed) *)
-      let ring = Dlist.create () in
-      let nodes : entry Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+      let ring = Rank_list.create ~lists:1 in
+      (* reference bit per rank *)
+      let referenced = ref (Bytes.make 16 '\000') in
+      let rank page = Interner.intern ranks (Page.pack page) in
       {
-        Policy.on_hit =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n -> (Dlist.value n).referenced <- true
-            | None -> invalid_arg ("clock: untracked page " ^ Page.to_string page));
+        Policy.on_hit = (fun ~pos:_ page -> Bytes.set !referenced (rank page) '\001');
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
             (* sweep: clear bits and rotate until an unreferenced entry
                surfaces.  Terminates within two laps. *)
             let rec sweep () =
-              match Dlist.front ring with
-              | None -> invalid_arg "clock: choose_victim on empty cache"
-              | Some n ->
-                  let e = Dlist.value n in
-                  if e.referenced then begin
-                    e.referenced <- false;
-                    Dlist.move_to_back ring n;
-                    sweep ()
-                  end
-                  else e.page
+              let r = Rank_list.front ring 0 in
+              if r >= 0 && Bytes.get !referenced r <> '\000' then begin
+                Bytes.set !referenced r '\000';
+                Rank_list.remove ring r;
+                Rank_list.push_back ring 0 r;
+                sweep ()
+              end
+              else Page.unpack (Interner.key ranks r)
             in
             sweep ());
         on_insert =
           (fun ~pos:_ page ->
-            let n = Dlist.node { page; referenced = false } in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_back ring n);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove ring n;
-                Page.Tbl.remove nodes page
-            | None -> invalid_arg ("clock: untracked page " ^ Page.to_string page));
+            let r = rank page in
+            let bits = !referenced in
+            if r >= Bytes.length bits then begin
+              let bigger = Bytes.make (2 * (r + 1)) '\000' in
+              Bytes.blit bits 0 bigger 0 (Bytes.length bits);
+              referenced := bigger
+            end;
+            Bytes.set !referenced r '\000';
+            Rank_list.push_back ring 0 r);
+        on_evict = (fun ~pos:_ page -> Rank_list.remove ring (rank page));
       })

@@ -15,6 +15,7 @@ module Policy = Ccache_sim.Policy
 open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
 module Interner = Ccache_util.Interner
+module Int_tbl = Ccache_util.Int_tbl
 module Cf = Ccache_cost.Cost_function
 
 let policy =
@@ -28,9 +29,9 @@ let policy =
       let heap = Heap.create () in
       let n_users = config.Policy.Config.n_users in
       let evictions = Array.make (n_users + 1) 0 in
-      (* next-use position per cached page, kept to recompute scores
-         when a user's marginal cost changes *)
-      let next_use_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
+      (* next-use position per cached page's rank, kept to recompute
+         scores when a user's marginal cost changes *)
+      let next_use_of = Int_tbl.create () in
       let marginal user =
         let f = Policy.Config.cost config user in
         let m = evictions.(Stdlib.min user n_users) in
@@ -48,19 +49,21 @@ let policy =
       let touch ~pos page =
         let key = Interner.intern ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
-        Hashtbl.replace next_use_of key next;
+        Int_tbl.set next_use_of key next;
         Heap.set heap ~key ~prio:(score ~pos ~next page)
       in
       (* After a user's eviction count changes, marginals of its other
          cached pages change; refresh them (O(cached-of-user log k),
-         acceptable for an offline reference). *)
+         acceptable for an offline reference).  The heap breaks ties
+         on the key, so its minimum does not depend on the order of
+         these updates. *)
       let refresh_user ~pos user =
-        Hashtbl.iter
-          (fun key next ->
+        Int_tbl.fold
+          (fun key next () ->
             let page = Page.unpack (Interner.key ranks key) in
             if Page.user page = user && Heap.mem heap key then
               Heap.update heap ~key ~prio:(score ~pos ~next page))
-          next_use_of
+          next_use_of ()
       in
       {
         Policy.on_hit = (fun ~pos page -> touch ~pos page);
@@ -76,6 +79,6 @@ let policy =
             evictions.(slot) <- evictions.(slot) + 1;
             let key = Interner.intern ranks (Page.pack page) in
             Heap.remove heap key;
-            Hashtbl.remove next_use_of key;
+            ignore (Int_tbl.remove next_use_of key);
             refresh_user ~pos u);
       })

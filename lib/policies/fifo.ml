@@ -3,30 +3,21 @@
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
 
 let policy =
   Policy.make ~name:"fifo" (fun _config ->
-      let queue = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+      let ranks = Interner.create ~capacity:16 in
+      (* one list, newest at the front *)
+      let queue = Rank_list.create ~lists:1 in
+      let rank page = Interner.intern ranks (Page.pack page) in
       {
         Policy.on_hit = Policy.no_hit;
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            match Dlist.back queue with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "fifo: choose_victim on empty cache");
-        on_insert =
-          (fun ~pos:_ page ->
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front queue n);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove queue n;
-                Page.Tbl.remove nodes page
-            | None -> invalid_arg ("fifo: untracked page " ^ Page.to_string page));
+            Page.unpack (Interner.key ranks (Rank_list.back queue 0)));
+        on_insert = (fun ~pos:_ page -> Rank_list.push_front queue 0 (rank page));
+        on_evict = (fun ~pos:_ page -> Rank_list.remove queue (rank page));
       })

@@ -1,38 +1,31 @@
 (** Least Recently Used.
 
     The classical k-competitive policy (Sleator & Tarjan).  Cost-blind:
-    ignores both users and cost functions.  O(1) per event via an
-    intrusive recency list. *)
+    ignores both users and cost functions.  O(1) per event via a
+    recency list over the pages' first-touch ranks. *)
 
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
 
 let policy =
   Policy.make ~name:"lru" (fun _config ->
-      let recency = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("lru: untracked page " ^ Page.to_string page)
-      in
+      let ranks = Interner.create ~capacity:16 in
+      (* one list, most recent at the front *)
+      let recency = Rank_list.create ~lists:1 in
+      let rank page = Interner.intern ranks (Page.pack page) in
       {
-        Policy.on_hit = (fun ~pos:_ page -> Dlist.move_to_front recency (node_of page));
+        Policy.on_hit =
+          (fun ~pos:_ page ->
+            let r = rank page in
+            Rank_list.remove recency r;
+            Rank_list.push_front recency 0 r);
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            match Dlist.back recency with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "lru: choose_victim on empty cache");
-        on_insert =
-          (fun ~pos:_ page ->
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front recency n);
-        on_evict =
-          (fun ~pos:_ page ->
-            Dlist.remove recency (node_of page);
-            Page.Tbl.remove nodes page);
+            Page.unpack (Interner.key ranks (Rank_list.back recency 0)));
+        on_insert = (fun ~pos:_ page -> Rank_list.push_front recency 0 (rank page));
+        on_evict = (fun ~pos:_ page -> Rank_list.remove recency (rank page));
       })

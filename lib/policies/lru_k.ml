@@ -29,34 +29,35 @@ let make ~k_refs =
     (fun _config ->
       let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
-      (* history.(key) = circular buffer of the last <= k_refs reference
-         positions, most recent last *)
-      let history : (int, int array * int ref) Hashtbl.t = Hashtbl.create 256 in
+      (* the last <= k_refs reference positions of rank r, oldest
+         first, in hist.(r * k_refs) .. hist.(r * k_refs + count.(r) - 1) *)
+      let hist = ref (Array.make (16 * k_refs) (-1)) in
+      let count = ref (Array.make 16 0) in
       let record key pos =
-        let buf, len =
-          match Hashtbl.find_opt history key with
-          | Some h -> h
-          | None ->
-              let h = (Array.make k_refs (-1), ref 0) in
-              Hashtbl.add history key h;
-              h
-        in
-        if !len < k_refs then begin
-          buf.(!len) <- pos;
-          incr len
+        if key >= Array.length !count then begin
+          let n = 2 * (key + 1) in
+          let bigger_hist = Array.make (n * k_refs) (-1) and bigger_count = Array.make n 0 in
+          Array.blit !hist 0 bigger_hist 0 (Array.length !hist);
+          Array.blit !count 0 bigger_count 0 (Array.length !count);
+          hist := bigger_hist;
+          count := bigger_count
+        end;
+        let base = key * k_refs and n = !count.(key) in
+        if n < k_refs then begin
+          !hist.(base + n) <- pos;
+          !count.(key) <- n + 1
         end
         else begin
           (* shift left: drop the oldest *)
-          Array.blit buf 1 buf 0 (k_refs - 1);
-          buf.(k_refs - 1) <- pos
+          Array.blit !hist (base + 1) !hist base (k_refs - 1);
+          !hist.(base + k_refs - 1) <- pos
         end
       in
+      (* only called after [record], so every rank has a reference *)
       let priority key =
-        match Hashtbl.find_opt history key with
-        | None -> -.huge
-        | Some (buf, len) ->
-            if !len < k_refs then float_of_int buf.(!len - 1) -. huge
-            else float_of_int buf.(0)
+        let base = key * k_refs and n = !count.(key) in
+        if n < k_refs then float_of_int !hist.(base + n - 1) -. huge
+        else float_of_int !hist.(base)
       in
       {
         Policy.on_hit =

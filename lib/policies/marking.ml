@@ -10,49 +10,43 @@
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
+
+(* the two lists: unmarked pages in FIFO order, and the marked pages *)
+let unmarked = 0
+let marked = 1
 
 let policy =
   Policy.make ~name:"marking" (fun _config ->
-      (* unmarked pages in FIFO order; marked pages tracked in a set *)
-      let unmarked = Dlist.create () in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let marked : unit Page.Tbl.t = Page.Tbl.create 256 in
+      let ranks = Interner.create ~capacity:16 in
+      let lists = Rank_list.create ~lists:2 in
+      let rank page = Interner.intern ranks (Page.pack page) in
+      let page_of r = Page.unpack (Interner.key ranks r) in
       let mark page =
-        (match Page.Tbl.find_opt nodes page with
-        | Some n ->
-            Dlist.remove unmarked n;
-            Page.Tbl.remove nodes page
-        | None -> ());
-        Page.Tbl.replace marked page ()
+        let r = rank page in
+        if Rank_list.owner lists r <> marked then begin
+          if Rank_list.owner lists r = unmarked then Rank_list.remove lists r;
+          Rank_list.push_back lists marked r
+        end
       in
       let new_phase () =
         (* all marks drop; marked pages become unmarked in deterministic
-           (sorted) order so phase boundaries do not depend on hash order *)
-        let pages = Page.Tbl.fold (fun p () acc -> p :: acc) marked [] in
-        Page.Tbl.reset marked;
-        List.iter
-          (fun p ->
-            let n = Dlist.node p in
-            Page.Tbl.replace nodes p n;
-            Dlist.push_back unmarked n)
-          (List.sort Page.compare pages)
+           (sorted) order so phase boundaries do not depend on the order
+           they were marked in *)
+        Rank_list.to_list lists marked
+        |> List.sort (fun a b -> Page.compare (page_of a) (page_of b))
+        |> List.iter (fun r ->
+               Rank_list.remove lists r;
+               Rank_list.push_back lists unmarked r)
       in
       {
         Policy.on_hit = (fun ~pos:_ page -> mark page);
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            if Dlist.is_empty unmarked then new_phase ();
-            match Dlist.front unmarked with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "marking: choose_victim on empty cache");
+            if Rank_list.length lists unmarked = 0 then new_phase ();
+            page_of (Rank_list.front lists unmarked));
         on_insert = (fun ~pos:_ page -> mark page);
-        on_evict =
-          (fun ~pos:_ page ->
-            match Page.Tbl.find_opt nodes page with
-            | Some n ->
-                Dlist.remove unmarked n;
-                Page.Tbl.remove nodes page
-            | None -> Page.Tbl.remove marked page);
+        on_evict = (fun ~pos:_ page -> Rank_list.remove lists (rank page));
       })

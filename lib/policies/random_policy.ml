@@ -8,11 +8,13 @@ module Policy = Ccache_sim.Policy
 
 open Ccache_trace
 module Prng = Ccache_util.Prng
+module Int_tbl = Ccache_util.Int_tbl
 
 let policy =
   Policy.make ~name:"random" (fun _ ->
       let rng = Prng.create ~seed:42 in
-      let slots : (Page.t, int) Hashtbl.t = Hashtbl.create 256 in
+      (* packed page -> its index in [pages] *)
+      let slots = Int_tbl.create () in
       let pages = ref (Array.make 16 (Page.make ~user:0 ~id:0)) in
       let count = ref 0 in
       let push page =
@@ -22,21 +24,20 @@ let policy =
           pages := bigger
         end;
         !pages.(!count) <- page;
-        Hashtbl.replace slots page !count;
+        Int_tbl.set slots (Page.pack page) !count;
         incr count
       in
       let remove page =
-        match Hashtbl.find_opt slots page with
-        | None -> invalid_arg ("random: untracked page " ^ Page.to_string page)
-        | Some i ->
-            let last = !count - 1 in
-            if i <> last then begin
-              let moved = !pages.(last) in
-              !pages.(i) <- moved;
-              Hashtbl.replace slots moved i
-            end;
-            Hashtbl.remove slots page;
-            count := last
+        let i = Int_tbl.find_default slots (Page.pack page) ~default:(-1) in
+        if i < 0 then invalid_arg ("random: untracked page " ^ Page.to_string page);
+        let last = !count - 1 in
+        if i <> last then begin
+          let moved = !pages.(last) in
+          !pages.(i) <- moved;
+          Int_tbl.set slots (Page.pack moved) i
+        end;
+        ignore (Int_tbl.remove slots (Page.pack page));
+        count := last
       in
       {
         Policy.on_hit = Policy.no_hit;

@@ -13,47 +13,50 @@
 module Policy = Ccache_sim.Policy
 open Ccache_trace
 module Prng = Ccache_util.Prng
+module Int_tbl = Ccache_util.Int_tbl
 
 let policy =
   Policy.make ~name:"randomized-marking" (fun _ ->
       let rng = Prng.create ~seed:42 in
-      (* unmarked pages in a dense array for O(1) uniform choice *)
-      let unmarked_slots : (Page.t, int) Hashtbl.t = Hashtbl.create 64 in
+      (* unmarked pages in a dense array for O(1) uniform choice, and
+         each one's index in it, keyed by packed page *)
+      let unmarked_slots = Int_tbl.create () in
       let unmarked = ref (Array.make 16 (Page.make ~user:0 ~id:0)) in
       let unmarked_count = ref 0 in
-      let marked : unit Page.Tbl.t = Page.Tbl.create 64 in
+      (* packed pages of the marked set *)
+      let marked = Int_tbl.create () in
       let push_unmarked page =
-        if not (Hashtbl.mem unmarked_slots page) then begin
+        if not (Int_tbl.mem unmarked_slots (Page.pack page)) then begin
           if !unmarked_count = Array.length !unmarked then begin
             let bigger = Array.make (2 * !unmarked_count) page in
             Array.blit !unmarked 0 bigger 0 !unmarked_count;
             unmarked := bigger
           end;
           !unmarked.(!unmarked_count) <- page;
-          Hashtbl.replace unmarked_slots page !unmarked_count;
+          Int_tbl.set unmarked_slots (Page.pack page) !unmarked_count;
           incr unmarked_count
         end
       in
       let remove_unmarked page =
-        match Hashtbl.find_opt unmarked_slots page with
-        | None -> ()
-        | Some i ->
-            let last = !unmarked_count - 1 in
-            if i <> last then begin
-              let moved = !unmarked.(last) in
-              !unmarked.(i) <- moved;
-              Hashtbl.replace unmarked_slots moved i
-            end;
-            Hashtbl.remove unmarked_slots page;
-            unmarked_count := last
+        let i = Int_tbl.find_default unmarked_slots (Page.pack page) ~default:(-1) in
+        if i >= 0 then begin
+          let last = !unmarked_count - 1 in
+          if i <> last then begin
+            let moved = !unmarked.(last) in
+            !unmarked.(i) <- moved;
+            Int_tbl.set unmarked_slots (Page.pack moved) i
+          end;
+          ignore (Int_tbl.remove unmarked_slots (Page.pack page));
+          unmarked_count := last
+        end
       in
       let mark page =
         remove_unmarked page;
-        Page.Tbl.replace marked page ()
+        Int_tbl.set marked (Page.pack page) 0
       in
       let new_phase () =
-        let pages = Page.Tbl.fold (fun p () acc -> p :: acc) marked [] in
-        Page.Tbl.reset marked;
+        let pages = Int_tbl.fold (fun key _ acc -> Page.unpack key :: acc) marked [] in
+        Int_tbl.clear marked;
         List.iter push_unmarked (List.sort Page.compare pages)
       in
       {
@@ -69,5 +72,5 @@ let policy =
         on_evict =
           (fun ~pos:_ page ->
             remove_unmarked page;
-            Page.Tbl.remove marked page);
+            ignore (Int_tbl.remove marked (Page.pack page)));
       })

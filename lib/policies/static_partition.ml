@@ -8,118 +8,64 @@
     space, which is why this policy needs the engine's early-eviction
     hook.
 
-    Slice sizes: proportional to [weights] (default: equal), floored,
-    with leftover slots handed out round-robin from user 0.  Every
-    tenant gets at least one slot when k >= n_users. *)
+    Slice sizes: an equal split, with the [k mod n_users] leftover
+    slots going one each to the first tenants. *)
 
 module Policy = Ccache_sim.Policy
 
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
 
-let slice_sizes ~k ~n_users ~weights =
-  let weights =
-    match weights with
-    | Some w ->
-        if Array.length w <> n_users then
-          invalid_arg "Static_partition: weights/users mismatch";
-        Array.iter
-          (fun x -> if x <= 0.0 then invalid_arg "Static_partition: nonpositive weight")
-          w;
-        w
-    | None -> Array.make n_users 1.0
-  in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let sizes =
-    Array.map (fun w -> int_of_float (float_of_int k *. w /. total)) weights
-  in
-  (* guarantee a slot per tenant where possible *)
-  if k >= n_users then
-    Array.iteri (fun i s -> if s = 0 then sizes.(i) <- 1) sizes;
-  let used = Array.fold_left ( + ) 0 sizes in
-  let leftover = ref (k - used) in
-  (* steal back if the minimum-guarantee overshot *)
-  let i = ref 0 in
-  while !leftover < 0 do
-    if sizes.(!i mod n_users) > 1 then begin
-      sizes.(!i mod n_users) <- sizes.(!i mod n_users) - 1;
-      incr leftover
-    end;
-    incr i
-  done;
-  let j = ref 0 in
-  while !leftover > 0 do
-    sizes.(!j mod n_users) <- sizes.(!j mod n_users) + 1;
-    decr leftover;
-    incr j
-  done;
-  sizes
+let slice_sizes ~k ~n_users =
+  Array.init n_users (fun u -> (k / n_users) + if u < k mod n_users then 1 else 0)
 
-let make ?weights () =
+let equal_split =
   Policy.make ~name:"static-partition" (fun config ->
       let n_users = config.Policy.Config.n_users in
       let k = config.Policy.Config.k in
-      let sizes = slice_sizes ~k ~n_users ~weights in
-      (* per-user LRU lists; the flush dummy user (id = n_users) shares
-         a zero-quota slice handled by falling back to global LRU order *)
-      let slices = Array.init (n_users + 1) (fun _ -> Dlist.create ()) in
-      let occupancy = Array.make (n_users + 1) 0 in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
+      let sizes = slice_sizes ~k ~n_users in
+      let ranks = Interner.create ~capacity:16 in
+      (* one LRU list per user, most recent at the front; the flush
+         dummy user (id = n_users) has the last one *)
+      let slices = Rank_list.create ~lists:(n_users + 1) in
+      let occupancy u = Rank_list.length slices u in
+      let rank page = Interner.intern ranks (Page.pack page) in
       let slice_of page = Stdlib.min (Page.user page) n_users in
       (* the flush dummy user gets quota k so its requests displace real
          pages (via the over-quota branch) instead of each other *)
       let quota u = if u >= n_users then k else sizes.(u) in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("static-partition: untracked " ^ Page.to_string page)
-      in
+      let full u = occupancy u >= quota u && occupancy u > 0 in
       (* victim for an incoming page of user u: u's own LRU page if u's
          slice is at quota; otherwise (u under quota but cache full,
          possible for the zero-quota dummy) the LRU page of the most
          over-quota tenant *)
       let victim_for u =
-        if occupancy.(u) >= quota u && occupancy.(u) > 0 then
-          match Dlist.back slices.(u) with
-          | Some n -> Dlist.value n
-          | None -> assert false
-        else begin
-          let worst = ref (-1) and worst_excess = ref min_int in
-          Array.iteri
-            (fun v occ ->
-              let excess = occ - quota v in
-              if occ > 0 && excess > !worst_excess then begin
+        let from =
+          if full u then u
+          else begin
+            let worst = ref (-1) and worst_excess = ref min_int in
+            for v = 0 to n_users do
+              let excess = occupancy v - quota v in
+              if occupancy v > 0 && excess > !worst_excess then begin
                 worst := v;
                 worst_excess := excess
-              end)
-            occupancy;
-          match Dlist.back slices.(!worst) with
-          | Some n -> Dlist.value n
-          | None -> invalid_arg "static-partition: empty cache"
-        end
+              end
+            done;
+            !worst
+          end
+        in
+        Page.unpack (Interner.key ranks (Rank_list.back slices from))
       in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
-            Dlist.move_to_front slices.(slice_of page) (node_of page));
-        wants_evict =
-          (fun ~pos:_ ~incoming ->
-            let u = slice_of incoming in
-            occupancy.(u) >= quota u && occupancy.(u) > 0);
+            let r = rank page in
+            Rank_list.remove slices r;
+            Rank_list.push_front slices (slice_of page) r);
+        wants_evict = (fun ~pos:_ ~incoming -> full (slice_of incoming));
         choose_victim = (fun ~pos:_ ~incoming -> victim_for (slice_of incoming));
         on_insert =
-          (fun ~pos:_ page ->
-            let u = slice_of page in
-            let n = Dlist.node page in
-            Page.Tbl.replace nodes page n;
-            Dlist.push_front slices.(u) n;
-            occupancy.(u) <- occupancy.(u) + 1);
-        on_evict =
-          (fun ~pos:_ page ->
-            let u = slice_of page in
-            Dlist.remove slices.(u) (node_of page);
-            Page.Tbl.remove nodes page;
-            occupancy.(u) <- occupancy.(u) - 1);
+          (fun ~pos:_ page -> Rank_list.push_front slices (slice_of page) (rank page));
+        on_evict = (fun ~pos:_ page -> Rank_list.remove slices (rank page));
       })
-
-let equal_split = make ()

@@ -6,97 +6,62 @@
     pages.  A miss whose page is remembered in A1out goes straight to
     Am (a second touch within the window proves reuse); other misses
     enter A1in.  Victims come from A1in while it exceeds its quota
-    (defaults: Kin = k/4, Kout = k/2), else from Am's LRU end.
+    Kin = k/4, else from Am's LRU end; A1out remembers Kout = k/2
+    pages.
 
     Filters out one-touch scan traffic that floods plain LRU. *)
 
 module Policy = Ccache_sim.Policy
 open Ccache_trace
-module Dlist = Ccache_util.Dlist
+module Interner = Ccache_util.Interner
+module Rank_list = Ccache_util.Rank_list
 
-let make ?(kin_fraction = 0.25) ?(kout_fraction = 0.5) () =
-  if kin_fraction <= 0.0 || kin_fraction >= 1.0 then
-    invalid_arg "Two_q.make: kin_fraction in (0,1)";
-  if kout_fraction <= 0.0 then invalid_arg "Two_q.make: kout_fraction > 0";
+(* the three lists, newest at the front of each *)
+let a1in = 0
+let am = 1
+let a1out = 2
+
+let policy =
   Policy.make ~name:"2q" (fun config ->
       let k = config.Policy.Config.k in
-      let kin = Stdlib.max 1 (int_of_float (kin_fraction *. float_of_int k)) in
-      let kout = Stdlib.max 1 (int_of_float (kout_fraction *. float_of_int k)) in
-      let a1in = Dlist.create () in
-      let am = Dlist.create () in
-      (* which resident queue a page is in, and its node *)
-      let where : [ `A1in | `Am ] Page.Tbl.t = Page.Tbl.create 256 in
-      let nodes : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      (* ghost FIFO: identities only *)
-      let a1out = Dlist.create () in
-      let ghosts : Page.t Dlist.node Page.Tbl.t = Page.Tbl.create 256 in
-      let remember_ghost page =
-        if not (Page.Tbl.mem ghosts page) then begin
-          let n = Dlist.node page in
-          Page.Tbl.replace ghosts page n;
-          Dlist.push_front a1out n;
-          if Dlist.length a1out > kout then
-            match Dlist.pop_back a1out with
-            | Some old -> Page.Tbl.remove ghosts (Dlist.value old)
-            | None -> ()
-        end
-      in
-      let node_of page =
-        match Page.Tbl.find_opt nodes page with
-        | Some n -> n
-        | None -> invalid_arg ("2q: untracked page " ^ Page.to_string page)
-      in
+      let kin = Stdlib.max 1 (k / 4) and kout = Stdlib.max 1 (k / 2) in
+      let ranks = Interner.create ~capacity:16 in
+      let lists = Rank_list.create ~lists:3 in
+      let rank page = Interner.intern ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->
-            match Page.Tbl.find_opt where page with
-            | Some `Am -> Dlist.move_to_front am (node_of page)
-            | Some `A1in ->
-                (* original 2Q: a hit in A1in does nothing (the queue
-                   is young by construction) *)
-                ()
-            | None -> invalid_arg ("2q: hit on untracked " ^ Page.to_string page));
+            (* original 2Q: a hit in A1in does nothing (the queue is
+               young by construction) *)
+            let r = rank page in
+            if Rank_list.owner lists r = am then begin
+              Rank_list.remove lists r;
+              Rank_list.push_front lists am r
+            end);
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            let from_a1in = Dlist.length a1in >= kin && not (Dlist.is_empty a1in) in
-            let queue = if from_a1in || Dlist.is_empty am then a1in else am in
-            match Dlist.back queue with
-            | Some n -> Dlist.value n
-            | None -> invalid_arg "2q: choose_victim on empty cache");
+            let n_in = Rank_list.length lists a1in in
+            let queue = if n_in >= kin || Rank_list.length lists am = 0 then a1in else am in
+            Page.unpack (Interner.key ranks (Rank_list.back lists queue)));
         on_insert =
           (fun ~pos:_ page ->
-            let hot = Page.Tbl.mem ghosts page in
-            if hot then begin
+            let r = rank page in
+            if Rank_list.owner lists r = a1out then begin
               (* promoted: drop the ghost, go to Am *)
-              (match Page.Tbl.find_opt ghosts page with
-              | Some g ->
-                  Dlist.remove a1out g;
-                  Page.Tbl.remove ghosts page
-              | None -> ());
-              let n = Dlist.node page in
-              Page.Tbl.replace nodes page n;
-              Page.Tbl.replace where page `Am;
-              Dlist.push_front am n
+              Rank_list.remove lists r;
+              Rank_list.push_front lists am r
             end
-            else begin
-              let n = Dlist.node page in
-              Page.Tbl.replace nodes page n;
-              Page.Tbl.replace where page `A1in;
-              Dlist.push_front a1in n
-            end);
+            else Rank_list.push_front lists a1in r);
         on_evict =
           (fun ~pos:_ page ->
-            let n = node_of page in
-            (match Page.Tbl.find_opt where page with
-            | Some `A1in ->
-                Dlist.remove a1in n;
-                (* expelled from A1in: remember the identity *)
-                remember_ghost page
-            | Some `Am -> Dlist.remove am n
-            | None -> invalid_arg ("2q: evicting untracked " ^ Page.to_string page));
-            Page.Tbl.remove nodes page;
-            Page.Tbl.remove where page);
+            let r = rank page in
+            let from = Rank_list.owner lists r in
+            Rank_list.remove lists r;
+            if from = a1in then begin
+              (* expelled from A1in: remember the identity *)
+              Rank_list.push_front lists a1out r;
+              if Rank_list.length lists a1out > kout then
+                Rank_list.remove lists (Rank_list.back lists a1out)
+            end);
       })
-
-let policy = make ()

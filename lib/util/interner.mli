@@ -4,8 +4,9 @@
     first seen, so ranks depend only on the order keys arrive in, never
     on a hash.  This is the one place first-touch ranks are assigned:
     {!Ccache_trace.Trace}'s dense interning, the external address-trace
-    readers and the heap-backed policies (which break ties on the rank)
-    all go through it.
+    readers and every policy but the two random ones (the heap-backed
+    ones break ties on the rank, the list-backed ones index their
+    {!Rank_list} by it) all go through it.
 
     Layout: an {!Int_tbl} key -> rank plus a flat rank -> key array;
     {!intern} and {!find} allocate nothing once both are at capacity,

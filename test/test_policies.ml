@@ -199,13 +199,10 @@ let test_convex_belady_prefers_cheap () =
 (* ------------------------------------------------------------------ *)
 
 let test_static_partition_slice_sizes () =
-  let sizes = P.Static_partition.slice_sizes ~k:10 ~n_users:3 ~weights:None in
+  let sizes = P.Static_partition.slice_sizes ~k:10 ~n_users:3 in
   checki "total" 10 (Array.fold_left ( + ) 0 sizes);
   Array.iter (fun s -> checkb "everyone >= 1" true (s >= 1)) sizes;
-  let weighted =
-    P.Static_partition.slice_sizes ~k:10 ~n_users:2 ~weights:(Some [| 4.0; 1.0 |])
-  in
-  checkb "weights respected" true (weighted.(0) >= 7 && weighted.(1) >= 1)
+  checkb "leftover to the first tenants" true (sizes = [| 4; 3; 3 |])
 
 let test_static_partition_isolation () =
   (* user 0 churns through many pages; user 1 parks two pages and never
@@ -389,6 +386,182 @@ let test_registry () =
   checki "online + offline = all" (List.length P.Registry.all)
     (List.length P.Registry.online + List.length P.Registry.offline)
 
+(* ------------------------------------------------------------------ *)
+(* Decisions                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every policy's full decision log, pinned by hash: each policy runs
+   on three generated traces at k = 4 and 64, without and with the
+   terminal flush, and each event log (kind, position, page, victim) is
+   hashed with [Prng.hash_decimals].  A refactor that keeps every
+   decision keeps every hash; re-record a row only with a change that
+   means to move that policy's victims. *)
+
+let decision_policies =
+  P.Registry.all @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ]
+
+let decision_traces =
+  let gen name specs = (name, Workloads.generate ~seed:7 ~length:3000 specs) in
+  [
+    gen "sqlvm" (Workloads.sqlvm_mix ~scale:1);
+    gen "zipf" (Workloads.symmetric_zipf ~tenants:3 ~pages_per_tenant:100 ~skew:0.9);
+    gen "cycle"
+      Workloads.
+        [ tenant (Cycle { pages = 5 }); tenant ~weight:2.0 (Cycle { pages = 66 }) ];
+  ]
+
+let event_fields = function
+  | Engine.Hit { pos; page } -> [ 0; pos; Page.pack page; -1 ]
+  | Engine.Miss_insert { pos; page } -> [ 1; pos; Page.pack page; -1 ]
+  | Engine.Miss_evict { pos; page; victim } ->
+      [ 2; pos; Page.pack page; Page.pack victim ]
+
+let decision_hashes policy =
+  List.concat_map
+    (fun (name, t) ->
+      let costs =
+        Array.init (Trace.n_users t) (fun u ->
+            Cf.monomial ~beta:(float_of_int (1 + (u mod 3))) ())
+      in
+      List.concat_map
+        (fun k ->
+          List.map
+            (fun flush ->
+              let _, log = Engine.run_logged ~flush ~k ~costs policy t in
+              let fields = Array.of_list (List.concat_map event_fields log) in
+              ( Printf.sprintf "%s k=%d flush=%b" name k flush,
+                Ccache_util.Prng.hash_decimals (Array.length fields) (Array.get fields) ))
+            [ false; true ])
+        [ 4; 64 ])
+    decision_traces
+
+(* one row per policy, one line per trace of [decision_traces]: k=4
+   without and with the flush, then k=64 likewise *)
+let recorded_decisions : (string * int64 array) list =
+  [
+    ( "lru",
+      [|
+        0x30f06b9867f8d2a3L; 0x25d5c49c2134331cL; 0x3048a57a4506c9dcL; 0xe86ff4f58bcc01ebL;
+        0xe7ab7eaae3bc0d73L; 0x57e41d19b2190508L; 0x7fd9479812acc81L; 0x80f45a037e35811eL;
+        0xf42bcf7da52a510dL; 0x21b3231c8ce7ff0dL; 0x4bb4db495850f12fL; 0x7b0e5064755ad7adL;
+      |] );
+    ( "fifo",
+      [|
+        0x25784209bb7b2fe8L; 0xb9983d27279a1209L; 0x4bb65bf652b45bdaL; 0xf42512918453f8cdL;
+        0xbd1989ecd5df5672L; 0x7346645bce56d1d5L; 0xd50c24c3bf9be3b4L; 0x50c5f5cd880deb2cL;
+        0xf42bcf7da52a510dL; 0x21b3231c8ce7ff0dL; 0x48b04573830e63L; 0xb99afe786c3a9c7fL;
+      |] );
+    ( "lfu",
+      [|
+        0x2a2f4d494ab40774L; 0x9501e6df7be7c241L; 0x2c495d39d36ad66dL; 0x9e438e3b839dfde8L;
+        0xa37975383c85a61L; 0x550efa7ea3a05bb9L; 0xd75705d8e0b987d9L; 0xbce18d5a21b5630cL;
+        0x2839cd4470a02ba1L; 0xe74d49573a97d0f8L; 0x7bb489ab3a329638L; 0x5ff6f26e2ce628fcL;
+      |] );
+    ( "random",
+      [|
+        0xda2de67f9331282eL; 0x4c9f910c8920331aL; 0x542954217b385e52L; 0xe64030ad033a8669L;
+        0x133aae3256244a02L; 0x8f4d7d081d574c33L; 0x3c6424ca634b7a66L; 0x9c5321b0f263d5bcL;
+        0x1b9f523dd4c39cdeL; 0xe0da8b5be0903f5cL; 0x51f6bfe29a8fdd82L; 0x6b56e17f98fcd1a7L;
+      |] );
+    ( "marking",
+      [|
+        0x23aabaa4332ebbc9L; 0xec7311b65587b526L; 0xf612888af024ee2L; 0x28f6d6df4fde80e3L;
+        0xd3a0075d3ecce1a5L; 0x9d0f25cdff520dc4L; 0xa8fcd0a58737a0b2L; 0x35b494cfcf91dc8fL;
+        0x80a30a733704e4c1L; 0x38ed2903f6e997dfL; 0xaaa2506e1d01e817L; 0x136851fab9ae5949L;
+      |] );
+    ( "lru-2",
+      [|
+        0xa4a1baab8e3f64cL; 0x449d1cfbbfd38eb7L; 0xf96a7ca7a3c318bbL; 0x69b3396cfa5373daL;
+        0x8f45294691383eafL; 0x9adbdd350a217236L; 0x3173eb0500837350L; 0xe0bf1cee38e12448L;
+        0xde86f17bae59c59dL; 0x8d433d0954a57119L; 0x4bb4db495850f12fL; 0x58600fd4e2d4af67L;
+      |] );
+    ( "lru-3",
+      [|
+        0xbd4913c773c1b114L; 0x1b2f7e37cc8a5782L; 0x24b3c00611dcd276L; 0x1da577684eac50e7L;
+        0x5f9e63d87ffe96dbL; 0x3e62ba89012a753dL; 0xdfa6df89ca7fc279L; 0x456f16f23aa967f7L;
+        0xd337af8f83fe52a7L; 0xda85cbd9ff82494bL; 0x4bb4db495850f12fL; 0x58600fd4e2d4af67L;
+      |] );
+    ( "landlord-static",
+      [|
+        0x7c63739c397a9b19L; 0x68da566834ee5fbeL; 0x9ec7ad108f4942e0L; 0x3e08946893d7c7cfL;
+        0x2c3f1dd1ce4e84b6L; 0x8d48a1fecef938f9L; 0x30b4ee7296a9cbbbL; 0x9b98861a5b1c101bL;
+        0x2ad9057cd9f40b4bL; 0xb9e58a182aaa417fL; 0xd4025d0bf6cd66dfL; 0x20ad3ebbedc300d9L;
+      |] );
+    ( "landlord-adaptive",
+      [|
+        0xda5b10a8df45852dL; 0x75da1177d79f4aceL; 0xf974b29b1eda85cL; 0x785c0ab1bc4f18c5L;
+        0xd34fc200c2347cefL; 0x7f6a3b4671c27377L; 0x65aeb395faa419ebL; 0x84aa1c5afcc188d1L;
+        0x31bb17d60b67fb9bL; 0xd6683cef7db65c51L; 0x6e0a097b3d0eb7e7L; 0x76903817b05422b9L;
+      |] );
+    ( "static-partition",
+      [|
+        0xeecc05e45af9034eL; 0x1eb26512a1a54692L; 0x7fe81cfc5fa279bcL; 0x66ba48ce18bbeb28L;
+        0x971af87f9792c200L; 0x696acddccbf5c0e6L; 0xda1c130586b9e4bcL; 0x6a7ab5742de85567L;
+        0xc4d770bb81019d9fL; 0xb7232da93c99ec97L; 0xa58cff64f0c3c3a2L; 0xf11e2323a4fe4e78L;
+      |] );
+    ( "clock",
+      [|
+        0x34407c99673ec196L; 0x40d16fc4f082b6b7L; 0x12352493de449ccbL; 0xfb865b944b72347aL;
+        0xad24a10a21503892L; 0x492aef3941e5e4f5L; 0xf14663d4199dd560L; 0x9f6d4949e941f80cL;
+        0xf42bcf7da52a510dL; 0x21b3231c8ce7ff0dL; 0x4bb4db495850f12fL; 0x58600fd4e2d4af67L;
+      |] );
+    ( "2q",
+      [|
+        0x49580cfce01293b7L; 0xd028167696148403L; 0xa7209040f454752L; 0x480b3877af16d9acL;
+        0xca2e5428bdf1c8ccL; 0xb3ba31a700bd74e9L; 0x6df58f7874665edcL; 0xc1ed4a5046a29b7bL;
+        0xba13d14f5437c2ffL; 0x4bcfd091f0542dcfL; 0xe5d794477260f824L; 0xf454ca7490a28d82L;
+      |] );
+    ( "arc",
+      [|
+        0x45f81cf8c45510a3L; 0x4f5fc0e031fe779dL; 0x114300557b1f8caaL; 0x23f51694ee03e40dL;
+        0x47f4a3c5a849e530L; 0x443181e599178381L; 0x9277aace89107a02L; 0xebf22d59b0c36fdbL;
+        0xf42bcf7da52a510dL; 0x21b3231c8ce7ff0dL; 0x4bb4db495850f12fL; 0x58600fd4e2d4af67L;
+      |] );
+    ( "randomized-marking",
+      [|
+        0x6a7bc4387d1c36cL; 0x8799af5a3a0f1f2dL; 0xf42fc1fa092fbfacL; 0xbfdd81c35163e02dL;
+        0x27d0f5a5aecf26L; 0x3e9b989cf1878d7fL; 0xd8cfb1ceab810700L; 0xb12ebe41bacbb144L;
+        0x9dc0380789e29e38L; 0x2a8ea8fa7b2ee7eeL; 0x2134e38c2e96e0bcL; 0xc480c70e58e05a79L;
+      |] );
+    ( "belady",
+      [|
+        0xf96231b9939dfa5fL; 0x4fead726ec4132cL; 0xfda7de50f14117bfL; 0x3718bf1787e9ad35L;
+        0x9e5c106ce7fabccL; 0x666b23a96900d262L; 0x188ead05e5877f9fL; 0xc600a38d4dce5293L;
+        0x8acd9a858855e5c4L; 0xfe0948dcf258ac4aL; 0xad76ae111fdbeaceL; 0x78bb194bfad75feL;
+      |] );
+    ( "convex-belady",
+      [|
+        0x7205889b30ad416L; 0x5f4a4113743eb371L; 0xc290dc815cd6cef5L; 0xf62133cf8665fe13L;
+        0xf155e857ad4ad260L; 0xc0b76f3c7b2d28e3L; 0x8a28db456864900fL; 0x570c2e72b9a59741L;
+        0x410675dffd58f260L; 0xc8aef1f2a558a384L; 0x9bd6381f6f7c68b0L; 0x71283869c7b50807L;
+      |] );
+    ( "alg-discrete",
+      [|
+        0x4534db4e20f2b9a5L; 0x711e7b311f0ae626L; 0x4c822b17814b4a7L; 0x2a90c69e9b795d1bL;
+        0x6eb9354f82aa71faL; 0x68422b36a54bf2e2L; 0xd638697d0f523ba9L; 0xb7d8f9b5499f89ebL;
+        0x6498bb5c0ac98bb3L; 0x76293df850aa6e39L; 0x5e70f26a5e4d75f3L; 0x5d38165d25835d55L;
+      |] );
+    ( "alg-discrete-fast",
+      [|
+        0x4534db4e20f2b9a5L; 0x711e7b311f0ae626L; 0x4c822b17814b4a7L; 0x2a90c69e9b795d1bL;
+        0x6eb9354f82aa71faL; 0x68422b36a54bf2e2L; 0xd638697d0f523ba9L; 0xb7d8f9b5499f89ebL;
+        0x6498bb5c0ac98bb3L; 0x76293df850aa6e39L; 0x5e70f26a5e4d75f3L; 0x5d38165d25835d55L;
+      |] );
+  ]
+
+let decision_cases =
+  List.map
+    (fun policy ->
+      let name = Ccache_sim.Policy.name policy in
+      Alcotest.test_case name `Quick (fun () ->
+          match List.assoc_opt name recorded_decisions with
+          | None -> Alcotest.failf "no recorded decisions for %s" name
+          | Some recorded ->
+              List.iter2
+                (fun (label, got) want -> Alcotest.(check int64) label want got)
+                (decision_hashes policy) (Array.to_list recorded)))
+    decision_policies
+
 let () =
   Alcotest.run "ccache_policies"
     [
@@ -458,4 +631,5 @@ let () =
           Alcotest.test_case "random determinism" `Quick test_random_deterministic_by_seed;
           Alcotest.test_case "registry" `Quick test_registry;
         ] );
+      ("decisions", decision_cases);
     ]

@@ -3,7 +3,7 @@
 module Prng = Ccache_util.Prng
 module Stats = Ccache_util.Stats
 module Fc = Ccache_util.Float_cmp
-module Dlist = Ccache_util.Dlist
+module Rank_list = Ccache_util.Rank_list
 module Heap = Ccache_util.Indexed_heap
 module Itbl = Ccache_util.Int_tbl
 module Interner = Ccache_util.Interner
@@ -206,87 +206,110 @@ let test_float_cmp () =
   checkf "clamp" 2.0 (Fc.clamp ~lo:0.0 ~hi:2.0 5.0)
 
 (* ------------------------------------------------------------------ *)
-(* Dlist                                                               *)
+(* Rank_list                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_dlist_basic () =
-  let l = Dlist.create () in
-  checkb "empty" true (Dlist.is_empty l);
-  let n1 = Dlist.node 1 and n2 = Dlist.node 2 and n3 = Dlist.node 3 in
-  Dlist.push_front l n1;
-  Dlist.push_front l n2;
-  Dlist.push_back l n3;
+let test_rank_list_basic () =
+  let l = Rank_list.create ~lists:2 in
+  checki "empty" 0 (Rank_list.length l 0);
+  Rank_list.push_front l 0 1;
+  Rank_list.push_front l 0 2;
+  Rank_list.push_back l 0 3;
   (* order: 2 1 3 *)
-  checkb "to_list" true (Dlist.to_list l = [ 2; 1; 3 ]);
-  checki "length" 3 (Dlist.length l);
-  Dlist.move_to_front l n3;
-  checkb "moved" true (Dlist.to_list l = [ 3; 2; 1 ]);
-  Dlist.move_to_back l n3;
-  checkb "moved back" true (Dlist.to_list l = [ 2; 1; 3 ]);
-  Dlist.remove l n1;
-  checkb "removed" true (Dlist.to_list l = [ 2; 3 ]);
-  checkb "invariant" true (Dlist.invariant_ok l);
-  (* removed node can be reinserted *)
-  Dlist.push_front l n1;
-  checkb "reinserted" true (Dlist.to_list l = [ 1; 2; 3 ])
+  checkb "to_list" true (Rank_list.to_list l 0 = [ 2; 1; 3 ]);
+  checki "length" 3 (Rank_list.length l 0);
+  checki "owner" 0 (Rank_list.owner l 3);
+  (* move to front *)
+  Rank_list.remove l 3;
+  Rank_list.push_front l 0 3;
+  checkb "moved" true (Rank_list.to_list l 0 = [ 3; 2; 1 ]);
+  (* move to the other list *)
+  Rank_list.remove l 2;
+  Rank_list.push_back l 1 2;
+  checkb "left" true (Rank_list.to_list l 0 = [ 3; 1 ]);
+  checkb "joined" true (Rank_list.to_list l 1 = [ 2 ]);
+  checki "new owner" 1 (Rank_list.owner l 2);
+  checkb "invariant" true (Rank_list.invariant_ok l);
+  (* a removed rank can be reinserted *)
+  Rank_list.remove l 1;
+  checki "no owner" (-1) (Rank_list.owner l 1);
+  Rank_list.push_front l 0 1;
+  checkb "reinserted" true (Rank_list.to_list l 0 = [ 1; 3 ])
 
-let test_dlist_pop () =
-  let l = Dlist.create () in
-  checkb "pop empty" true (Dlist.pop_front l = None);
-  let n = Dlist.node 42 in
-  Dlist.push_back l n;
-  (match Dlist.pop_back l with
-  | Some m -> checki "popped" 42 (Dlist.value m)
-  | None -> Alcotest.fail "expected node");
-  checkb "now empty" true (Dlist.is_empty l)
+let test_rank_list_ends () =
+  let l = Rank_list.create ~lists:1 in
+  checki "front of empty" (-1) (Rank_list.front l 0);
+  checki "back of empty" (-1) (Rank_list.back l 0);
+  checki "unseen rank" (-1) (Rank_list.owner l 1_000);
+  checki "rank -1" (-1) (Rank_list.owner l (-1));
+  (* far past the initial arrays: they grow to cover it *)
+  Rank_list.push_back l 0 5_000;
+  checki "front" 5_000 (Rank_list.front l 0);
+  checki "back" 5_000 (Rank_list.back l 0);
+  Rank_list.push_back l 0 7;
+  checki "front stays" 5_000 (Rank_list.front l 0);
+  checki "new back" 7 (Rank_list.back l 0);
+  Rank_list.remove l 5_000;
+  Rank_list.remove l 7;
+  checki "emptied" (-1) (Rank_list.front l 0);
+  checkb "invariant" true (Rank_list.invariant_ok l)
 
-let test_dlist_cross_list_guard () =
-  let a = Dlist.create () and b = Dlist.create () in
-  let n = Dlist.node 1 in
-  Dlist.push_front a n;
-  Alcotest.check_raises "cross-list remove"
-    (Invalid_argument "Dlist.remove: node not in this list") (fun () ->
-      Dlist.remove b n);
+let test_rank_list_guards () =
+  let l = Rank_list.create ~lists:2 in
+  Rank_list.push_front l 0 1;
   Alcotest.check_raises "double insert"
-    (Invalid_argument "Dlist.push_front: node already in a list") (fun () ->
-      Dlist.push_front b n)
+    (Invalid_argument "Rank_list.push_front: rank already in a list") (fun () ->
+      Rank_list.push_front l 1 1);
+  Alcotest.check_raises "double insert at the back"
+    (Invalid_argument "Rank_list.push_back: rank already in a list") (fun () ->
+      Rank_list.push_back l 0 1);
+  Alcotest.check_raises "remove a free rank"
+    (Invalid_argument "Rank_list.remove: rank in no list") (fun () ->
+      Rank_list.remove l 2);
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Rank_list: negative rank") (fun () ->
+      Rank_list.push_back l 0 (-1));
+  Alcotest.check_raises "no lists"
+    (Invalid_argument "Rank_list.create: lists must be >= 1") (fun () ->
+      ignore (Rank_list.create ~lists:0));
+  checkb "untouched" true (Rank_list.to_list l 0 = [ 1 ] && Rank_list.invariant_ok l)
 
-(* Model-based qcheck: a random op sequence against a list model. *)
-let dlist_model_test =
-  QCheck.Test.make ~name:"dlist matches list model" ~count:200
-    QCheck.(list (pair (int_range 0 3) small_nat))
+(* Model-based qcheck: a random op sequence over two lists against a
+   pair of list models. *)
+let rank_list_model_test =
+  QCheck.Test.make ~name:"rank_list matches list model" ~count:200
+    QCheck.(list (triple (int_range 0 3) (int_range 0 1) small_nat))
     (fun ops ->
-      let l = Dlist.create () in
-      let nodes = Hashtbl.create 16 in
-      let model = ref [] in
+      let l = Rank_list.create ~lists:2 in
+      let model = [| []; [] |] in
+      let owner r = if List.mem r model.(0) then 0 else if List.mem r model.(1) then 1 else -1 in
+      let drop r =
+        let o = owner r in
+        Rank_list.remove l r;
+        model.(o) <- List.filter (fun x -> x <> r) model.(o)
+      in
       List.iter
-        (fun (op, v) ->
+        (fun (op, li, r) ->
           match op with
-          | 0 when not (Hashtbl.mem nodes v) ->
-              let n = Dlist.node v in
-              Hashtbl.add nodes v n;
-              Dlist.push_front l n;
-              model := v :: !model
-          | 1 when not (Hashtbl.mem nodes v) ->
-              let n = Dlist.node v in
-              Hashtbl.add nodes v n;
-              Dlist.push_back l n;
-              model := !model @ [ v ]
-          | 2 -> (
-              match Hashtbl.find_opt nodes v with
-              | Some n ->
-                  Dlist.remove l n;
-                  Hashtbl.remove nodes v;
-                  model := List.filter (fun x -> x <> v) !model
-              | None -> ())
-          | _ -> (
-              match Hashtbl.find_opt nodes v with
-              | Some n ->
-                  Dlist.move_to_front l n;
-                  model := v :: List.filter (fun x -> x <> v) !model
-              | None -> ()))
+          | 0 when owner r < 0 ->
+              Rank_list.push_front l li r;
+              model.(li) <- r :: model.(li)
+          | 1 when owner r < 0 ->
+              Rank_list.push_back l li r;
+              model.(li) <- model.(li) @ [ r ]
+          | 2 when owner r >= 0 -> drop r
+          | 3 when owner r >= 0 ->
+              (* move to the front of list [li] *)
+              drop r;
+              Rank_list.push_front l li r;
+              model.(li) <- r :: model.(li)
+          | _ -> ())
         ops;
-      Dlist.to_list l = !model && Dlist.invariant_ok l)
+      Rank_list.to_list l 0 = model.(0)
+      && Rank_list.to_list l 1 = model.(1)
+      && Rank_list.length l 0 = List.length model.(0)
+      && List.for_all (fun (_, _, r) -> Rank_list.owner l r = owner r) ops
+      && Rank_list.invariant_ok l)
 
 (* ------------------------------------------------------------------ *)
 (* Indexed_heap                                                        *)
@@ -632,13 +655,13 @@ let () =
           Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
       ("float_cmp", [ Alcotest.test_case "all" `Quick test_float_cmp ]);
-      ( "dlist",
+      ( "rank_list",
         [
-          Alcotest.test_case "basic" `Quick test_dlist_basic;
-          Alcotest.test_case "pop" `Quick test_dlist_pop;
-          Alcotest.test_case "guards" `Quick test_dlist_cross_list_guard;
+          Alcotest.test_case "basic" `Quick test_rank_list_basic;
+          Alcotest.test_case "front/back" `Quick test_rank_list_ends;
+          Alcotest.test_case "guards" `Quick test_rank_list_guards;
         ]
-        @ qsuite [ dlist_model_test ] );
+        @ qsuite [ rank_list_model_test ] );
       ( "indexed_heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;

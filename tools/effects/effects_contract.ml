@@ -47,10 +47,15 @@ let required : (string * contract list) list =
     ("Ccache_util.Int_tbl.set", [ No_alloc; Deterministic ]);
     ("Ccache_util.Int_tbl.remove", [ No_alloc; Deterministic ]);
     ("Ccache_util.Int_tbl.mem", [ No_alloc; Deterministic ]);
-    (* first-touch ranks: five heap-backed policies intern on every
-       request *)
+    (* first-touch ranks: every policy but the two random ones interns
+       on every request *)
     ("Ccache_util.Interner.intern", [ No_alloc; Deterministic ]);
     ("Ccache_util.Interner.find", [ No_alloc; Deterministic ]);
+    (* the recency and ghost lists of the list-backed policies *)
+    ("Ccache_util.Rank_list.push_front", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Rank_list.push_back", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Rank_list.remove", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Rank_list.owner", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Page.pack", [ Pure; No_alloc ]);
     ("Ccache_trace.Page.unpack", [ Pure; No_alloc ]);
     (* the zero-copy trace substrate: per-request iteration and the
