@@ -13,6 +13,9 @@
     within a user, giving the same deterministic tie-break as
     {!Budget_state.min_budget}), with a top-level heap over users keyed
     by [min raw(i) + U(i)] (the common [-Y] cannot change the order).
+    The bump [U(i)] takes is the step between the owner's next two
+    discrete marginals, which {!Ccache_cost.Cost_function.Marginals}
+    keeps per user, so an eviction costs one cost evaluation.
 
     With integer-valued cost marginals the arithmetic is exact and this
     policy is bit-for-bit identical to {!Alg_discrete.policy}
@@ -36,20 +39,14 @@ let policy =
          a fresh float on every eviction. *)
       let y_off = Float.Array.make 1 0.0 in
       let u_off = Array.make n_slots 0.0 in
-      let m = Array.make n_slots 0 in
       let slot u = Stdlib.min u n_users in
-      (* Cost lookup hoisted out of the request path: [Config.cost]
-         builds a fresh zero-cost function for the dummy slot on every
-         call, which would allocate on every touch. *)
-      let costs = Array.init n_slots (fun u -> Policy.Config.cost config u) in
-      let rate u ~offset =
-        let s = slot u in
-        Cf.rate costs.(s) Cf.Discrete (m.(s) + offset)
+      (* f'_i(m_i + 1) for every slot at its eviction count m_i: touch
+         reads it on every request, and an eviction moves it with one
+         cost evaluation. *)
+      let marginals =
+        Cf.Marginals.create (Array.init n_slots (Policy.Config.cost config))
       in
-      (* f'_i(m_i + 1) for every slot, refreshed when m_i moves: touch
-         needs this value on every request, and computing it live costs
-         two cost-function closure calls each time. *)
-      let rate1 = Float.Array.init n_slots (fun s -> rate s ~offset:1) in
+      let rate1 = Cf.Marginals.rates marginals in
       (* keep the top-level entry for user-slot [s] in sync *)
       let sync_top s =
         if Heap.is_empty per_user.(s) then begin
@@ -63,8 +60,13 @@ let policy =
         let s = slot u in
         let target = Float.Array.get rate1 s in
         let raw = target +. Float.Array.get y_off 0 -. u_off.(s) in
-        Heap.set per_user.(s) ~key:(Page.id page) ~prio:raw;
-        sync_top s
+        let heap = per_user.(s) and key = Page.id page in
+        (* The top entry is [min raw + U(s)] and only [evict] moves
+           [U(s)], so it changes only if [key] was or becomes the
+           minimum (an empty heap makes it the minimum). *)
+        let was_min = (not (Heap.is_empty heap)) && Heap.min_key_exn heap = key in
+        Heap.set heap ~key ~prio:raw;
+        if was_min || Heap.min_key_exn heap = key then sync_top s
         [@@effects.no_alloc] [@@effects.deterministic]
       in
       (* Named (rather than inlined into the record) so the static
@@ -75,9 +77,9 @@ let policy =
         let raw = Heap.priority per_user.(s) (Page.id victim) in
         let delta = raw -. Float.Array.get y_off 0 +. u_off.(s) in
         Heap.remove per_user.(s) (Page.id victim);
-        let bump = rate u ~offset:2 -. rate u ~offset:1 in
-        m.(s) <- m.(s) + 1;
-        Float.Array.set rate1 s (rate u ~offset:1);
+        let old_rate = Float.Array.get rate1 s in
+        Cf.Marginals.advance marginals s;
+        let bump = Float.Array.get rate1 s -. old_rate in
         Float.Array.set y_off 0 (Float.Array.get y_off 0 +. delta);
         u_off.(s) <- u_off.(s) +. bump;
         (* only the owner's top entry changes: every other user's

@@ -169,6 +169,41 @@ let rate t mode x =
   | Analytic -> deriv t (float_of_int x)
   | Discrete -> marginal t x
 
+(** Per-slot discrete marginals at a moving miss count: one [eval] per
+    step, because [next] already holds the subtrahend of the next
+    [marginal]. *)
+module Marginals = struct
+  type cost = t
+
+  type t = {
+    costs : cost array;
+    counts : int array;
+    next : floatarray;  (** f_s(c_s + 1) *)
+    rates : floatarray;  (** f_s(c_s + 1) - f_s(c_s) *)
+  }
+
+  let create costs =
+    let n = Array.length costs in
+    {
+      costs;
+      counts = Array.make n 0;
+      next = Float.Array.init n (fun s -> eval costs.(s) 1.0);
+      rates = Float.Array.init n (fun s -> marginal costs.(s) 1);
+    }
+
+  let rates t = t.rates
+
+  (* [marginal]'s own [eval x -. eval (x - 1)], its second [eval] read
+     from [next] *)
+  let advance t s =
+    let c = t.counts.(s) + 1 in
+    t.counts.(s) <- c;
+    let f = eval t.costs.(s) (float_of_int (c + 1)) in
+    Float.Array.set t.rates s (f -. Float.Array.get t.next s);
+    Float.Array.set t.next s f
+    [@@effects.no_alloc] [@@effects.deterministic]
+end
+
 (* ------------------------------------------------------------------ *)
 (* Curvature constant alpha                                            *)
 (* ------------------------------------------------------------------ *)

@@ -86,6 +86,26 @@ val rate : t -> derivative_mode -> int -> float
 (** [rate f mode x] is [deriv f x] in [Analytic] mode and
     [marginal f x] in [Discrete] mode. *)
 
+(** Discrete marginals of a row of cost functions, each at its own
+    miss count: one {!eval} per step instead of {!marginal}'s two. *)
+module Marginals : sig
+  type cost := t
+  type t
+
+  val create : cost array -> t
+  (** Slot [s] starts at count 0, priced by [costs.(s)]. *)
+
+  val rates : t -> floatarray
+  (** The live array: slot [s] holds [marginal costs.(s) (c_s + 1)],
+      bit for bit, at its current count [c_s].  Read-only; a
+      [floatarray] rather than a float accessor because a float
+      returned across modules is boxed. *)
+
+  val advance : t -> int -> unit
+  (** [advance m s] moves slot [s]'s count one forward and updates
+      its rate with one {!eval}. *)
+end
+
 (** {1 Curvature constant} *)
 
 val alpha : ?max_x:float -> t -> float

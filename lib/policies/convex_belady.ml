@@ -28,15 +28,16 @@ let policy =
       let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       let n_users = config.Policy.Config.n_users in
-      let evictions = Array.make (n_users + 1) 0 in
+      let slot u = Stdlib.min u n_users in
+      (* each owner's marginal at its eviction count *)
+      let marginals =
+        Cf.Marginals.create (Array.init (n_users + 1) (Policy.Config.cost config))
+      in
+      let rates = Cf.Marginals.rates marginals in
       (* next-use position per cached page's rank, kept to recompute
          scores when a user's marginal cost changes *)
       let next_use_of = Int_tbl.create () in
-      let marginal user =
-        let f = Policy.Config.cost config user in
-        let m = evictions.(Stdlib.min user n_users) in
-        Cf.eval f (float_of_int (m + 1)) -. Cf.eval f (float_of_int m)
-      in
+      let marginal user = Float.Array.get rates (slot user) in
       let score ~pos ~next page =
         if next = Int.max_int then
           (* dead page: order by marginal so cheap owners go first, and
@@ -75,8 +76,7 @@ let policy =
         on_evict =
           (fun ~pos page ->
             let u = Page.user page in
-            let slot = Stdlib.min u n_users in
-            evictions.(slot) <- evictions.(slot) + 1;
+            Cf.Marginals.advance marginals (slot u);
             let key = Interner.intern ranks (Page.pack page) in
             Heap.remove heap key;
             ignore (Int_tbl.remove next_use_of key);

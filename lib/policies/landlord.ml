@@ -16,7 +16,12 @@
 
     - [Static]: weight = f_i(1), the cost of the user's first miss;
     - [Adaptive]: weight = marginal cost f_i(m_i+1) - f_i(m_i) at the
-      user's current eviction count. *)
+      user's current eviction count.
+
+    Either way the weights sit in a per-user [floatarray], so a hit or
+    an insert evaluates no cost function; [Adaptive] moves a user's
+    weight on each of its evictions through
+    {!Ccache_cost.Cost_function.Marginals}, with one evaluation. *)
 
 module Policy = Ccache_sim.Policy
 
@@ -36,19 +41,24 @@ let make ~mode =
       let ranks = Interner.create ~capacity:16 in
       let heap = Heap.create () in
       let level = ref 0.0 in
-      let evictions = Array.make (config.Policy.Config.n_users + 1) 0 in
-      let weight page =
-        let u = Page.user page in
-        let f = Policy.Config.cost config u in
+      let n_users = config.Policy.Config.n_users in
+      let slot u = Stdlib.min u n_users in
+      let costs = Array.init (n_users + 1) (Policy.Config.cost config) in
+      (* [Static] is f(1) itself, not [marginal f 1], which differs
+         from it for a [custom] f with f(0) <> 0 *)
+      let marginals, weights =
         match mode with
-        | Static -> Cf.eval f 1.0
+        | Static ->
+            (None, Float.Array.map_from_array (fun f -> Cf.eval f 1.0) costs)
         | Adaptive ->
-            let m = evictions.(Stdlib.min u config.Policy.Config.n_users) in
-            Cf.eval f (float_of_int (m + 1)) -. Cf.eval f (float_of_int m)
+            let m = Cf.Marginals.create costs in
+            (Some m, Cf.Marginals.rates m)
       in
       let set_credit page =
         let key = Interner.intern ranks (Page.pack page) in
-        Heap.set heap ~key ~prio:(weight page +. !level)
+        let w = Float.Array.get weights (slot (Page.user page)) in
+        Heap.set heap ~key ~prio:(w +. !level)
+        [@@effects.no_alloc] [@@effects.deterministic]
       in
       {
         Policy.on_hit = (fun ~pos:_ page -> set_credit page);
@@ -61,9 +71,9 @@ let make ~mode =
         on_insert = (fun ~pos:_ page -> set_credit page);
         on_evict =
           (fun ~pos:_ page ->
-            let u = Page.user page in
-            let slot = Stdlib.min u config.Policy.Config.n_users in
-            evictions.(slot) <- evictions.(slot) + 1;
+            (match marginals with
+            | Some m -> Cf.Marginals.advance m (slot (Page.user page))
+            | None -> ());
             Heap.remove heap (Interner.intern ranks (Page.pack page)));
       })
 

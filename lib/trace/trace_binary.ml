@@ -56,11 +56,15 @@ let n_users h = h.n_users
 let n_pages h = Array.length h.pages
 let length h = h.length
 
+(* Four reads spelled out: a local [b k] helper would capture [h] and
+   [base] in a closure allocated on every call. *)
 let dense_at h i =
-  let base = 4 * i in
-  let b k = Char.code (Bigarray.Array1.unsafe_get h.data (base + k)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-  [@@effects.deterministic]
+  let d = h.data and base = 4 * i in
+  Char.code (Bigarray.Array1.unsafe_get d base)
+  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 1)) lsl 8)
+  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 2)) lsl 16)
+  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 3)) lsl 24)
+  [@@effects.no_alloc] [@@effects.deterministic]
 
 let page_at h i = h.pages.(dense_at h i)
 
@@ -212,7 +216,13 @@ let open_file path =
    stream (range, first-touch order), so a crafted request region
    cannot produce an ill-formed trace. *)
 let to_trace h =
-  let dense = Array.init h.length (fun i -> dense_at h i) in
+  (* A typed [int array] loop rather than [Array.init]: its generic
+     store and closure call per request made this loop slow and its
+     speed hostage to code layout. *)
+  let dense = Array.make h.length 0 in
+  for i = 0 to h.length - 1 do
+    dense.(i) <- dense_at h i
+  done;
   try Trace.of_dense ~n_users:h.n_users ~pages:h.pages ~dense
   with Invalid_argument msg ->
     error (header_bytes + (8 * Array.length h.pages)) "%s" msg

@@ -159,6 +159,26 @@ let test_alg_ablations_run_and_differ () =
 (* fast = reference equivalence                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* the reference and fast runs of [t] agree on every event's kind and
+   victim, and on the per-user miss and eviction counts *)
+let fast_agrees_with_reference ~k ~costs t =
+  let a, la = Engine.run_logged ~k ~costs Alg.policy t in
+  let b, lb = Engine.run_logged ~k ~costs Fast.policy t in
+  a.Engine.misses_per_user = b.Engine.misses_per_user
+  && a.Engine.evictions_per_user = b.Engine.evictions_per_user
+  && List.length la = List.length lb
+  && List.for_all2
+       (fun x y ->
+         match (x, y) with
+         | Engine.Miss_evict { victim = v1; _ }, Engine.Miss_evict { victim = v2; _ }
+           ->
+             Page.equal v1 v2
+         | Engine.Hit _, Engine.Hit _ | Engine.Miss_insert _, Engine.Miss_insert _
+           ->
+             true
+         | _ -> false)
+       la lb
+
 let fast_equals_reference =
   QCheck.Test.make ~name:"alg-fast identical to reference (integer costs)"
     ~count:60
@@ -166,22 +186,28 @@ let fast_equals_reference =
     (fun (k, users, seed) ->
       let costs = int_costs users in
       let t = random_trace ~seed:(seed + 1) ~users ~pages:20 ~len:400 in
-      let a, la = Engine.run_logged ~k ~costs Alg.policy t in
-      let b, lb = Engine.run_logged ~k ~costs Fast.policy t in
-      a.Engine.misses_per_user = b.Engine.misses_per_user
-      && a.Engine.evictions_per_user = b.Engine.evictions_per_user
-      && List.length la = List.length lb
-      && List.for_all2
-           (fun x y ->
-             match (x, y) with
-             | Engine.Miss_evict { victim = v1; _ }, Engine.Miss_evict { victim = v2; _ }
-               ->
-                 Page.equal v1 v2
-             | Engine.Hit _, Engine.Hit _ | Engine.Miss_insert _, Engine.Miss_insert _
-               ->
-                 true
-             | _ -> false)
-           la lb)
+      fast_agrees_with_reference ~k ~costs t)
+
+(* The qchecks stop at 400 requests.  Here tenant 0 reaches ~150,000
+   evictions and the largest f(m), 3.4e15 under x^3, stays below 2^53,
+   so every marginal is still an exact integer and the runs must still
+   agree victim for victim. *)
+let test_fast_equals_reference_long () =
+  let t =
+    Workloads.generate ~seed:3 ~length:300_000
+      [
+        Workloads.tenant (Workloads.Cycle { pages = 5 });
+        Workloads.tenant (Workloads.Cycle { pages = 3 });
+      ]
+  in
+  List.iter
+    (fun beta ->
+      let costs = Array.init 2 (fun _ -> Cf.monomial ~beta ()) in
+      checkb
+        (Printf.sprintf "x^%g: same victims, misses and evictions" beta)
+        true
+        (fast_agrees_with_reference ~k:4 ~costs t))
+    [ 2.0; 3.0 ]
 
 let fast_equals_reference_flush =
   QCheck.Test.make ~name:"alg-fast identical under flush" ~count:30
@@ -729,12 +755,14 @@ let () =
           Alcotest.test_case "ablations differ" `Quick test_alg_ablations_run_and_differ;
         ] );
       ( "equivalence",
-        qsuite
-          [
-            fast_equals_reference; fast_equals_reference_flush;
-            cont_equals_discrete; cont_equals_reference;
-            evict_switches_equal_model; new_window_equals_reset;
-          ] );
+        Alcotest.test_case "fast = reference at 300k requests" `Quick
+          test_fast_equals_reference_long
+        :: qsuite
+             [
+               fast_equals_reference; fast_equals_reference_flush;
+               cont_equals_discrete; cont_equals_reference;
+               evict_switches_equal_model; new_window_equals_reset;
+             ] );
       ( "invariants",
         [
           Alcotest.test_case "unflushed live form" `Quick test_invariants_unflushed_live_form;

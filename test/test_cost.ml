@@ -78,6 +78,44 @@ let test_eval_negative_rejected () =
     (Invalid_argument "Cost_function.marginal: x must be >= 1") (fun () ->
       ignore (Cf.marginal f 0))
 
+(* [Marginals] must hold the very float [marginal] returns at every
+   count.  The slots have non-integer marginals, where a reordered
+   float operation would show in the bits. *)
+let test_marginals_bit_identical () =
+  let costs =
+    [|
+      Cf.monomial ~beta:1.7 ();
+      Cf.monomial ~beta:2.3 ();
+      Cf.linear ~slope:0.3 ();
+      Sla.hinge ~tolerance:3.0 ~penalty_rate:2.5;
+      Cf.exponential ~rate:0.001 ~scale:0.7 ();
+      Cf.scale ~by:0.37 (Cf.monomial ~beta:1.3 ());
+      Cf.sum (Cf.linear ~slope:0.1 ()) (Cf.monomial ~beta:2.7 ());
+    |]
+  in
+  let n = Array.length costs in
+  let m = Cf.Marginals.create costs in
+  let counts = Array.make n 0 in
+  let mismatches = ref 0 in
+  let check_all () =
+    Array.iteri
+      (fun s f ->
+        let got = Float.Array.get (Cf.Marginals.rates m) s in
+        let want = Cf.marginal f (counts.(s) + 1) in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          incr mismatches)
+      costs
+  in
+  check_all ();
+  let rng = Ccache_util.Prng.create ~seed:5 in
+  for _ = 1 to 20_000 do
+    let s = Ccache_util.Prng.int rng n in
+    Cf.Marginals.advance m s;
+    counts.(s) <- counts.(s) + 1;
+    check_all ()
+  done;
+  Alcotest.(check int) "rates whose bits differ from marginal" 0 !mismatches
+
 let test_rate_modes () =
   let f = Cf.monomial ~beta:2.0 () in
   checkf "analytic rate" 6.0 (Cf.rate f Cf.Analytic 3);
@@ -314,6 +352,8 @@ let () =
           Alcotest.test_case "negative rejected" `Quick test_eval_negative_rejected;
           Alcotest.test_case "non-finite rejected" `Quick test_float_hygiene;
           Alcotest.test_case "rate modes" `Quick test_rate_modes;
+          Alcotest.test_case "cached marginals bit-identical" `Quick
+            test_marginals_bit_identical;
         ] );
       ( "piecewise",
         [

@@ -36,6 +36,10 @@ let required : (string * contract list) list =
     ("Ccache_serve.Scheduler.build", [ Deterministic ]);
     ("Ccache_core.Alg_fast.touch", [ No_alloc; Deterministic ]);
     ("Ccache_core.Alg_fast.evict", [ No_alloc; Deterministic ]);
+    (* the cached marginals behind ALG-DISCRETE-FAST, Landlord and
+       convex-Belady, and Landlord's per-request credit *)
+    ("Ccache_cost.Cost_function.Marginals.advance", [ No_alloc; Deterministic ]);
+    ("Ccache_policies.Landlord.set_credit", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.set", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.add", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.remove", [ No_alloc; Deterministic ]);
@@ -67,7 +71,7 @@ let required : (string * contract list) list =
     ("Ccache_trace.Trace.Index.distinct_upto", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace.Index.total_requests", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace.Index.is_last_request", [ No_alloc; Deterministic ]);
-    ("Ccache_trace.Trace_binary.dense_at", [ Deterministic ]);
+    ("Ccache_trace.Trace_binary.dense_at", [ No_alloc; Deterministic ]);
   ]
 
 (** Nodes allowed to seed [time] directly. *)
