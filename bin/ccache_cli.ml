@@ -26,19 +26,33 @@ let policies () =
 let find_policy name =
   List.find_opt (fun p -> Ccache_sim.Policy.name p = name) (policies ())
 
+(* A workload the generator rejects (no tenants, no pages, a non-finite
+   skew, a negative length) is a usage error: its message and exit 2. *)
 let make_workload ~workload ~tenants ~pages ~skew ~seed ~length =
-  match workload with
-  | "zipf" ->
-      W.generate ~seed ~length
-        (W.symmetric_zipf ~tenants ~pages_per_tenant:pages ~skew)
-  | "sqlvm" -> W.generate ~seed ~length (W.sqlvm_mix ~scale:(Stdlib.max 1 (pages / 50)))
-  | "cycle" -> W.generate_single ~seed ~length (W.Cycle { pages })
-  | "uniform" ->
-      W.generate ~seed ~length
-        (List.init tenants (fun _ -> W.tenant (W.Uniform { pages })))
-  | other ->
-      Fmt.epr "unknown workload %S (zipf|sqlvm|cycle|uniform)@." other;
-      exit 2
+  try
+    match workload with
+    | "zipf" ->
+        W.generate ~seed ~length
+          (W.symmetric_zipf ~tenants ~pages_per_tenant:pages ~skew)
+    | "sqlvm" ->
+        W.generate ~seed ~length (W.sqlvm_mix ~scale:(Stdlib.max 1 (pages / 50)))
+    | "cycle" -> W.generate_single ~seed ~length (W.Cycle { pages })
+    | "uniform" ->
+        W.generate ~seed ~length
+          (List.init tenants (fun _ -> W.tenant (W.Uniform { pages })))
+    | other ->
+        Fmt.epr "unknown workload %S (zipf|sqlvm|cycle|uniform)@." other;
+        exit 2
+  with Invalid_argument msg ->
+    Fmt.epr "bad workload: %s@." msg;
+    exit 2
+
+(* [-k] is a cache size: a usage error unless positive. *)
+let check_k k =
+  if k <= 0 then begin
+    Fmt.epr "-k must be positive (got %d)@." k;
+    exit 2
+  end
 
 (* Malformed trace input is a usage error: report and exit 2 (matching
    cmdliner's convention), never a backtrace. *)
@@ -88,6 +102,7 @@ let run_cmd policy_name trace_file workload tenants pages skew seed length k cos
       Fmt.epr "unknown policy %S; try the 'list' command@." policy_name;
       2
   | Some policy ->
+      check_k k;
       set_trace_cache trace_cache;
       let obs = Obs_args.setup ~trace_out ~metrics_out in
       let trace =
@@ -122,6 +137,7 @@ let gen_cmd workload tenants pages skew seed length binary out trace_cache =
 
 let certify_cmd trace_file workload tenants pages skew seed length k cost iters
     trace_cache =
+  check_k k;
   set_trace_cache trace_cache;
   let trace =
     match trace_file with
@@ -180,10 +196,7 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
     resume trace_cache trace_out metrics_out =
   set_trace_cache trace_cache;
   let obs = Obs_args.setup ~trace_out ~metrics_out in
-  if jobs < 0 then begin
-    Fmt.epr "--jobs must be >= 0@.";
-    exit 2
-  end;
+  let pool = Supervisor_args.pool ~jobs in
   if k_min <= 0 || k_max < k_min then begin
     Fmt.epr "bad cache-size range: need 0 < --k-min <= --k-max (got %d..%d)@."
       k_min k_max;
@@ -234,15 +247,9 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       (Ccache_sim.Engine.run ~flush ~index ~k ~costs policy trace)
   in
   let results =
-    let run pool =
-      Ccache_sim.Sweep.run_supervised ?pool ~policy:policy_cfg ~fault
-        ?checkpoint ~codec:row_codec ~on_event:Supervisor_args.on_event ~seed
-        ~task_id cells ~f:eval
-    in
-    if jobs = 1 then run None
-    else
-      let size = if jobs = 0 then None else Some jobs in
-      Ccache_util.Domain_pool.with_pool ?size (fun pool -> run (Some pool))
+    Ccache_sim.Sweep.run_supervised ?pool ~policy:policy_cfg ~fault ?checkpoint
+      ~codec:row_codec ~on_event:Supervisor_args.on_event ~seed ~task_id cells
+      ~f:eval
   in
   let module Tbl = Ccache_util.Ascii_table in
   let tbl =
@@ -268,7 +275,7 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       | U.Supervisor.Quarantined f -> failures := f :: !failures)
     results;
   Tbl.print tbl;
-  (* the pool (if any) has been joined inside with_pool above *)
+  (* the map joined every worker domain: shards are complete *)
   Obs_args.finish obs;
   match List.rev !failures with
   | [] -> 0
@@ -311,6 +318,7 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
           policy_name;
         exit 2
       end;
+      check_k k;
       if shards <= 0 || batch <= 0 || queue_cap <= 0 || clients <= 0 || rate <= 0
       then begin
         Fmt.epr
@@ -318,10 +326,7 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
            positive@.";
         exit 2
       end;
-      if jobs < 0 then begin
-        Fmt.epr "--jobs must be >= 0@.";
-        exit 2
-      end;
+      let pool = Supervisor_args.pool ~jobs in
       let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
       set_trace_cache trace_cache;
       let obs = Obs_args.setup ~trace_out ~metrics_out in
@@ -359,14 +364,8 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
         Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
       in
       let sup =
-        let run pool =
-          Serve.Service.run_supervised ?pool ~policy:policy_cfg ~fault
-            ?checkpoint ~on_event:Supervisor_args.on_event config ~costs trace
-        in
-        if jobs = 1 then run None
-        else
-          let size = if jobs = 0 then None else Some jobs in
-          Ccache_util.Domain_pool.with_pool ?size (fun pool -> run (Some pool))
+        Serve.Service.run_supervised ?pool ~policy:policy_cfg ~fault ?checkpoint
+          ~on_event:Supervisor_args.on_event config ~costs trace
       in
       (match sup.Serve.Service.outcome with
       | Some r ->

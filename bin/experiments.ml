@@ -51,10 +51,7 @@ let run full quick markdown jobs timeout retries backoff jitter chaos kill
                 exit 2)
           ids
   in
-  if jobs < 0 then begin
-    Fmt.epr "--jobs must be >= 0@.";
-    exit 2
-  end;
+  let pool = Supervisor_args.pool ~jobs in
   let obs = Obs_args.setup ~trace_out ~metrics_out in
   let fault = Supervisor_args.fault ~chaos ~kill in
   let policy = Supervisor_args.policy ~jitter ~timeout ~retries ~backoff () in
@@ -62,18 +59,12 @@ let run full quick markdown jobs timeout retries backoff jitter chaos kill
   let checkpoint =
     Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
   in
-  let supervise pool =
+  let { A.Report.report; failures; replayed } =
     A.Report.run_suite_supervised ~fmt ?pool ~policy ~fault ?checkpoint
       ~on_event:Supervisor_args.on_event ~size specs
   in
-  let { A.Report.report; failures; replayed } =
-    if jobs = 1 then supervise None
-    else
-      let size_opt = if jobs = 0 then None else Some jobs in
-      U.Domain_pool.with_pool ?size:size_opt (fun pool -> supervise (Some pool))
-  in
   print_string report;
-  (* all worker domains have joined: shards are complete *)
+  (* the map joined every worker domain: shards are complete *)
   Obs_args.finish obs;
   if replayed <> [] then
     Fmt.epr "[supervisor] replayed %d section(s) from %s@."

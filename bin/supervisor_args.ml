@@ -28,6 +28,15 @@ let policy ?jitter ~timeout ~retries ~backoff () =
   (try U.Supervisor.validate_policy p with Invalid_argument msg -> usage_error msg);
   p
 
+(** The map width [--jobs N] asks for: [None] (run on the calling
+    domain) at 1, one per core ({!Ccache_util.Domain_pool.default_size})
+    at 0. *)
+let pool ~jobs =
+  if jobs < 0 then usage_error "--jobs must be >= 0";
+  if jobs = 1 then None
+  else
+    Some (U.Domain_pool.create ?size:(if jobs = 0 then None else Some jobs) ())
+
 (** [--chaos SEED:RATE] (else [CCACHE_CHAOS]), plus one permanent
     crash per [--kill ID]. *)
 let fault ~chaos ~kill =

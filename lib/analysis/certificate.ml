@@ -18,7 +18,6 @@
 module Cont = Ccache_core.Alg_cont
 module F = Ccache_cp.Formulation
 module L = Ccache_cp.Lagrangian
-module DS = Ccache_cp.Dual_solver
 
 type t = {
   online_cost : float;  (** sum_i f_i(misses_i) of the run *)

@@ -53,9 +53,8 @@ let run size =
           ~costs trace
       in
       let dual_lb =
-        Ccache_cp.Dual_solver.lower_bound
-          ~options:{ Ccache_cp.Dual_solver.default_options with iterations = dual_iters }
-          ~k ~costs trace
+        Ccache_cp.Dual_solver.lower_bound ~iterations:dual_iters ~k ~costs
+          trace
       in
       let check =
         Theory.check_thm11 ~alpha:beta ~costs ~k ~a:r.Engine.misses_per_user

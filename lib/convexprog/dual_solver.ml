@@ -20,14 +20,6 @@
     those constraints are slack at any feasible point, so positive
     multipliers only lower g. *)
 
-type options = {
-  iterations : int;  (** per ascent schedule *)
-  initial_step : float;
-  verbose : bool;
-}
-
-let default_options = { iterations = 200; initial_step = 1.0; verbose = false }
-
 type outcome = {
   bound : float;  (** best dual value found: certified lower bound *)
   best_y : float array;
@@ -35,7 +27,7 @@ type outcome = {
   history : float list;  (** dual values of the winning schedule, oldest first *)
 }
 
-let ascent ~options ~normalize (cp : Formulation.t) =
+let ascent ~iterations ~initial_step ~normalize (cp : Formulation.t) =
   let horizon = cp.Formulation.horizon in
   let active = Array.map (fun rhs -> rhs > 0) cp.Formulation.rhs in
   let y = Array.make horizon 0.0 in
@@ -49,13 +41,9 @@ let ascent ~options ~normalize (cp : Formulation.t) =
     end;
     history := value :: !history
   in
-  for i = 0 to options.iterations - 1 do
+  for i = 0 to iterations - 1 do
     let { Lagrangian.value; x_star; _ } = Lagrangian.eval cp ~y in
     record value;
-    if options.verbose && i mod 20 = 0 then
-      Printf.eprintf "dual_solver(%s): iter %d g(y) = %.6g (best %.6g)\n%!"
-        (if normalize then "norm" else "raw")
-        i value !best;
     let grad = Lagrangian.supergradient cp ~x_star in
     let scale =
       if not normalize then 1.0
@@ -68,7 +56,7 @@ let ascent ~options ~normalize (cp : Formulation.t) =
         if n > 0.0 then 1.0 /. n else 0.0
       end
     in
-    let step = options.initial_step *. scale /. sqrt (float_of_int (i + 1)) in
+    let step = initial_step *. scale /. sqrt (float_of_int (i + 1)) in
     if step > 0.0 then
       for t = 0 to horizon - 1 do
         if active.(t) then y.(t) <- Float.max 0.0 (y.(t) +. (step *. grad.(t)))
@@ -94,14 +82,12 @@ let auto_scale (cp : Formulation.t) =
   if !n = 0 then 1.0
   else Float.max 1.0 (!acc /. float_of_int !n /. sqrt (float_of_int cp.Formulation.horizon))
 
-let solve ?(options = default_options) (cp : Formulation.t) =
+let solve ?(iterations = 200) (cp : Formulation.t) =
   let schedules =
     [
-      ascent ~options ~normalize:true cp;
-      ascent ~options ~normalize:false cp;
-      ascent
-        ~options:{ options with initial_step = options.initial_step *. auto_scale cp }
-        ~normalize:false cp;
+      ascent ~iterations ~initial_step:1.0 ~normalize:true cp;
+      ascent ~iterations ~initial_step:1.0 ~normalize:false cp;
+      ascent ~iterations ~initial_step:(auto_scale cp) ~normalize:false cp;
     ]
   in
   let bound, best_y, history =
@@ -112,14 +98,14 @@ let solve ?(options = default_options) (cp : Formulation.t) =
   {
     bound = Float.max 0.0 bound;
     best_y;
-    iterations_run = 3 * options.iterations;
+    iterations_run = 3 * iterations;
     history;
   }
 
 (** Convenience: build the (flushed) formulation and solve.  [k] is the
     online cache size; [cache_size] defaults to [k] (pass [h] for the
     bi-criteria program (CP-h)). *)
-let lower_bound ?options ?cache_size ~k ~costs trace =
+let lower_bound ?iterations ?cache_size ~k ~costs trace =
   let cache_size = Option.value cache_size ~default:k in
   let cp = Formulation.of_trace ~flush:true ~cache_size ~costs trace in
-  (solve ?options cp).bound
+  (solve ?iterations cp).bound

@@ -7,15 +7,6 @@
     diminishing, and raw scaled to the costs' natural magnitude)
     because no single scale suits every curvature. *)
 
-type options = {
-  iterations : int;  (** per ascent schedule *)
-  initial_step : float;
-  verbose : bool;
-}
-
-val default_options : options
-(** 200 iterations, unit step, quiet. *)
-
 type outcome = {
   bound : float;  (** best dual value: certified lower bound, >= 0 *)
   best_y : float array;
@@ -23,10 +14,11 @@ type outcome = {
   history : float list;  (** winning schedule's values, oldest first *)
 }
 
-val solve : ?options:options -> Formulation.t -> outcome
+val solve : ?iterations:int -> Formulation.t -> outcome
+(** [iterations] (default 200) is per ascent schedule. *)
 
 val lower_bound :
-  ?options:options ->
+  ?iterations:int ->
   ?cache_size:int ->
   k:int ->
   costs:Ccache_cost.Cost_function.t array ->

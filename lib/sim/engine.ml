@@ -229,29 +229,32 @@ module Step = struct
     t.h.Policy.on_evict ~pos:t.fed page
 
   (* Terminal flush: the dummy user's k requests evict every remaining
-     real page; dummy pages are pinned so they are never inserted. *)
+     real page; dummy pages are pinned so they are never inserted.  Each
+     request evicts one page, so the requests after the cache empties
+     do nothing and are not run: the loop is bounded by the cache, not
+     by k. *)
   let finish t =
     (* [fed] equals the trace length after a complete trace replay; it
        exceeds it (trivially: the trace is empty) for dynamic states
        driven through [feed]. *)
     let n = max (Trace.length t.trace) t.fed in
     if t.flush then begin
-      for step = 0 to t.k - 1 do
-        if occupancy t > 0 then begin
-          let pos = n + step in
-          let dummy = Page.make ~user:t.real_users ~id:step in
-          let victim = t.h.Policy.choose_victim ~pos ~incoming:dummy in
-          if not (is_cached t victim) then
-            policy_error "%s: flush victim %s is not cached"
-              (Policy.name t.policy) (Page.to_string victim);
-          cache_remove t victim;
-          t.evictions_per_user.(Page.user victim) <-
-            t.evictions_per_user.(Page.user victim) + 1;
-          t.h.Policy.on_evict ~pos victim;
-          match t.on_event with
-          | Some f -> f (Miss_evict { pos; page = dummy; victim })
-          | None -> ()
-        end
+      let step = ref 0 in
+      while occupancy t > 0 && !step < t.k do
+        let pos = n + !step in
+        let dummy = Page.make ~user:t.real_users ~id:!step in
+        let victim = t.h.Policy.choose_victim ~pos ~incoming:dummy in
+        if not (is_cached t victim) then
+          policy_error "%s: flush victim %s is not cached"
+            (Policy.name t.policy) (Page.to_string victim);
+        cache_remove t victim;
+        t.evictions_per_user.(Page.user victim) <-
+          t.evictions_per_user.(Page.user victim) + 1;
+        t.h.Policy.on_evict ~pos victim;
+        (match t.on_event with
+        | Some f -> f (Miss_evict { pos; page = dummy; victim })
+        | None -> ());
+        incr step
       done;
       if occupancy t > 0 then
         policy_error "%s: flush left %d pages cached (need k >= cache)"

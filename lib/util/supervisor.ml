@@ -256,7 +256,7 @@ let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
         go 0
   in
   (* run_task never raises, so one quarantined task cannot abort the
-     map: every other future still completes and keeps its slot. *)
+     map: every other task still runs and keeps its slot. *)
   let outcomes = Domain_pool.map_list ?pool ~f:run_task tasks in
   Option.iter Checkpoint.flush checkpoint;
   outcomes

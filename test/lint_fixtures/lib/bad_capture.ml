@@ -4,9 +4,9 @@
 let total = ref 0
 
 let bad pool xs =
-  Domain_pool.parallel_map pool ~f:(fun x -> total := !total + x) xs
+  Domain_pool.map_list ~pool ~f:(fun x -> total := !total + x) xs
 
 let ok pool xs =
-  Domain_pool.parallel_map pool
+  Domain_pool.map_list ~pool
     ~f:(fun x -> (total := !total + x [@lint.allow "domain-capture"]))
     xs

@@ -331,7 +331,7 @@ let test_dual_solver_improves_and_sound () =
   let costs = mono_costs 2 in
   let k = 3 in
   let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
-  let sol = DS.solve ~options:{ DS.default_options with iterations = 150 } cp in
+  let sol = DS.solve ~iterations:150 cp in
   checkb "bound non-negative" true (sol.DS.bound >= 0.0);
   checkb "bound positive (trace forces misses)" true (sol.DS.bound > 0.0);
   (* sound vs exact DP on the pinned flushed instance *)
@@ -359,9 +359,8 @@ let test_bicriteria_dual_bound () =
   in
   let costs = mono_costs 2 in
   let k = 4 and h = 2 in
-  let opts = { DS.default_options with iterations = 120 } in
-  let lb_k = DS.lower_bound ~options:opts ~k ~costs t in
-  let lb_h = DS.lower_bound ~options:opts ~cache_size:h ~k ~costs t in
+  let lb_k = DS.lower_bound ~iterations:120 ~k ~costs t in
+  let lb_h = DS.lower_bound ~iterations:120 ~cache_size:h ~k ~costs t in
   let off_h =
     Ccache_offline.Best_of.compute ~local_search_rounds:0 ~cache_size:h ~costs t
   in
@@ -377,11 +376,7 @@ let test_lower_bound_convenience () =
       (Workloads.symmetric_zipf ~tenants:1 ~pages_per_tenant:5 ~skew:0.5)
   in
   let costs = mono_costs 1 in
-  let lb =
-    DS.lower_bound
-      ~options:{ DS.default_options with iterations = 80 }
-      ~k:2 ~costs t
-  in
+  let lb = DS.lower_bound ~iterations:80 ~k:2 ~costs t in
   (* any real schedule costs at least the bound *)
   let off =
     Ccache_offline.Best_of.compute ~local_search_rounds:0 ~cache_size:2 ~costs t
@@ -396,7 +391,7 @@ let test_kkt_residuals () =
   let t = sample_trace () in
   let costs = mono_costs 2 in
   let cp = F.of_trace ~flush:true ~cache_size:2 ~costs t in
-  let sol = DS.solve ~options:{ DS.default_options with iterations = 200 } cp in
+  let sol = DS.solve ~iterations:200 cp in
   let { L.x_star; _ } = L.eval cp ~y:sol.DS.best_y in
   let r = Kkt.compute cp ~x:x_star ~y:sol.DS.best_y in
   checkb "dual feasible" true (r.Kkt.dual_infeasibility <= 1e-9);
@@ -414,7 +409,7 @@ let test_rounding_feasible_schedule () =
   let costs = mono_costs 2 in
   let k = 3 in
   let cp = F.of_trace ~flush:true ~cache_size:k ~costs t in
-  let sol = DS.solve ~options:{ DS.default_options with iterations = 60 } cp in
+  let sol = DS.solve ~iterations:60 cp in
   let { L.x_star; _ } = L.eval cp ~y:sol.DS.best_y in
   let rounded = R.round cp ~x:x_star in
   (* rounded schedule costs at least the dual bound *)

@@ -30,10 +30,10 @@ let lint args = run_capture (Filename.quote exe ^ " " ^ args)
 
 let golden =
   [
-    "lint_fixtures/lib/bad_capture.ml:7:45: [domain-capture] closure passed \
-     to Domain_pool.parallel_map mutates ref 'total' bound outside the \
-     closure: an unsynchronised cross-domain write (data race); accumulate \
-     per-task results and combine after await instead";
+    "lint_fixtures/lib/bad_capture.ml:7:42: [domain-capture] closure passed \
+     to Domain_pool.map_list mutates ref 'total' bound outside the closure: \
+     an unsynchronised cross-domain write (data race); return per-element \
+     results and combine them after the map instead";
     "lint_fixtures/lib/bad_float_eq.ml:3:12: [float-eq] exact float \
      comparison (=) on a float operand; use Ccache_util.Float_cmp (approx_eq \
      / approx_zero) or justify with [@lint.allow \"float-eq\"]";

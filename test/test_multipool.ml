@@ -147,9 +147,9 @@ let test_policy_override () =
     @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ])
 
 let test_pooled_runs_match_serial () =
-  (* multi-pool tenant-routing runs farmed out to a Domain_pool are
+  (* multi-pool tenant-routing runs farmed out to a pooled map are
      byte-identical to the serial map: each ME.run is a pure function
-     of its config, and parallel_map returns results in input order *)
+     of its config, and map_list returns results in input order *)
   let t = workload ~seed:8 ~tenants:4 ~length:1500 in
   let costs = costs_of 4 in
   let configs = [ (1, 32); (2, 16); (4, 8); (2, 12) ] in
@@ -158,10 +158,8 @@ let test_pooled_runs_match_serial () =
     (r.ME.misses_per_user, r.ME.migrations)
   in
   let serial = List.map eval configs in
-  let pooled =
-    Ccache_util.Domain_pool.with_pool ~size:4 (fun pool ->
-        Ccache_util.Domain_pool.parallel_map pool ~f:eval configs)
-  in
+  let pool = Ccache_util.Domain_pool.create ~size:4 () in
+  let pooled = Ccache_util.Domain_pool.map_list ~pool ~f:eval configs in
   checkb "pooled tenant-routing results identical" true (serial = pooled)
 
 (* The multipool engine as it was hand-written before its pools ran on

@@ -159,7 +159,7 @@ let test_jobs_width_independence () =
   Control.with_enabled ~clock:(Clock.counting ()) @@ fun () ->
   let misses1, app1, spans1 = record_sweep None in
   let misses8, app8, spans8 =
-    U.Domain_pool.with_pool ~size:8 (fun pool -> record_sweep (Some pool))
+    record_sweep (Some (U.Domain_pool.create ~size:8 ()))
   in
   Alcotest.(check (list int)) "results identical" misses1 misses8;
   Alcotest.(check bool) "counters+histograms identical" true (app1 = app8);
@@ -260,8 +260,7 @@ let test_supervisor_retry_spans () =
 let test_supervisor_retry_spans_pooled () =
   Control.with_enabled ~clock:(Clock.counting ()) @@ fun () ->
   let completed, _retries, spans =
-    U.Domain_pool.with_pool ~size:4 (fun pool ->
-        run_supervised_with_faults (Some pool))
+    run_supervised_with_faults (Some (U.Domain_pool.create ~size:4 ()))
   in
   Alcotest.(check (list int)) "all complete" [ 0; 1; 2; 3; 4; 5 ] completed;
   check_well_formed spans

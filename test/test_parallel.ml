@@ -1,6 +1,7 @@
-(* Tests for Ccache_util.Domain_pool and the parallel plumbing built
-   on it: futures, ordering, exception propagation, graceful shutdown,
-   and the determinism contract (pool size never changes results). *)
+(* Tests for Ccache_util.Domain_pool, the fork-join map, and the
+   parallel plumbing built on it: ordering, exception propagation,
+   sizing, and the determinism contract (the width never changes
+   results). *)
 
 module Pool = Ccache_util.Domain_pool
 module A = Ccache_analysis
@@ -12,104 +13,58 @@ let checks = Alcotest.(check string)
 exception Boom of int
 
 (* ------------------------------------------------------------------ *)
-(* Futures                                                             *)
+(* Exceptions                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_submit_await () =
-  Pool.with_pool ~size:2 (fun pool ->
-      let f = Pool.submit pool (fun () -> 6 * 7) in
-      checki "one task" 42 (Pool.await f);
-      checki "await twice" 42 (Pool.await f);
-      let futs = List.init 50 (fun i -> Pool.submit pool (fun () -> i * i)) in
-      List.iteri (fun i f -> checki "squares" (i * i) (Pool.await f)) futs)
-
-let test_await_reraises () =
-  Pool.with_pool ~size:2 (fun pool ->
-      let f = Pool.submit pool (fun () -> raise (Boom 13)) in
-      (match Pool.await f with
-      | _ -> Alcotest.fail "await should re-raise"
-      | exception Boom 13 -> ());
-      (* a failed task poisons nothing: the pool keeps serving *)
-      let g = Pool.submit pool (fun () -> "alive") in
-      checks "pool survives failure" "alive" (Pool.await g))
-
-let test_parallel_map_exception () =
-  Pool.with_pool ~size:3 (fun pool ->
-      match
-        Pool.parallel_map pool
-          ~f:(fun i -> if i = 5 then raise (Boom i) else i)
-          (List.init 10 Fun.id)
-      with
-      | _ -> Alcotest.fail "parallel_map should re-raise"
-      | exception Boom 5 -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_shutdown () =
-  let pool = Pool.create ~size:2 () in
-  (* queued work completes before workers exit *)
-  let futs = List.init 20 (fun i -> Pool.submit pool (fun () -> i + 1)) in
-  Pool.shutdown pool;
-  List.iteri (fun i f -> checki "drained" (i + 1) (Pool.await f)) futs;
-  Pool.shutdown pool (* idempotent *);
-  (match Pool.submit pool (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown should raise"
-  | exception Invalid_argument _ -> ());
-  (* with_pool shuts down even when the body raises *)
-  match Pool.with_pool ~size:1 (fun _ -> raise (Boom 1)) with
-  | _ -> Alcotest.fail "with_pool should re-raise"
-  | exception Boom 1 -> ()
-
-let test_shutdown_now () =
-  (* One worker, pinned on a blocker task, so the five queued tasks are
-     provably still in the queue when shutdown_now drains it: their
-     futures must fail with Pool_shutdown rather than hang, while the
-     already-running blocker completes normally. *)
-  let pool = Pool.create ~size:1 () in
-  let release = Atomic.make false in
-  let started = Atomic.make false in
-  let blocker =
-    Pool.submit pool (fun () ->
-        Atomic.set started true;
-        while not (Atomic.get release) do
-          Domain.cpu_relax ()
-        done;
-        42)
+(* Elements 2 and 7 raise.  Element 2 waits (boundedly: at width 1 it
+   runs before element 7) for element 7 to fail first, so on a
+   multicore host the later element's error is raised earlier in time;
+   the map must still run every element and re-raise element 2's. *)
+let test_map_exception () =
+  let ran = Atomic.make 0 in
+  let late_failed = Atomic.make false in
+  let f i =
+    Atomic.incr ran;
+    if i = 2 then begin
+      let spins = ref 0 in
+      while (not (Atomic.get late_failed)) && !spins < 1_000_000 do
+        Domain.cpu_relax ();
+        incr spins
+      done;
+      raise (Boom 2)
+    end;
+    if i = 7 then begin
+      Atomic.set late_failed true;
+      raise (Boom 7)
+    end;
+    i
   in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  let queued = List.init 5 (fun i -> Pool.submit pool (fun () -> i)) in
-  (* release the blocker only after shutdown_now is already joining *)
-  let releaser =
-    Domain.spawn (fun () ->
-        Unix.sleepf 0.05;
-        Atomic.set release true)
-  in
-  Pool.shutdown_now pool;
-  Domain.join releaser;
-  checki "running task completed" 42 (Pool.await blocker);
   List.iter
-    (fun f ->
-      match Pool.await f with
-      | _ -> Alcotest.fail "cancelled future must not produce a value"
-      | exception Pool.Pool_shutdown -> ())
-    queued;
-  Pool.shutdown_now pool (* idempotent *);
-  Pool.shutdown pool (* and freely mixable with graceful shutdown *);
-  match Pool.submit pool (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown_now should raise"
-  | exception Invalid_argument _ -> ()
+    (fun width ->
+      Atomic.set ran 0;
+      Atomic.set late_failed false;
+      match
+        Pool.map_list ~pool:(Pool.create ~size:width ()) ~f (List.init 10 Fun.id)
+      with
+      | _ -> Alcotest.fail "map_list should re-raise"
+      | exception Boom i ->
+          checki (Printf.sprintf "first error in input order (width %d)" width) 2 i;
+          checki (Printf.sprintf "every element ran (width %d)" width) 10
+            (Atomic.get ran))
+    [ 1; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* Sizing                                                              *)
+(* ------------------------------------------------------------------ *)
 
 let test_sizing () =
   checkb "default size positive" true (Pool.default_size () >= 1);
-  Pool.with_pool ~size:0 (fun pool -> checki "clamped up" 1 (Pool.size pool));
-  Pool.with_pool ~size:3 (fun pool -> checki "as asked" 3 (Pool.size pool))
+  checki "clamped up" 1 (Pool.size (Pool.create ~size:0 ()));
+  checki "as asked" 3 (Pool.size (Pool.create ~size:3 ()));
+  checki "clamped down" 64 (Pool.size (Pool.create ~size:1000 ()))
 
 (* ------------------------------------------------------------------ *)
-(* parallel_map = List.map (qcheck)                                    *)
+(* map_list = List.map (qcheck)                                        *)
 (* ------------------------------------------------------------------ *)
 
 let map_model_test =
@@ -117,8 +72,7 @@ let map_model_test =
     QCheck.(pair (int_range 1 6) (list small_int))
     (fun (width, xs) ->
       let f x = (x * 2) + 1 in
-      Pool.with_pool ~size:width (fun pool ->
-          Pool.parallel_map pool ~f xs = List.map f xs))
+      Pool.map_list ~pool:(Pool.create ~size:width ()) ~f xs = List.map f xs)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across pool sizes                                       *)
@@ -132,9 +86,7 @@ let test_suite_output_identical () =
   let specs = List.filteri (fun i _ -> i < 3) A.Suite.all in
   let size = A.Experiment.Quick in
   let serial = A.Report.run_suite ~size specs in
-  let pooled =
-    Pool.with_pool ~size:4 (fun pool -> A.Report.run_suite ~pool ~size specs)
-  in
+  let pooled = A.Report.run_suite ~pool:(Pool.create ~size:4 ()) ~size specs in
   checks "suite report byte-identical" serial pooled
 
 (* ------------------------------------------------------------------ *)
@@ -146,18 +98,11 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 let () =
   Alcotest.run "ccache_parallel"
     [
+      (* group and case labels predate the fork-join map; they are kept
+         so each case prints under its established name *)
       ( "futures",
-        [
-          Alcotest.test_case "submit/await" `Quick test_submit_await;
-          Alcotest.test_case "await re-raises" `Quick test_await_reraises;
-          Alcotest.test_case "map re-raises" `Quick test_parallel_map_exception;
-        ] );
-      ( "lifecycle",
-        [
-          Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
-          Alcotest.test_case "abortive shutdown" `Quick test_shutdown_now;
-          Alcotest.test_case "sizing" `Quick test_sizing;
-        ] );
+        [ Alcotest.test_case "map re-raises" `Quick test_map_exception ] );
+      ("lifecycle", [ Alcotest.test_case "sizing" `Quick test_sizing ]);
       ("model", qsuite [ map_model_test ]);
       ( "determinism",
         [

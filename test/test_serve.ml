@@ -421,8 +421,7 @@ let prop_differential_serial =
 let prop_differential_pooled =
   QCheck.Test.make ~name:"differential holds on a pool (jobs 8)" ~count:10
     diff_arb (fun args ->
-      U.Domain_pool.with_pool ~size:8 (fun pool ->
-          check_differential ~pool args))
+      check_differential ~pool:(U.Domain_pool.create ~size:8 ()) args)
 
 let test_multi_client_differential () =
   (* several clients, ample queue/batch (>= clients, rate 1): no
@@ -456,9 +455,8 @@ let test_jobs_width_identity () =
       ~router:(Router.by_page ~shards:4) ~shard_k:8 ()
   in
   let serial = Service.run config ~costs t in
-  let pooled =
-    U.Domain_pool.with_pool ~size:8 (fun pool -> Service.run ~pool config ~costs t)
-  in
+  let pool = U.Domain_pool.create ~size:8 () in
+  let pooled = Service.run ~pool config ~costs t in
   checkb "engines identical" true (serial.Service.engines = pooled.Service.engines);
   checkb "merged misses identical" true
     (serial.Service.misses_per_user = pooled.Service.misses_per_user);
@@ -815,9 +813,7 @@ let test_metrics_width_independent () =
     Obs.Metrics_export.to_json (drop_pool_names (Obs.Metrics.snapshot ()))
   in
   let serial = snap None in
-  let pooled =
-    U.Domain_pool.with_pool ~size:8 (fun pool -> snap (Some pool))
-  in
+  let pooled = snap (Some (U.Domain_pool.create ~size:8 ())) in
   Alcotest.(check string) "metrics export identical at jobs 8" serial pooled
 
 (* ------------------------------------------------------------------ *)

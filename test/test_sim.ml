@@ -111,6 +111,36 @@ let test_engine_flush_offline_too () =
   checkb "belady flush empties" true (r.Engine.final_cache = []);
   checkb "evictions = misses" true (r.Engine.misses_per_user = r.Engine.evictions_per_user)
 
+(* The flush runs until the cache is empty, not for all k dummy
+   requests: at k = 2^40 it returns, and its event log (dummy
+   positions and ids included) and per-user counts are those of the
+   smallest k that holds every page, where nothing is evicted before
+   the flush either. *)
+let test_engine_flush_stops_when_empty () =
+  let t =
+    Workloads.generate ~seed:5 ~length:300
+      (Workloads.symmetric_zipf ~tenants:2 ~pages_per_tenant:40 ~skew:0.6)
+  in
+  let costs = linear_costs 2 in
+  List.iter
+    (fun policy ->
+      let run k = Engine.run_logged ~flush:true ~k ~costs policy t in
+      let huge, huge_log = run (1 lsl 40) in
+      let fit, fit_log = run (Trace.n_pages t) in
+      let name = Ccache_sim.Policy.name policy in
+      checkb (name ^ ": same event log") true (huge_log = fit_log);
+      checkb (name ^ ": same misses") true
+        (huge.Engine.misses_per_user = fit.Engine.misses_per_user);
+      checkb (name ^ ": same evictions") true
+        (huge.Engine.evictions_per_user = fit.Engine.evictions_per_user);
+      checkb (name ^ ": cache empty") true (huge.Engine.final_cache = []))
+    [
+      Ccache_policies.Lru.policy;
+      Ccache_policies.Fifo.policy;
+      Ccache_policies.Landlord.adaptive;
+      Ccache_core.Alg_fast.policy;
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache-size safety property                                          *)
 (* ------------------------------------------------------------------ *)
@@ -378,6 +408,8 @@ let () =
         [
           Alcotest.test_case "empties cache (online)" `Quick test_engine_flush_empties_cache;
           Alcotest.test_case "empties cache (offline)" `Quick test_engine_flush_offline_too;
+          Alcotest.test_case "stops at an empty cache" `Quick
+            test_engine_flush_stops_when_empty;
         ] );
       ("safety", qsuite [ cache_safety_property ]);
       ( "windows",

@@ -175,19 +175,17 @@ let test_crash_isolation () =
         task (Printf.sprintf "t%d" i) (fun () ->
             if i = 4 then failwith "kaboom" else i))
   in
-  Pool.with_pool ~size:4 (fun pool ->
-      let out = S.run ~pool ~policy:fast_policy tasks in
-      checki "nine completed" 9 (List.length (S.completed out));
-      (match List.nth out 4 with
-      | S.Quarantined f ->
-          checks "right task" "t4" f.S.task;
-          (* a real exception is permanent by construction: no retry *)
-          checki "quarantined immediately" 1 f.S.attempts;
-          checkb "error captured" true
-            (String.length f.S.error > 0)
-      | S.Completed _ -> Alcotest.fail "t4 should be quarantined");
-      checkb "other slots in order" true
-        (S.completed out = [ 0; 1; 2; 3; 5; 6; 7; 8; 9 ]))
+  let out = S.run ~pool:(Pool.create ~size:4 ()) ~policy:fast_policy tasks in
+  checki "nine completed" 9 (List.length (S.completed out));
+  (match List.nth out 4 with
+  | S.Quarantined f ->
+      checks "right task" "t4" f.S.task;
+      (* a real exception is permanent by construction: no retry *)
+      checki "quarantined immediately" 1 f.S.attempts;
+      checkb "error captured" true (String.length f.S.error > 0)
+  | S.Completed _ -> Alcotest.fail "t4 should be quarantined");
+  checkb "other slots in order" true
+    (S.completed out = [ 0; 1; 2; 3; 5; 6; 7; 8; 9 ])
 
 let test_timeout_cooperative () =
   (* a task that spins forever but calls check: the deadline cancels
@@ -325,7 +323,7 @@ let test_sweep_chaos_identical_any_width () =
       let fault = Fault.create ~seed:3 ~rate:0.4 ~max_delay_s:0.001 () in
       let chaotic =
         if width = 1 then run_cells ~fault ()
-        else Pool.with_pool ~size:width (fun pool -> run_cells ~pool ~fault ())
+        else run_cells ~pool:(Pool.create ~size:width ()) ~fault ()
       in
       checkb
         (Printf.sprintf "chaos run identical at width %d" width)
@@ -349,7 +347,7 @@ let kill_resume_roundtrip ~width ~with_chaos () =
   let run ?pool ?fault ?checkpoint () = run_cells ?pool ?fault ?checkpoint () in
   let partial =
     if width = 1 then run ~fault ~checkpoint:ck ()
-    else Pool.with_pool ~size:width (fun pool -> run ~pool ~fault ~checkpoint:ck ())
+    else run ~pool:(Pool.create ~size:width ()) ~fault ~checkpoint:ck ()
   in
   checki "one quarantined"
     1
@@ -398,9 +396,8 @@ let test_suite_kill_resume () =
   | Error e -> Alcotest.fail e
   | Ok ck2 ->
       let resumed =
-        Pool.with_pool ~size:4 (fun pool ->
-            A.Report.run_suite_supervised ~pool ~policy:fast_policy
-              ~checkpoint:ck2 ~size specs)
+        A.Report.run_suite_supervised ~pool:(Pool.create ~size:4 ())
+          ~policy:fast_policy ~checkpoint:ck2 ~size specs
       in
       checkb "nothing quarantined on resume" true
         (resumed.A.Report.failures = []);

@@ -149,8 +149,7 @@ let test_map_blocks_counter () =
   Alcotest.(check int) "no pool" 17
     (delta (fun () -> Pool.map_list ~f:succ xs));
   Alcotest.(check int) "pool of 2" 17
-    (delta (fun () ->
-         Pool.with_pool ~size:2 (fun pool -> Pool.map_list ~pool ~f:succ xs)))
+    (delta (fun () -> Pool.map_list ~pool:(Pool.create ~size:2 ()) ~f:succ xs))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 

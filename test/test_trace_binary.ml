@@ -419,7 +419,17 @@ let test_cli_flags_exit_2 () =
     (fun f -> check_exit cli ("serve --length 200 " ^ f))
     (supervisor_flags @ [ "--route foo"; "--overload foo" ]);
   check_exit cli "run --workload foo";
-  check_exit cli "run --cost foo"
+  check_exit cli "run --cost foo";
+  (* workloads the generator rejects, and a cache that holds nothing *)
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun f -> check_exit cli (cmd ^ " --length 200 " ^ f))
+        [ "--tenants 0"; "--pages 0"; "--skew nan" ])
+    [ "run"; "gen"; "certify"; "sweep --k-min 1 --k-max 6"; "serve" ];
+  List.iter
+    (fun cmd -> check_exit cli (cmd ^ " --length 200 -k 0"))
+    [ "run"; "certify"; "serve" ]
 
 (* A cache size the trace cannot fill: the engine sizes its cache set
    by the requests, not by k, so the run returns at once with the

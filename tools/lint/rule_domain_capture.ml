@@ -1,7 +1,7 @@
 (** domain-capture: a race-detector-lite for [Domain_pool] closures.
 
-    A closure handed to [Domain_pool.parallel_map] / [submit] /
-    [map_list] runs on a worker domain.  Assigning ([:=],
+    A closure handed to [Domain_pool.map_list] may run on another
+    domain.  Assigning ([:=],
     mutable-field [<-], [Array.set]-family sugar) to state bound
     *outside* the closure is therefore an unsynchronised cross-domain
     write — a data race under the OCaml 5 memory model.
@@ -14,7 +14,7 @@
 
 open Parsetree
 
-let pool_fns = [ "parallel_map"; "submit"; "map_list" ]
+let pool_fns = [ "map_list" ]
 
 let pool_call fn =
   match fn.pexp_desc with
@@ -68,7 +68,8 @@ let check_closure ~fname closure out =
         (Printf.sprintf
            "closure passed to Domain_pool.%s mutates %s bound outside the \
             closure: an unsynchronised cross-domain write (data race); \
-            accumulate per-task results and combine after await instead"
+            return per-element results and combine them after the map \
+            instead"
            fname what)
       :: !out
   in
