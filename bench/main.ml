@@ -340,6 +340,10 @@ let substrate_file =
 let fixture_handle =
   lazy (Tbin.open_file (temp_ctrace (Lazy.force fixture_trace)))
 
+(* [Trace.requests] builds a fresh array on each call: build it once so
+   the boxed scan times the scan alone *)
+let fixture_requests = lazy (Trace.requests (Lazy.force fixture_trace))
+
 (* The Page.Tbl-based Index.build this PR replaced, replicated here so
    the dense rewrite keeps an honest in-tree baseline to race against. *)
 let index_build_hashtbl trace =
@@ -385,7 +389,7 @@ let substrate_tests =
       (Sys.opaque_identity (Tbin.to_trace (Tbin.open_file (Lazy.force substrate_file))))
   in
   let scan_boxed_20k () =
-    let requests = Trace.requests (Lazy.force fixture_trace) in
+    let requests = Lazy.force fixture_requests in
     let acc = ref 0 in
     for i = 0 to Array.length requests - 1 do
       acc := !acc + Ccache_trace.Page.pack requests.(i)

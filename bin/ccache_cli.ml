@@ -326,6 +326,12 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
            positive@.";
         exit 2
       end;
+      (* each shard gets k / shards pages, so any other k would serve
+         a different total cache than the one asked for *)
+      if k mod shards <> 0 then begin
+        Fmt.epr "-k %d is not a multiple of --shards %d@." k shards;
+        exit 2
+      end;
       let pool = Supervisor_args.pool ~jobs in
       let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
       set_trace_cache trace_cache;
@@ -353,7 +359,7 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
             Fmt.epr "unknown overload mode %S (block|reject)@." other;
             exit 2
       in
-      let shard_k = Stdlib.max 1 (k / shards) in
+      let shard_k = k / shards in
       let config =
         Serve.Service.config ~policy ~clients ~overload ~client_rate:rate
           ~batch ~queue_cap ~router ~shard_k ()
@@ -490,9 +496,12 @@ let trace_convert_cmd in_file format page_shift text out =
 
 let trace_stat_cmd in_file =
   with_trace_errors @@ fun () ->
-  (* binary stat is O(P): header + dictionary only, never the T requests *)
+  (* binary stat never materialises the trace: header + dictionary,
+     then one allocation-free validating pass over the mapped
+     requests *)
   if in_file <> "-" && Tbin.file_looks_binary in_file then begin
     let h = Tbin.open_file in_file in
+    Tbin.validate h;
     Fmt.pr "format binary@.requests %d@.users %d@.distinct %d@." (Tbin.length h)
       (Tbin.n_users h) (Tbin.n_pages h)
   end

@@ -35,6 +35,12 @@ let scales = [ 0.05; 0.1; 0.25; 0.5; 0.75; 1.0; 1.5; 2.0; 4.0 ]
     @param ascent_iterations warm-started refinement steps (default 50;
       0 disables). *)
 let certify ?(ascent_iterations = 50) ~k ~costs trace =
+  (* A cache that holds every distinct page behaves like one of exactly
+     that size, for ALG and for OPT: only compulsory misses, and a flush
+     that ends once those pages are out.  Certifying at that size keeps
+     the program's k dummy requests, and so the bound, from growing
+     with a k the trace cannot fill. *)
+  let k = Stdlib.max 1 (Stdlib.min k (Ccache_trace.Trace.n_pages trace)) in
   let run = Cont.run ~flush:true ~k ~costs trace in
   let online_cost = Cont.total_cost run in
   let cp = F.of_trace ~flush:true ~cache_size:k ~costs trace in

@@ -86,18 +86,33 @@ let record_obs r =
     exactly [init] + a [step] loop + [finish]; the split exists so the
     lower-bound adversary and the multipool engine's pools can hold an
     engine between requests and advance it one request at a time.  The
-    state is one record of flat arrays and mutable counters. *)
+    state is one record of flat arrays and mutable counters.
+
+    The cache set is keyed by the trace's dense ids: one byte per
+    distinct page, set while the page is cached, plus an occupancy
+    counter.  A request is then two array reads and a byte test, with
+    no hashing; only a victim, which the policy names as a page, goes
+    through the trace's interner to find its byte. *)
 module Step = struct
+  module Interner = Ccache_util.Interner
+
   type t = {
     policy : Policy.t;
     trace : Trace.t;
-    requests : Page.t array;
-        (** [Trace.requests trace], hoisted so the per-request hot loop
-            indexes a local array instead of re-entering [Trace] *)
+    dense : int array;
+        (** [Trace.dense trace], hoisted so the per-request hot loop
+            indexes local arrays instead of re-entering [Trace] *)
+    dict : Page.t array;  (** [Trace.pages trace], hoisted likewise *)
+    ranks : Interner.t;
+        (** packed page -> dense id: the trace's interner, or, for a
+            state built over an empty trace, a private one that [feed]
+            interns into *)
+    feeding : bool;  (** built over an empty trace: [feed] is allowed *)
+    mutable cached : Bytes.t;  (** byte [d] is ['\001'] iff dense id [d] is cached *)
+    mutable occupancy : int;
     k : int;
     real_users : int;
     h : Policy.handlers;
-    cached : Ccache_util.Int_tbl.t;
     misses_per_user : int array;
     evictions_per_user : int array;
     mutable hits : int;
@@ -119,26 +134,25 @@ module Step = struct
     in
     let config = Policy.Config.make ?index ~k ~costs () in
     let h = Policy.instantiate policy config in
-    (* The cache set keys on the packed page int directly: an
-       open-addressing table with flat int arrays, no boxed keys to hash
-       and nothing allocated per request.  A cache never holds more
-       distinct pages than there are requests, so the table is sized
-       for [min k length + 1]: a [k] the trace cannot fill costs
-       nothing, and a state built for [feed] (over an empty trace)
-       starts small and grows amortised as pages arrive. *)
-    let cached =
-      Ccache_util.Int_tbl.create
-        ~capacity:(Stdlib.min k (Trace.length trace) + 1)
-        ()
-    in
+    (* A state over an empty trace is fed its requests one at a time:
+       it interns them into its own interner (the trace is shared and
+       never written) and its cache set grows amortised.  The size of
+       the set never depends on [k], so a [k] the trace cannot fill
+       costs nothing. *)
+    let feeding = Trace.length trace = 0 in
     {
       policy;
       trace;
-      requests = Trace.requests trace;
+      dense = Trace.dense trace;
+      dict = Trace.pages trace;
+      ranks =
+        (if feeding then Interner.create ~capacity:16 else Trace.interner trace);
+      feeding;
+      cached = Bytes.make (if feeding then 16 else Trace.n_pages trace) '\000';
+      occupancy = 0;
       k;
       real_users;
       h;
-      cached;
       misses_per_user = Array.make real_users 0;
       evictions_per_user = Array.make real_users 0;
       hits = 0;
@@ -149,11 +163,24 @@ module Step = struct
 
   let length t = Trace.length t.trace
 
-  let is_cached t page = Ccache_util.Int_tbl.mem t.cached (Page.pack page)
-  let cache_add t page = Ccache_util.Int_tbl.set t.cached (Page.pack page) 1
-  let cache_remove t page =
-    ignore (Ccache_util.Int_tbl.remove t.cached (Page.pack page))
-  let occupancy t = Ccache_util.Int_tbl.length t.cached
+  let is_cached t d = Bytes.get t.cached d <> '\000' [@@inline]
+
+  let cache_add t d =
+    Bytes.set t.cached d '\001';
+    t.occupancy <- t.occupancy + 1
+    [@@inline]
+
+  let cache_remove t d =
+    Bytes.set t.cached d '\000';
+    t.occupancy <- t.occupancy - 1
+    [@@inline]
+
+  (* Dense id of a cached page, or -1 if it is not cached (or was never
+     requested). *)
+  let cached_rank t page =
+    let d = Interner.find t.ranks (Page.pack page) in
+    if d >= 0 && is_cached t d then d else -1
+    [@@inline]
 
   (* Event records are built inside the [Some] branches only, so runs
      without a listener allocate nothing per decision; the
@@ -163,11 +190,12 @@ module Step = struct
      [apply] is the decision body shared by [step] (trace replay) and
      [feed] (requests chosen one at a time by the lower-bound
      adversary): both spellings run the exact same cache and accounting
-     code, so a fed run is an ordinary engine run. *)
-  let apply t pos page =
+     code, so a fed run is an ordinary engine run.  [d] is the dense id
+     of [page]. *)
+  let apply t pos d page =
     t.fed <- pos + 1;
     let h = t.h in
-    if is_cached t page then begin
+    if is_cached t d then begin
       t.hits <- t.hits + 1;
       h.Policy.on_hit ~pos page;
       match t.on_event with
@@ -177,43 +205,57 @@ module Step = struct
     else begin
       t.misses_per_user.(Page.user page) <-
         t.misses_per_user.(Page.user page) + 1;
-      let occ = occupancy t in
+      let occ = t.occupancy in
       if occ >= t.k || (occ > 0 && h.Policy.wants_evict ~pos ~incoming:page)
       then begin
         let victim = h.Policy.choose_victim ~pos ~incoming:page in
-        if not (is_cached t victim) then
+        (* the incoming page is not cached on a miss, so this test also
+           rejects a victim equal to it *)
+        let v = cached_rank t victim in
+        if v < 0 then
           policy_error "%s: victim %s is not cached (pos %d)"
             (Policy.name t.policy) (Page.to_string victim) pos;
-        if Page.equal victim page then
-          policy_error "%s: victim equals incoming page %s (pos %d)"
-            (Policy.name t.policy) (Page.to_string page) pos;
-        cache_remove t victim;
+        cache_remove t v;
         t.evictions_per_user.(Page.user victim) <-
           t.evictions_per_user.(Page.user victim) + 1;
         h.Policy.on_evict ~pos victim;
-        cache_add t page;
+        cache_add t d;
         h.Policy.on_insert ~pos page;
         match t.on_event with
         | Some f -> (f (Miss_evict { pos; page; victim }) [@effects.allow "alloc"])
         | None -> ()
       end
       else begin
-        cache_add t page;
+        cache_add t d;
         h.Policy.on_insert ~pos page;
         match t.on_event with
         | Some f -> (f (Miss_insert { pos; page }) [@effects.allow "alloc"])
         | None -> ()
       end;
-      if occupancy t > t.k then
+      if t.occupancy > t.k then
         policy_error "%s: cache exceeded k=%d (pos %d)" (Policy.name t.policy)
           t.k pos
     end
     [@@effects.no_alloc] [@@effects.deterministic]
 
-  let step t pos = apply t pos t.requests.(pos)
+  let step t pos =
+    let d = t.dense.(pos) in
+    apply t pos d t.dict.(d)
     [@@effects.no_alloc] [@@effects.deterministic]
 
-  let feed t page = apply t t.fed page
+  (* Amortised doubling of a fed state's cache set, forgiven to [feed]
+     under [@@effects.amortized_alloc] as in [Int_tbl]. *)
+  let[@effects.amortized_alloc] grow t =
+    let bigger = Bytes.make (2 * Bytes.length t.cached) '\000' in
+    Bytes.blit t.cached 0 bigger 0 (Bytes.length t.cached);
+    t.cached <- bigger
+
+  let feed t page =
+    if not t.feeding then
+      invalid_arg "Engine.Step.feed: state built over a non-empty trace";
+    let d = Interner.intern t.ranks (Page.pack page) in
+    if d >= Bytes.length t.cached then grow t;
+    apply t t.fed d page
     [@@effects.no_alloc] [@@effects.deterministic]
 
   (* An eviction between requests, ordered by the caller rather than
@@ -221,9 +263,10 @@ module Step = struct
      pages this way.  The policy hears it at the next request's
      position. *)
   let evict t page =
-    if not (is_cached t page) then
+    let d = cached_rank t page in
+    if d < 0 then
       invalid_arg ("Engine.Step.evict: " ^ Page.to_string page ^ " is not cached");
-    cache_remove t page;
+    cache_remove t d;
     t.evictions_per_user.(Page.user page) <-
       t.evictions_per_user.(Page.user page) + 1;
     t.h.Policy.on_evict ~pos:t.fed page
@@ -240,14 +283,15 @@ module Step = struct
     let n = max (Trace.length t.trace) t.fed in
     if t.flush then begin
       let step = ref 0 in
-      while occupancy t > 0 && !step < t.k do
+      while t.occupancy > 0 && !step < t.k do
         let pos = n + !step in
         let dummy = Page.make ~user:t.real_users ~id:!step in
         let victim = t.h.Policy.choose_victim ~pos ~incoming:dummy in
-        if not (is_cached t victim) then
+        let v = cached_rank t victim in
+        if v < 0 then
           policy_error "%s: flush victim %s is not cached"
             (Policy.name t.policy) (Page.to_string victim);
-        cache_remove t victim;
+        cache_remove t v;
         t.evictions_per_user.(Page.user victim) <-
           t.evictions_per_user.(Page.user victim) + 1;
         t.h.Policy.on_evict ~pos victim;
@@ -256,13 +300,15 @@ module Step = struct
         | None -> ());
         incr step
       done;
-      if occupancy t > 0 then
+      if t.occupancy > 0 then
         policy_error "%s: flush left %d pages cached (need k >= cache)"
-          (Policy.name t.policy) (occupancy t)
+          (Policy.name t.policy) t.occupancy
     end;
-    let final_cache =
-      Ccache_util.Int_tbl.fold (fun p _ acc -> Page.unpack p :: acc) t.cached []
-    in
+    let final_cache = ref [] in
+    for d = Bytes.length t.cached - 1 downto 0 do
+      if is_cached t d then
+        final_cache := Page.unpack (Interner.key t.ranks d) :: !final_cache
+    done;
     {
       policy = Policy.name t.policy;
       k = t.k;
@@ -271,7 +317,7 @@ module Step = struct
       hits = t.hits;
       misses_per_user = t.misses_per_user;
       evictions_per_user = t.evictions_per_user;
-      final_cache = List.sort Page.compare final_cache;
+      final_cache = List.sort Page.compare !final_cache;
     }
 end
 

@@ -52,7 +52,17 @@ exception Policy_error of string
     Positions must be fed in order [0, 1, ..., length - 1], each
     exactly once, before [finish]; [finish] must be called at most
     once.  The state is single-run and single-domain, like a policy
-    instance. *)
+    instance.
+
+    The cache set is keyed by the trace's dense ids ({!Trace.dense}):
+    one byte per distinct page plus an occupancy counter, so its size
+    is P bytes whatever [k] is.  [step] reads the request's dense id
+    and the trace's dictionary; a victim, which the policy names as a
+    page, is mapped to its dense id through the trace's interner.  A
+    state built over an empty trace (the [feed] form) owns a private
+    interner and a cache set that grows as pages arrive, so the
+    trace itself is never written and stays shareable across
+    domains. *)
 module Step : sig
   type t
 
@@ -71,17 +81,22 @@ module Step : sig
   (** Trace length: the number of [step] calls [finish] expects. *)
 
   val step : t -> int -> unit
-  (** Replay one request. @raise Policy_error if the policy misbehaves. *)
+  (** Replay one request.
+      @raise Policy_error if the policy misbehaves: its victim is a
+      page the trace never requests, a page not cached now, or the
+      incoming page. *)
 
   val feed : t -> Ccache_trace.Page.t -> unit
   (** Dynamic form of [step]: replay [page] as the next request, at
       position = number of requests replayed so far.  The lower-bound
-      adversary feeds requests as it picks them instead of replaying a
-      prebuilt trace; a state meant for [feed] is normally built over
-      an empty trace (which only fixes [n_users] and the cost vector),
-      and its cache set then grows amortised.
-      [step] and [feed] run the same decision body, and may be mixed
-      only if the caller keeps positions consecutive.
+      adversary and the multipool engine's pools feed requests as they
+      pick them instead of replaying a prebuilt trace.  Only a state
+      built over an empty trace (which fixes [n_users] and the cost
+      vector) accepts [feed]; it interns each page into its own
+      interner, and its cache set grows amortised.  [step] and [feed]
+      run the same decision body.
+      @raise Invalid_argument if the state was built over a non-empty
+      trace.
       @raise Policy_error as [step]. *)
 
   val evict : t -> Ccache_trace.Page.t -> unit
@@ -95,7 +110,9 @@ module Step : sig
   val finish : t -> result
   (** Terminal flush (when [init] was given [~flush:true]) plus result
       assembly.  [result.trace_length] is the number of requests
-      actually replayed (= the trace length after a full [step] loop). *)
+      actually replayed (= the trace length after a full [step] loop).
+      [final_cache] is read off the cache set's bytes and sorted.
+      @raise Policy_error if a flush victim is not cached. *)
 end
 
 val replay :

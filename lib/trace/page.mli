@@ -16,6 +16,9 @@ val make : user:int -> id:int -> t
 (** @raise Invalid_argument on negative components or components
     exceeding the packed field widths (user: 24 bits, id: 38 bits). *)
 
+val max_user : int
+(** Largest user id a page can hold, [2^24 - 1]. *)
+
 val user : t -> int
 val id : t -> int
 

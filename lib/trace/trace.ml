@@ -13,93 +13,86 @@
     Positions are 0-based throughout the code base; the paper's t runs
     from 1, so position [t-1] here corresponds to the paper's time t.
 
-    Dense interning: every trace carries (computed on first demand) a
-    remap of its distinct pages onto the dense range [0, P) in
-    first-touch order — [dense.(pos)] is the rank of the page requested
-    at [pos], and a {!Ccache_util.Interner} maps packed pages to ranks
-    and back.  The remap is what lets
-    {!Index.build} run on flat int arrays instead of [Page.Tbl]
-    hashtables, and it is the on-disk vocabulary of the binary trace
-    format ({!Trace_binary}).  The structure is immutable once built
-    and published through an [Atomic.t], so traces stay safely sharable
-    across domains. *)
+    Representation: a trace {e is} its dense interning, built eagerly
+    by every constructor.  Its distinct pages are numbered [0, P) in
+    first-touch order; [dict.(d)] is the page with dense id [d],
+    [dense.(pos)] the dense id requested at [pos], and a
+    {!Ccache_util.Interner} maps packed pages to dense ids.  The
+    request at [pos] is [dict.(dense.(pos))]: no [Page.t array] of
+    length T is kept.  The dense ids are what {!Index.build}'s flat
+    arrays, the engine's cache set and the binary trace format
+    ({!Trace_binary}) are keyed by.  Nothing is written after
+    construction, so traces are safely sharable across domains. *)
 
 module Interner = Ccache_util.Interner
 
-type interning = {
-  dense : int array;  (** [dense.(pos)] = first-touch rank of the page at [pos] *)
-  ranks : Interner.t;  (** packed page <-> dense id; read-only once published *)
-}
-
 type t = {
-  requests : Page.t array;
   n_users : int;
-  interning : interning option Atomic.t;
-      (** built on first demand; both racing domains compute the same
-          value, and the atomic publish keeps the record safely visible *)
+  dict : Page.t array;  (** dense id -> page, in first-touch order *)
+  dense : int array;  (** [dense.(pos)] = dense id of the page at [pos] *)
+  ranks : Interner.t;  (** packed page -> dense id; never interned into *)
 }
 
-let length t = Array.length t.requests
+let length t = Array.length t.dense
 let n_users t = t.n_users
 
-let request t pos = t.requests.(pos)
+let request t pos = t.dict.(t.dense.(pos))
   [@@effects.no_alloc] [@@effects.deterministic]
 
-let requests t = t.requests
-
-(* One O(T) pass: packed pages are non-negative ints, so they key the
-   interner directly. *)
-let compute_interning requests =
-  let ranks = Interner.create ~capacity:256 in
-  let dense = Array.map (fun p -> Interner.intern ranks (Page.pack p)) requests in
-  { dense; ranks }
-
-let interning t =
-  match Atomic.get t.interning with
-  | Some i -> i
-  | None ->
-      let i = compute_interning t.requests in
-      Atomic.set t.interning (Some i);
-      i
-
-let n_pages t = Interner.length (interning t).ranks
-let dense t = (interning t).dense
-let page_of_dense t d = Page.unpack (Interner.key (interning t).ranks d)
+let requests t = Array.map (fun d -> t.dict.(d)) t.dense
+let n_pages t = Array.length t.dict
+let dense t = t.dense
+let pages t = t.dict
+let interner t = t.ranks
+let page_of_dense t d = t.dict.(d)
 
 let dense_of_page t page =
-  let d = Interner.find (interning t).ranks (Page.pack page) in
+  let d = Interner.find t.ranks (Page.pack page) in
   if d >= 0 then Some d else None
 
-let check_users ~n_users pages =
+(* The one interning pass.  A page's user is checked once, on its
+   dictionary entry: the first page out of range in first-touch order is
+   the page of the first request out of range. *)
+let of_pages ~n_users pages =
+  if n_users <= 0 then invalid_arg "Trace.of_pages: need at least one user";
+  let ranks = Interner.create ~capacity:256 in
+  let dense = Array.make (Array.length pages) 0 in
+  for pos = 0 to Array.length pages - 1 do
+    dense.(pos) <- Interner.intern ranks (Page.pack pages.(pos))
+  done;
+  let dict =
+    Array.init (Interner.length ranks) (fun d -> Page.unpack (Interner.key ranks d))
+  in
   Array.iter
     (fun p ->
-      if Page.user p < 0 || Page.user p >= n_users then
+      if Page.user p >= n_users then
         invalid_arg
           (Printf.sprintf "Trace.of_pages: page %s outside user range [0,%d)"
              (Page.to_string p) n_users))
-    pages
-
-let of_pages ~n_users pages =
-  if n_users <= 0 then invalid_arg "Trace.of_pages: need at least one user";
-  check_users ~n_users pages;
-  { requests = Array.copy pages; n_users; interning = Atomic.make None }
+    dict;
+  { n_users; dict; dense; ranks }
 
 let of_list ~n_users pages = of_pages ~n_users (Array.of_list pages)
 
-(** Rebuild a trace from its interned form (the binary format's
-    vocabulary): [pages] in first-touch order, [dense] the per-position
-    ranks.  Validates that the remap is well-formed — ranks in [0, P),
-    first occurrences in increasing rank order, distinct pages — so a
-    crafted file cannot smuggle in a trace whose [distinct_pages] order
-    disagrees with its request sequence. *)
+(** Adopt an interned form (the binary format's vocabulary): [pages] in
+    first-touch order, [dense] the per-position ranks, both taken over
+    without a copy.  Validates that the remap is well-formed — ranks in
+    [0, P), first occurrences in increasing rank order, every page
+    requested, distinct pages — so a crafted file cannot smuggle in a
+    trace whose [distinct_pages] order disagrees with its request
+    sequence. *)
 let of_dense ~n_users ~pages ~dense =
   if n_users <= 0 then invalid_arg "Trace.of_dense: need at least one user";
-  check_users ~n_users pages;
+  Array.iter
+    (fun page ->
+      if Page.user page >= n_users then
+        invalid_arg
+          (Printf.sprintf "Trace.of_dense: page %s outside user range [0,%d)"
+             (Page.to_string page) n_users))
+    pages;
   let p = Array.length pages in
-  let n = Array.length dense in
-  let requests = Array.make n (Page.make ~user:0 ~id:0) in
   let seen = ref 0 in
-  for pos = 0 to n - 1 do
+  for pos = 0 to Array.length dense - 1 do
     let d = dense.(pos) in
     if d < 0 || d >= p then
       invalid_arg
@@ -110,8 +103,7 @@ let of_dense ~n_users ~pages ~dense =
         (Printf.sprintf
            "Trace.of_dense: rank %d at position %d before rank %d appeared"
            d pos !seen)
-    else if d = !seen then incr seen;
-    requests.(pos) <- pages.(d)
+    else if d = !seen then incr seen
   done;
   if !seen <> p then
     invalid_arg
@@ -126,23 +118,15 @@ let of_dense ~n_users ~pages ~dense =
           (Printf.sprintf "Trace.of_dense: duplicate page %s"
              (Page.to_string page)))
     pages;
-  {
-    requests;
-    n_users;
-    interning = Atomic.make (Some { dense = Array.copy dense; ranks });
-  }
+  { n_users; dict = pages; dense; ranks }
 
 (** Concatenate traces over the same user universe. *)
 let append a b =
   if a.n_users <> b.n_users then invalid_arg "Trace.append: user-count mismatch";
-  {
-    requests = Array.append a.requests b.requests;
-    n_users = a.n_users;
-    interning = Atomic.make None;
-  }
+  of_pages ~n_users:a.n_users (Array.append (requests a) (requests b))
 
 (** Distinct pages, in first-touch order (the interning vocabulary). *)
-let distinct_pages t = List.init (n_pages t) (page_of_dense t)
+let distinct_pages t = Array.to_list t.dict
 
 (** Append the paper's terminal flush: a dummy user owning [k] fresh
     pages, all requested once at the end, forcing every real page out of
@@ -151,20 +135,15 @@ let distinct_pages t = List.init (n_pages t) (page_of_dense t)
 let with_flush ~k t =
   if k <= 0 then invalid_arg "Trace.with_flush: k must be positive";
   let dummy = Array.init k (fun i -> Page.make ~user:t.n_users ~id:i) in
-  {
-    requests = Array.append t.requests dummy;
-    n_users = t.n_users + 1;
-    interning = Atomic.make None;
-  }
+  of_pages ~n_users:(t.n_users + 1) (Array.append (requests t) dummy)
 
 module Index = struct
   type trace = t
 
   (* All per-position vectors are flat int arrays; the per-page vectors
      (request totals, first positions) are flat arrays over the dense
-     page space — no hashtable is touched after the trace's one-off
-     interning pass, and page-keyed queries translate through the
-     interner. *)
+     page space — no hashtable is touched, and page-keyed queries
+     translate through the trace's interner. *)
   type t = {
     trace : trace;
     interval : int array;
@@ -182,9 +161,9 @@ module Index = struct
   }
 
   let build trace =
-    let dense = (interning trace).dense in
+    let dense = trace.dense in
     let p = n_pages trace in
-    let n = Array.length trace.requests in
+    let n = Array.length dense in
     let interval = Array.make n 0 in
     let next_use = Array.make n Int.max_int in
     let prev_use = Array.make n (-1) in
@@ -226,12 +205,7 @@ module Index = struct
     [@@effects.no_alloc] [@@effects.deterministic]
 
   (* page-keyed queries: one interner probe to enter the dense space *)
-  let dense_id t page =
-    Interner.find
-      (match Atomic.get t.trace.interning with
-      | Some i -> i.ranks
-      | None -> assert false (* build forced the interning *))
-      (Page.pack page)
+  let dense_id t page = Interner.find t.trace.ranks (Page.pack page)
     [@@effects.no_alloc] [@@effects.deterministic]
 
   (** r(p, T): total number of requests of [page] in the whole trace. *)

@@ -8,27 +8,38 @@
     links (the latter also power Belady-style offline policies). *)
 
 type t
+(** A trace is its dense interning, built eagerly by every constructor:
+    a dictionary of its P distinct pages in first-touch order (dense id
+    [d] names the [d]-th page first requested), one dense id per
+    request, and an interner from packed pages to dense ids.  No
+    [Page.t array] of length T is kept.  A trace is immutable once
+    built, so it can be shared across domains. *)
 
 val length : t -> int
 val n_users : t -> int
 
 val request : t -> int -> Page.t
-(** Request at a 0-based position. *)
+(** Request at a 0-based position: the dictionary entry of its dense
+    id. *)
 
 val requests : t -> Page.t array
-(** The raw sequence (do not mutate). *)
+(** The request sequence, as a fresh array built on each call: O(T),
+    for callers outside a hot loop. *)
 
 val of_pages : n_users:int -> Page.t array -> t
-(** Copies the array. @raise Invalid_argument if any page's user is
+(** Interns the array in one pass; the array is not kept.
+    @raise Invalid_argument if [n_users <= 0] or a page's user is
     outside [\[0, n_users)]. *)
 
 val of_list : n_users:int -> Page.t list -> t
 
 val of_dense : n_users:int -> pages:Page.t array -> dense:int array -> t
-(** Rebuild a trace from its interned form: [pages] lists the distinct
+(** Build a trace from its interned form: [pages] lists the distinct
     pages in first-touch order, [dense.(pos)] is the rank (index into
     [pages]) of the request at [pos].  This is the in-memory mirror of
-    the binary trace format ({!Trace_binary}).  Copies both arrays.
+    the binary trace format ({!Trace_binary}), whose reader decodes
+    straight into [dense].  The trace takes both arrays over without a
+    copy: the caller must never write to them again.
     @raise Invalid_argument if the remap is not well-formed: a rank out
     of range, first occurrences out of rank order, a page listed but
     never requested, duplicate pages, or a user outside
@@ -36,18 +47,24 @@ val of_dense : n_users:int -> pages:Page.t array -> dense:int array -> t
 
 (** {1 Dense page interning}
 
-    Every trace lazily carries a remap of its distinct pages onto the
-    dense range [\[0, P)] in first-touch order.  The remap is computed
-    once on first demand (thread-safely; traces stay sharable across
-    domains) and backs both {!Index.build}'s flat-array index and the
-    binary trace format. *)
+    The dense ids [\[0, P)] key {!Index.build}'s flat-array index, the
+    engine's cache set and the binary trace format. *)
 
 val n_pages : t -> int
-(** Number of distinct pages, P. *)
+(** Number of distinct pages, P.  O(1). *)
 
 val dense : t -> int array
 (** Per-position dense ids: [dense t] has one entry per request, each
     in [\[0, n_pages t)] (do not mutate). *)
+
+val pages : t -> Page.t array
+(** The dictionary: [(pages t).(d)] is the page with dense id [d]
+    (do not mutate). *)
+
+val interner : t -> Ccache_util.Interner.t
+(** Packed page -> dense id ({!Ccache_util.Interner.find} gives [-1]
+    for a page the trace never requests).  Read-only: interning a new
+    key into it would break the trace. *)
 
 val page_of_dense : t -> int -> Page.t
 (** Page with the given dense id (its first-touch rank). *)

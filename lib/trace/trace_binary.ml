@@ -66,7 +66,37 @@ let dense_at h i =
   lor (Char.code (Bigarray.Array1.unsafe_get d (base + 3)) lsl 24)
   [@@effects.no_alloc] [@@effects.deterministic]
 
-let page_at h i = h.pages.(dense_at h i)
+(* The checked reader: [dense_at] trusts the position and the id, but
+   a handle's request region is not validated at open, so [page_at]
+   checks both before touching memory or the dictionary. *)
+let page_at h i =
+  if i < 0 || i >= h.length then invalid_arg "Trace_binary.page_at: position";
+  let d = dense_at h i in
+  let p = Array.length h.pages in
+  if d >= p then
+    error
+      (header_bytes + (8 * p) + (4 * i))
+      "dense id %d at position %d outside [0,%d)" d i p;
+  h.pages.(d)
+
+(* The zero-copy twin of [Trace.of_dense]'s stream checks, for readers
+   that never materialise the trace: one pass over the mapping, no
+   allocation on success, and an error at the offending request's
+   byte offset. *)
+let validate h =
+  let p = Array.length h.pages in
+  let base = header_bytes + (8 * p) in
+  let seen = ref 0 in
+  for i = 0 to h.length - 1 do
+    let d = dense_at h i in
+    if d >= p then
+      error (base + (4 * i)) "dense id %d at position %d outside [0,%d)" d i p;
+    if d > !seen then
+      error (base + (4 * i)) "dense id %d at position %d before id %d appeared"
+        d i !seen
+    else if d = !seen then incr seen
+  done;
+  if !seen <> p then error 20 "%d of %d pages never requested" (p - !seen) p
 
 (* {2 Writing} *)
 
@@ -140,8 +170,8 @@ let get_u64 s off =
   if hi lsr 30 <> 0 then error off "64-bit field exceeds the OCaml int range";
   lo lor (hi lsl 32)
 
-(* Header + dictionary from their raw bytes; [file_size] (when known)
-   must match the layout exactly. *)
+(* Header + dictionary from their raw bytes; [file_size] must match
+   the layout exactly. *)
 let parse_prefix ~file_size s =
   if String.length s < header_bytes then
     error 0 "truncated header: %d bytes, need %d" (String.length s) header_bytes;
@@ -152,16 +182,21 @@ let parse_prefix ~file_size s =
   if tag <> endian_tag then error 12 "bad endianness tag 0x%08X" tag;
   let n_users = get_u32 s 16 in
   if n_users <= 0 then error 16 "non-positive user count %d" n_users;
+  (* the terminal flush gives its dummy user the id [n_users] *)
+  if n_users > Page.max_user then
+    error 16 "user count %d exceeds %d" n_users Page.max_user;
   let p = get_u32 s 20 in
   let t = get_u64 s 24 in
   if get_u64 s 32 <> 0 then error 32 "non-zero reserved field";
-  let expect = header_bytes + (8 * p) + (4 * t) in
-  (match file_size with
-  | Some size when size <> expect ->
-      error 24 "size mismatch: file has %d bytes, layout needs %d" size expect
-  | _ -> ());
-  if String.length s < header_bytes + (8 * p) then
-    error header_bytes "truncated dictionary";
+  (* [p] < 2^32 keeps [8p] exact, but [t] can reach 2^62 and [4t] would
+     wrap: compare [t] with the bytes the file leaves for requests
+     instead of multiplying it. *)
+  let dict_end = header_bytes + (8 * p) in
+  let rest = file_size - dict_end in
+  if rest < 0 || rest mod 4 <> 0 || rest / 4 <> t then
+    error 24 "size mismatch: file has %d bytes, layout needs %d + 4 * %d"
+      file_size dict_end t;
+  if String.length s < dict_end then error header_bytes "truncated dictionary";
   let pages =
     Array.init p (fun d ->
         let off = header_bytes + (8 * d) in
@@ -195,7 +230,7 @@ let open_file path =
         let p = get_u32 header 20 in
         let dict_len = min (8 * p) (size - header_bytes) in
         let dict = really_input_string ic dict_len in
-        parse_prefix ~file_size:(Some size) (header ^ dict))
+        parse_prefix ~file_size:size (header ^ dict))
   in
   let data =
     if t = 0 then empty_region
@@ -212,9 +247,10 @@ let open_file path =
   in
   { n_users; pages; length = t; data }
 
-(* Materialise a full [Trace.t]; [Trace.of_dense] validates the dense
-   stream (range, first-touch order), so a crafted request region
-   cannot produce an ill-formed trace. *)
+(* Materialise a full [Trace.t]: the request region is decoded into
+   the one O(T) array the trace keeps, which [Trace.of_dense]
+   then validates in place (range, first-touch order), so a crafted
+   request region cannot produce an ill-formed trace. *)
 let to_trace h =
   (* A typed [int array] loop rather than [Array.init]: its generic
      store and closure call per request made this loop slow and its
@@ -231,9 +267,12 @@ let read_file path = to_trace (open_file path)
 
 let of_string s =
   require_little_endian ();
-  let n_users, pages, t = parse_prefix ~file_size:(Some (String.length s)) s in
+  let n_users, pages, t = parse_prefix ~file_size:(String.length s) s in
   let base = header_bytes + (8 * Array.length pages) in
-  let dense = Array.init t (fun i -> get_u32 s (base + (4 * i))) in
+  let dense = Array.make t 0 in
+  for i = 0 to t - 1 do
+    dense.(i) <- get_u32 s (base + (4 * i))
+  done;
   try Trace.of_dense ~n_users ~pages ~dense
   with Invalid_argument msg -> error base "%s" msg
 

@@ -44,15 +44,31 @@ val length : handle -> int
 
 val dense_at : handle -> int -> int
 (** Dense id at a 0-based position — four byte reads, no allocation.
-    Unvalidated: a crafted file can yield an id >= [n_pages] here;
-    {!to_trace} is the validating path. *)
+    Unchecked: only a position in [\[0, length h)] may reach it, and a
+    crafted file can yield an id >= [n_pages] here; {!page_at} and
+    {!to_trace} are the checked paths. *)
 
 val page_at : handle -> int -> Page.t
+(** Page at a 0-based position, read off the mapping without
+    materialising the trace.
+    @raise Invalid_argument if the position is outside
+    [\[0, length h)].
+    @raise Format_error at the request's byte offset if its dense id is
+    not below [n_pages]. *)
+
+val validate : handle -> unit
+(** Check the request region in place, without materialising it: every
+    dense id below [n_pages], first occurrences in rank order, every
+    dictionary page requested.  O(T) reads, no allocation on success.
+    @raise Format_error at the first offending request's byte offset
+    (or the page-count field, for an unused page). *)
 
 val to_trace : handle -> Trace.t
 (** Materialise the full trace, validating the dense stream (every id
     in range, first occurrences in rank order, every dictionary page
-    used).  @raise Format_error if validation fails. *)
+    used).  The request region is decoded into the trace's own dense
+    array: the one O(T) allocation.
+    @raise Format_error if validation fails. *)
 
 (** {1 Whole-trace reading} *)
 

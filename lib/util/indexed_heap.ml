@@ -31,6 +31,7 @@ type t = {
   mutable tkeys : int array;
   mutable tvals : int array;
   mutable tmask : int; (* table capacity - 1; capacity a power of two *)
+  mutable tshift : int; (* 63 - log2 table capacity *)
   mutable tpos : int array;
       (* heap slot -> index of its key in [tkeys]: lets a sift move an
          entry and re-point its table binding without re-probing *)
@@ -41,10 +42,11 @@ let empty = min_int
 let[@inline] check_key key =
   if key = empty then invalid_arg "Indexed_heap: key min_int is reserved"
 
-(* Fibonacci multiplicative hash folded down; see Int_tbl. *)
-let[@inline] home mask key =
-  let h = key * 0x331B_E495_77F3_1A55 in
-  (h lsr 20 lxor h) land mask
+(* Fibonacci multiplicative hash, the top bits of the product; see
+   Int_tbl.slot_of_key. *)
+let[@inline] home shift key = (key * 0x4F1B_BCDC_BFA5_3E0B) lsr shift
+
+let rec log2 c = if c <= 1 then 0 else 1 + log2 (c / 2)
 
 let rec pow2 n c = if c >= n then c else pow2 n (c * 2)
 
@@ -58,6 +60,7 @@ let create ?(capacity = 16) () =
     tkeys = Array.make tcap empty;
     tvals = Array.make tcap 0;
     tmask = tcap - 1;
+    tshift = 63 - log2 tcap;
     tpos = Array.make cap 0;
   }
 
@@ -69,7 +72,7 @@ let is_empty t = t.size = 0
 let[@inline] probe t key =
   let mask = t.tmask in
   let tkeys = t.tkeys in
-  let i = ref (home mask key) in
+  let i = ref (home t.tshift key) in
   while
     let k = Array.unsafe_get tkeys !i in
     k <> key && k <> empty
@@ -97,6 +100,7 @@ let[@effects.amortized_alloc] tbl_grow t =
   t.tkeys <- Array.make cap empty;
   t.tvals <- Array.make cap 0;
   t.tmask <- cap - 1;
+  t.tshift <- t.tshift - 1;
   for i = 0 to Array.length old_keys - 1 do
     let k = old_keys.(i) in
     if k <> empty then begin
@@ -129,7 +133,7 @@ let tbl_remove_at t i =
           continue := false
         end
         else begin
-          let h = home mask k in
+          let h = home t.tshift k in
           let fits =
             if last <= !j then h <= last || h > !j
             else h <= last && h > !j

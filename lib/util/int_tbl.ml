@@ -4,9 +4,9 @@
     Linear probing over a power-of-two slot array with *backward-shift
     deletion*: removing a key re-compacts the probe run that follows it
     instead of leaving a tombstone, so long-lived tables that churn
-    (the engine's cache set evicts and inserts on every miss, millions
-    of times per trace) never degrade — probe lengths depend only on
-    the current load factor, not on the deletion history.
+    (the random policy's slot table removes and inserts on every miss,
+    millions of times per trace) never degrade — probe lengths depend
+    only on the current load factor, not on the deletion history.
 
     The empty slot is marked with a reserved key ([min_int]), which is
     what makes the whole table two flat [int array]s with no boxing,
@@ -17,21 +17,26 @@ type t = {
   mutable keys : int array; (* [empty_key] marks a free slot *)
   mutable vals : int array;
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
+  mutable shift : int; (* 63 - log2 capacity *)
   mutable size : int;
 }
 
 let empty_key = min_int
 
-(* Fibonacci multiplicative hashing (multiplier ~ 2^63 / phi, odd).
-   The product's high bits carry the entropy, so fold them down before
-   masking; [lsr] treats the overflowing product as unsigned, making
-   negative keys harmless. *)
-let slot_of_key mask key =
-  let h = key * 0x331B_E495_77F3_1A55 in
-  (h lsr 20 lxor h) land mask
+(* Fibonacci multiplicative hashing: the multiplier is the odd integer
+   nearest 2^63 / phi, and the slot is the top log2(capacity) bits of
+   the 63-bit product.  Bit j of the product depends on key bits 0..j,
+   so only the top bits read every key bit: a packed page keeps its
+   user at bit 38 and up, and a slot taken from the low product bits
+   files every tenant's copy of a page id under one home slot.  [lsr]
+   treats the overflowing product as unsigned, making negative keys
+   harmless.  {!Indexed_heap.home} is the same function. *)
+let slot_of_key shift key = (key * 0x4F1B_BCDC_BFA5_3E0B) lsr shift
   [@@inline]
 
 let rec pow2 n c = if c >= n then c else pow2 n (c * 2)
+
+let rec log2 c = if c <= 1 then 0 else 1 + log2 (c / 2)
 
 let create ?(capacity = 16) () =
   (* past the largest power of two an array can hold, [pow2] would
@@ -43,6 +48,7 @@ let create ?(capacity = 16) () =
     keys = Array.make cap empty_key;
     vals = Array.make cap 0;
     mask = cap - 1;
+    shift = 63 - log2 cap;
     size = 0;
   }
 
@@ -55,7 +61,7 @@ let check_key key =
 let probe t key =
   let mask = t.mask in
   let keys = t.keys in
-  let i = ref (slot_of_key mask key) in
+  let i = ref (slot_of_key t.shift key) in
   while
     let k = Array.unsafe_get keys !i in
     k <> key && k <> empty_key
@@ -90,6 +96,7 @@ let[@effects.amortized_alloc] grow t =
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
+  t.shift <- t.shift - 1;
   for i = 0 to Array.length old_keys - 1 do
     let k = old_keys.(i) in
     if k <> empty_key then begin
@@ -138,7 +145,7 @@ let remove t key =
           continue := false
         end
         else begin
-          let home = slot_of_key mask k in
+          let home = slot_of_key t.shift k in
           (* can the entry at [j] legally move into the hole at [last]?
              yes iff [last] lies cyclically in [home, j) *)
           let fits =
@@ -187,3 +194,14 @@ let invariant_ok t =
     end
   done;
   !ok && !count = t.size
+
+(* Mean distance from a live key's home slot to the slot holding it:
+   the extra probe steps a lookup of a present key takes. *)
+let mean_displacement t =
+  let total = ref 0 in
+  for i = 0 to Array.length t.keys - 1 do
+    let k = t.keys.(i) in
+    if k <> empty_key then
+      total := !total + ((i - slot_of_key t.shift k) land t.mask)
+  done;
+  if t.size = 0 then 0. else float_of_int !total /. float_of_int t.size

@@ -13,8 +13,9 @@
     in this repository are non-negative, so the restriction is never
     observable in practice.
 
-    Used by {!Indexed_heap} (key -> heap slot) and the engine's cache
-    set (packed page -> presence). *)
+    Used by {!Interner} (key -> first-touch rank) and by the random and
+    randomized-marking policies (packed page -> slot); {!Indexed_heap}
+    embeds its own copy of the same probing. *)
 
 type t
 
@@ -47,3 +48,8 @@ val clear : t -> unit
 
 val invariant_ok : t -> bool
 (** Probe-consistency and size bookkeeping; used by tests. *)
+
+val mean_displacement : t -> float
+(** Mean number of slots between a live key's home slot and the slot
+    holding it (0 for an empty table): the hash-quality measure the
+    tests bound. *)

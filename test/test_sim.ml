@@ -72,6 +72,70 @@ let test_engine_detects_bad_victim () =
     | exception Engine.Policy_error _ -> true
     | _ -> false)
 
+(* Three wrong victims, each named from position 2 on: a page the run
+   requested but no longer caches, a page it never requested, and the
+   incoming page itself.  Before that the policy evicts its last
+   insert, which is right at k = 1. *)
+type bad_victim = Stale | Never | Incoming
+
+let bad_victim_policy kind =
+  Policy.make ~name:"bad-victim" (fun _ ->
+      let last = ref (p 0 0) in
+      {
+        Policy.on_hit = Policy.no_hit;
+        wants_evict = Policy.never_evict_early;
+        choose_victim =
+          (fun ~pos ~incoming ->
+            if pos < 2 then !last
+            else
+              match kind with
+              | Stale -> p 0 0
+              | Never -> p 0 99
+              | Incoming -> incoming);
+        on_insert = (fun ~pos:_ page -> last := page);
+        on_evict = Policy.no_evict;
+      })
+
+(* Every wrong victim raises [Policy_error], whether the request came
+   from a trace ([step]), from [feed], or from the terminal flush (at
+   k = 1 over [a; b], the flush's first request is at position 2). *)
+let test_engine_rejects_bad_victims () =
+  let costs = linear_costs 1 in
+  let a = p 0 0 and b = p 0 1 and c = p 0 2 in
+  let raises name f =
+    match f () with
+    | exception Engine.Policy_error _ -> ()
+    | _ -> Alcotest.failf "%s: no Policy_error" name
+  in
+  List.iter
+    (fun (kind, kname) ->
+      let policy = bad_victim_policy kind in
+      let stepped ~flush pages () =
+        ignore
+          (Engine.run ~flush ~k:1 ~costs policy (Trace.of_list ~n_users:1 pages))
+      in
+      let fed ~flush pages () =
+        let st =
+          Engine.Step.init ~flush ~k:1 ~costs policy (Trace.of_list ~n_users:1 [])
+        in
+        List.iter (Engine.Step.feed st) pages;
+        ignore (Engine.Step.finish st)
+      in
+      raises (kname ^ " step") (stepped ~flush:false [ a; b; c ]);
+      raises (kname ^ " feed") (fed ~flush:false [ a; b; c ]);
+      raises (kname ^ " step flush") (stepped ~flush:true [ a; b ]);
+      raises (kname ^ " feed flush") (fed ~flush:true [ a; b ]))
+    [ (Stale, "cached earlier"); (Never, "never requested"); (Incoming, "incoming") ]
+
+(* [feed] interns into a state's own interner, which only a state over
+   an empty trace has: a trace's interner is shared and never written. *)
+let test_engine_feed_needs_empty_trace () =
+  let t = Trace.of_list ~n_users:1 [ p 0 0 ] in
+  let st = Engine.Step.init ~k:1 ~costs:(linear_costs 1) Ccache_policies.Lru.policy t in
+  Alcotest.check_raises "feed on a trace state"
+    (Invalid_argument "Engine.Step.feed: state built over a non-empty trace")
+    (fun () -> Engine.Step.feed st (p 0 0))
+
 (* ------------------------------------------------------------------ *)
 (* Flush semantics                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -195,6 +259,246 @@ let cache_safety_property =
       let r, log = Engine.run_logged ~k ~costs:(linear_costs 2) policy t in
       replay_consistent ~k log
       && r.Engine.hits + Engine.misses r = Trace.length t)
+
+(* ------------------------------------------------------------------ *)
+(* Engine.Step as a state machine                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A model-based oracle on the stepping engine.  After [init], each
+   command must preserve one invariant [inv]:
+
+   - occupancy <= k;
+   - a victim is cached and differs from the incoming page;
+   - per user, hits + misses = requests and inserts = evictions +
+     resident;
+   - [final_cache] equals the model's resident set, and a flushed
+     finish empties it.
+
+   The model is a resident set plus per-user counters, advanced from
+   the engine's own events; [Finish] then compares the engine's result
+   with it.  Online policies run twice, through [feed] on a state built
+   over an empty trace and through [step] over the trace of the fed
+   pages, and the two runs must agree event for event.  Offline
+   policies need the whole trace up front, so they run only the [step]
+   form, over a prebuilt index. *)
+module Ssm = struct
+  type cmd =
+    | Feed of Page.t
+    | Evict of int  (** the (i mod occupancy)-th cached page, if any *)
+    | Evict_uncached of int  (** must raise [Invalid_argument] *)
+    | Finish
+
+  type model = {
+    k : int;
+    n_users : int;
+    mutable resident : Page.Set.t;
+    requests : int array;
+    hits : int array;
+    misses : int array;
+    inserts : int array;
+    evictions : int array;
+    mutable fed : int;
+  }
+
+  let model ~k ~n_users =
+    let z () = Array.make n_users 0 in
+    {
+      k;
+      n_users;
+      resident = Page.Set.empty;
+      requests = z ();
+      hits = z ();
+      misses = z ();
+      inserts = z ();
+      evictions = z ();
+      fed = 0;
+    }
+
+  let bump a i = a.(i) <- a.(i) + 1
+
+  let resident_of m u =
+    Page.Set.fold (fun q n -> if Page.user q = u then n + 1 else n) m.resident 0
+
+  let inv m =
+    Page.Set.cardinal m.resident <= m.k
+    && Array.for_all Fun.id
+         (Array.init m.n_users (fun u ->
+              m.hits.(u) + m.misses.(u) = m.requests.(u)
+              && m.inserts.(u) = m.evictions.(u) + resident_of m u))
+
+  let evict_victim m victim =
+    if not (Page.Set.mem victim m.resident) then
+      Alcotest.failf "victim %s is not cached" (Page.to_string victim);
+    m.resident <- Page.Set.remove victim m.resident;
+    bump m.evictions (Page.user victim)
+
+  (* One request's events: exactly one decision, at the right position,
+     about the right page, legal for the model's cache. *)
+  let on_request m page events =
+    let pos = m.fed in
+    m.fed <- pos + 1;
+    bump m.requests (Page.user page);
+    let insert () =
+      bump m.misses (Page.user page);
+      bump m.inserts (Page.user page);
+      m.resident <- Page.Set.add page m.resident
+    in
+    match events with
+    | [ Engine.Hit { pos = p; page = q } ] when p = pos && Page.equal q page ->
+        if not (Page.Set.mem page m.resident) then
+          Alcotest.failf "hit on uncached %s" (Page.to_string page);
+        bump m.hits (Page.user page)
+    | [ Engine.Miss_insert { pos = p; page = q } ] when p = pos && Page.equal q page ->
+        if Page.Set.mem page m.resident then
+          Alcotest.failf "miss on cached %s" (Page.to_string page);
+        if Page.Set.cardinal m.resident >= m.k then
+          Alcotest.fail "insert into a full cache";
+        insert ()
+    | [ Engine.Miss_evict { pos = p; page = q; victim } ]
+      when p = pos && Page.equal q page ->
+        if Page.Set.mem page m.resident then
+          Alcotest.failf "miss on cached %s" (Page.to_string page);
+        if Page.equal victim page then Alcotest.fail "victim = incoming page";
+        evict_victim m victim;
+        insert ()
+    | evs -> Alcotest.failf "request %d: %d events" pos (List.length evs)
+
+  (* The flush's events: one per dummy request, each evicting a real
+     cached page. *)
+  let on_flush m events =
+    List.iter
+      (function
+        | Engine.Miss_evict { page; victim; _ } when Page.user page = m.n_users ->
+            evict_victim m victim
+        | _ -> Alcotest.fail "flush emitted a non-flush event")
+      events
+
+  let check_result m ~flush (r : Engine.result) =
+    let expect what b = if not b then Alcotest.failf "finish: %s" what in
+    expect "invariant" (inv m);
+    expect "resident = final_cache"
+      (r.Engine.final_cache = Page.Set.elements m.resident);
+    if flush then expect "flushed cache is empty" (r.Engine.final_cache = []);
+    expect "misses per user" (r.Engine.misses_per_user = m.misses);
+    expect "evictions per user" (r.Engine.evictions_per_user = m.evictions);
+    expect "hits" (r.Engine.hits = Array.fold_left ( + ) 0 m.hits);
+    expect "trace length" (r.Engine.trace_length = m.fed)
+
+  (* Runs [cmds] against a fresh state; [advance st page] replays the
+     next request.  Returns the event log and the result. *)
+  let run ~k ~n_users ~flush ~advance ~init cmds =
+    let log = ref [] in
+    let pending = ref [] in
+    let on_event ev =
+      pending := ev :: !pending;
+      log := ev :: !log
+    in
+    let st = init ~on_event in
+    let m = model ~k ~n_users in
+    let take () =
+      let evs = List.rev !pending in
+      pending := [];
+      evs
+    in
+    let rec go = function
+      | [] | Finish :: _ ->
+          let r = Engine.Step.finish st in
+          on_flush m (take ());
+          check_result m ~flush r;
+          (List.rev !log, r)
+      | Feed page :: rest ->
+          advance st m.fed page;
+          on_request m page (take ());
+          if not (inv m) then Alcotest.failf "invariant after request %d" (m.fed - 1);
+          go rest
+      | Evict i :: rest ->
+          let n = Page.Set.cardinal m.resident in
+          if n > 0 then begin
+            let victim = List.nth (Page.Set.elements m.resident) (i mod n) in
+            Engine.Step.evict st victim;
+            if take () <> [] then Alcotest.fail "evict emitted an event";
+            evict_victim m victim;
+            if not (inv m) then Alcotest.fail "invariant after evict"
+          end;
+          go rest
+      | Evict_uncached i :: rest ->
+          let page = Page.make ~user:(i mod n_users) ~id:(100 + i) in
+          (match Engine.Step.evict st page with
+          | () -> Alcotest.failf "evict of uncached %s" (Page.to_string page)
+          | exception Invalid_argument _ -> ());
+          go rest
+    in
+    go cmds
+
+  let policies =
+    Ccache_policies.Registry.all
+    @ [ Ccache_core.Alg_discrete.policy; Ccache_core.Alg_fast.policy ]
+
+  let gen =
+    let open QCheck.Gen in
+    let* k = int_range 1 8 in
+    let* n_users = int_range 1 3 in
+    let* flush = bool in
+    let page = map2 (fun u i -> Page.make ~user:u ~id:i) (int_bound (n_users - 1)) (int_bound 11) in
+    let cmd =
+      frequency
+        [
+          (40, map (fun p -> Feed p) page);
+          (2, map (fun i -> Evict i) small_nat);
+          (1, map (fun i -> Evict_uncached i) small_nat);
+          (1, return Finish);
+        ]
+    in
+    let* cmds = list_size (int_bound 120) cmd in
+    return (k, n_users, flush, cmds)
+
+  let print (k, n_users, flush, cmds) =
+    Printf.sprintf "k=%d users=%d flush=%b [%s]" k n_users flush
+      (String.concat "; "
+         (List.map
+            (function
+              | Feed p -> Page.to_string p
+              | Evict i -> Printf.sprintf "evict#%d" i
+              | Evict_uncached i -> Printf.sprintf "evict-uncached#%d" i
+              | Finish -> "finish")
+            cmds))
+
+  let check (k, n_users, flush, cmds) =
+    let costs = Array.init n_users (fun _ -> Cf.monomial ~beta:2.0 ()) in
+    (* the commands before the first [Finish] are the ones that run *)
+    let rec upto = function [] | Finish :: _ -> [] | c :: rest -> c :: upto rest in
+    let cmds = upto cmds in
+    let fed = List.filter_map (function Feed p -> Some p | _ -> None) cmds in
+    let trace = Trace.of_list ~n_users fed in
+    let index = Trace.Index.build trace in
+    List.for_all
+      (fun policy ->
+        let stepped =
+          run ~k ~n_users ~flush cmds
+            ~init:(fun ~on_event ->
+              Engine.Step.init ~flush ~on_event ~index ~k ~costs policy trace)
+            ~advance:(fun st pos _ -> Engine.Step.step st pos)
+        in
+        Policy.needs_future policy
+        ||
+        let fed_run =
+          run ~k ~n_users ~flush cmds
+            ~init:(fun ~on_event ->
+              Engine.Step.init ~flush ~on_event ~k ~costs policy
+                (Trace.of_list ~n_users []))
+            ~advance:(fun st _ page -> Engine.Step.feed st page)
+        in
+        if fed_run <> stepped then
+          Alcotest.failf "%s: feed and step runs differ" (Policy.name policy);
+        true)
+      policies
+end
+
+let step_state_machine_property =
+  QCheck.Test.make ~name:"Engine.Step state machine keeps its invariant"
+    ~count:150
+    (QCheck.make ~print:Ssm.print Ssm.gen)
+    Ssm.check
 
 (* ------------------------------------------------------------------ *)
 (* wants_evict (early eviction)                                        *)
@@ -400,6 +704,10 @@ let () =
           Alcotest.test_case "event log order" `Quick test_engine_event_log_order;
           Alcotest.test_case "costs length check" `Quick test_engine_costs_length_check;
           Alcotest.test_case "detects bad victim" `Quick test_engine_detects_bad_victim;
+          Alcotest.test_case "rejects bad victims" `Quick
+            test_engine_rejects_bad_victims;
+          Alcotest.test_case "feed needs an empty trace" `Quick
+            test_engine_feed_needs_empty_trace;
           Alcotest.test_case "early eviction hook" `Quick test_early_eviction_hook;
           Alcotest.test_case "alloc budget per request" `Quick
             test_engine_alloc_per_request;
@@ -411,7 +719,7 @@ let () =
           Alcotest.test_case "stops at an empty cache" `Quick
             test_engine_flush_stops_when_empty;
         ] );
-      ("safety", qsuite [ cache_safety_property ]);
+      ("safety", qsuite [ cache_safety_property; step_state_machine_property ]);
       ( "windows",
         [
           Alcotest.test_case "partition" `Quick test_windows_partition;

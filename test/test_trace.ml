@@ -86,6 +86,262 @@ let test_trace_append_flush () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Trace against its earlier representation                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The representation [Trace] replaced: the materialised [Page.t array]
+   as the trace, with the dense interning computed on first demand and
+   published through an [Atomic].  Kept as the oracle for the
+   dictionary + dense-id form. *)
+module Reference = struct
+  module Interner = Ccache_util.Interner
+
+  type interning = { dense : int array; ranks : Interner.t }
+
+  type t = {
+    requests : Page.t array;
+    n_users : int;
+    interning : interning option Atomic.t;
+  }
+
+  let length t = Array.length t.requests
+  let n_users t = t.n_users
+  let request t pos = t.requests.(pos)
+  let requests t = t.requests
+
+  let compute_interning requests =
+    let ranks = Interner.create ~capacity:256 in
+    let dense = Array.map (fun p -> Interner.intern ranks (Page.pack p)) requests in
+    { dense; ranks }
+
+  let interning t =
+    match Atomic.get t.interning with
+    | Some i -> i
+    | None ->
+        let i = compute_interning t.requests in
+        Atomic.set t.interning (Some i);
+        i
+
+  let n_pages t = Interner.length (interning t).ranks
+  let dense t = (interning t).dense
+  let page_of_dense t d = Page.unpack (Interner.key (interning t).ranks d)
+
+  let dense_of_page t page =
+    let d = Interner.find (interning t).ranks (Page.pack page) in
+    if d >= 0 then Some d else None
+
+  let check_users ~n_users pages =
+    Array.iter
+      (fun p ->
+        if Page.user p < 0 || Page.user p >= n_users then
+          invalid_arg "Trace.of_pages: user out of range")
+      pages
+
+  let of_pages ~n_users pages =
+    if n_users <= 0 then invalid_arg "Trace.of_pages: need at least one user";
+    check_users ~n_users pages;
+    { requests = Array.copy pages; n_users; interning = Atomic.make None }
+
+  let of_list ~n_users pages = of_pages ~n_users (Array.of_list pages)
+
+  let of_dense ~n_users ~pages ~dense =
+    if n_users <= 0 then invalid_arg "Trace.of_dense: need at least one user";
+    check_users ~n_users pages;
+    let p = Array.length pages in
+    let n = Array.length dense in
+    let requests = Array.make n (Page.make ~user:0 ~id:0) in
+    let seen = ref 0 in
+    for pos = 0 to n - 1 do
+      let d = dense.(pos) in
+      if d < 0 || d >= p then invalid_arg "Trace.of_dense: rank out of range";
+      if d > !seen then invalid_arg "Trace.of_dense: rank out of order"
+      else if d = !seen then incr seen;
+      requests.(pos) <- pages.(d)
+    done;
+    if !seen <> p then invalid_arg "Trace.of_dense: page never requested";
+    let ranks = Interner.create ~capacity:p in
+    Array.iteri
+      (fun d page ->
+        if Interner.intern ranks (Page.pack page) <> d then
+          invalid_arg "Trace.of_dense: duplicate page")
+      pages;
+    {
+      requests;
+      n_users;
+      interning = Atomic.make (Some { dense = Array.copy dense; ranks });
+    }
+
+  let append a b =
+    if a.n_users <> b.n_users then invalid_arg "Trace.append: user-count mismatch";
+    {
+      requests = Array.append a.requests b.requests;
+      n_users = a.n_users;
+      interning = Atomic.make None;
+    }
+
+  let distinct_pages t = List.init (n_pages t) (page_of_dense t)
+
+  let with_flush ~k t =
+    if k <= 0 then invalid_arg "Trace.with_flush: k must be positive";
+    let dummy = Array.init k (fun i -> Page.make ~user:t.n_users ~id:i) in
+    {
+      requests = Array.append t.requests dummy;
+      n_users = t.n_users + 1;
+      interning = Atomic.make None;
+    }
+
+  module Index = struct
+    type trace = t
+
+    type t = {
+      trace : trace;
+      interval : int array;
+      next_use : int array;
+      prev_use : int array;
+      distinct_upto : int array;
+      counts : int array;
+      first_pos : int array;
+    }
+
+    let build trace =
+      let dense = (interning trace).dense in
+      let p = n_pages trace in
+      let n = Array.length trace.requests in
+      let interval = Array.make n 0 in
+      let next_use = Array.make n Int.max_int in
+      let prev_use = Array.make n (-1) in
+      let distinct_upto = Array.make n 0 in
+      let counts = Array.make p 0 in
+      let last_pos = Array.make p (-1) in
+      let first_pos = Array.make p (-1) in
+      let distinct = ref 0 in
+      for pos = 0 to n - 1 do
+        let d = dense.(pos) in
+        counts.(d) <- counts.(d) + 1;
+        interval.(pos) <- counts.(d);
+        let prev = last_pos.(d) in
+        if prev >= 0 then begin
+          next_use.(prev) <- pos;
+          prev_use.(pos) <- prev
+        end
+        else begin
+          incr distinct;
+          first_pos.(d) <- pos
+        end;
+        last_pos.(d) <- pos;
+        distinct_upto.(pos) <- !distinct
+      done;
+      { trace; interval; next_use; prev_use; distinct_upto; counts; first_pos }
+
+    let interval_index t pos = t.interval.(pos)
+    let next_use t pos = t.next_use.(pos)
+    let prev_use t pos = t.prev_use.(pos)
+    let distinct_upto t pos = t.distinct_upto.(pos)
+    let dense_id t page = match dense_of_page t.trace page with Some d -> d | None -> -1
+
+    let total_requests t page =
+      let d = dense_id t page in
+      if d >= 0 then t.counts.(d) else 0
+
+    let first_use t page =
+      let d = dense_id t page in
+      if d >= 0 then Some t.first_pos.(d) else None
+
+    let is_last_request t pos = t.next_use.(pos) = Int.max_int
+  end
+end
+
+(* Every observation the two representations offer, on one trace;
+   [probe] adds pages the trace may not request. *)
+let agrees (t : Trace.t) (r : Reference.t) ~probe =
+  let n = Trace.length t in
+  let pages = Trace.distinct_pages t @ probe in
+  let it = Trace.Index.build t and ir = Reference.Index.build r in
+  n = Reference.length r
+  && Trace.n_users t = Reference.n_users r
+  && Trace.requests t = Reference.requests r
+  && List.for_all (fun pos -> Trace.request t pos = Reference.request r pos) (List.init n Fun.id)
+  && Trace.dense t = Reference.dense r
+  && Trace.n_pages t = Reference.n_pages r
+  && Trace.distinct_pages t = Reference.distinct_pages r
+  && List.for_all
+       (fun d -> Trace.page_of_dense t d = Reference.page_of_dense r d)
+       (List.init (Trace.n_pages t) Fun.id)
+  && List.for_all
+       (fun pg ->
+         Trace.dense_of_page t pg = Reference.dense_of_page r pg
+         && Trace.Index.total_requests it pg = Reference.Index.total_requests ir pg
+         && Trace.Index.first_use it pg = Reference.Index.first_use ir pg)
+       pages
+  && List.for_all
+       (fun pos ->
+         Trace.Index.interval_index it pos = Reference.Index.interval_index ir pos
+         && Trace.Index.next_use it pos = Reference.Index.next_use ir pos
+         && Trace.Index.prev_use it pos = Reference.Index.prev_use ir pos
+         && Trace.Index.distinct_upto it pos = Reference.Index.distinct_upto ir pos
+         && Trace.Index.is_last_request it pos = Reference.Index.is_last_request ir pos)
+       (List.init n Fun.id)
+
+(* Both constructions raise [Invalid_argument], or both succeed and
+   agree. *)
+let same_outcome f g =
+  let attempt h = match h () with v -> Some v | exception Invalid_argument _ -> None in
+  match (attempt f, attempt g) with
+  | None, None -> true
+  | Some t, Some r -> agrees t r ~probe:[ p 0 999; p 3 0 ]
+  | Some _, None | None, Some _ -> false
+
+(* Random traces, each built through every constructor by both
+   representations: [of_pages], [of_list], [of_dense] (from the
+   reference's interned form, and with one rank corrupted), [append]
+   and [with_flush]. *)
+let reference_property =
+  QCheck.Test.make ~name:"trace agrees with the reference representation"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 3)
+        (small_list (pair small_nat small_nat))
+        (small_list (pair small_nat small_nat))
+        (triple (int_range 1 6) small_nat small_nat))
+    (fun (n_users, xs, ys, (k, victim, rank)) ->
+      (* about one page in ten names the user one past the range *)
+      let page (u, i) =
+        Page.make ~user:(if u > 90 then n_users else u mod n_users) ~id:(i mod 9)
+      in
+      let a = Array.of_list (List.map page xs) and b = Array.of_list (List.map page ys) in
+      let ra () = Reference.of_pages ~n_users a and rb () = Reference.of_pages ~n_users b in
+      let ta () = Trace.of_pages ~n_users a and tb () = Trace.of_pages ~n_users b in
+      same_outcome ta ra
+      && same_outcome
+           (fun () -> Trace.of_list ~n_users (Array.to_list a))
+           (fun () -> Reference.of_list ~n_users (Array.to_list a))
+      && same_outcome
+           (fun () -> Trace.append (ta ()) (tb ()))
+           (fun () -> Reference.append (ra ()) (rb ()))
+      && same_outcome
+           (fun () -> Trace.with_flush ~k (ta ()))
+           (fun () -> Reference.with_flush ~k (ra ()))
+      &&
+      match ra () with
+      | exception Invalid_argument _ -> true
+      | r ->
+          (* [Trace.of_dense] takes its arrays over: hand it copies *)
+          let of_dense pages dense () =
+            Trace.of_dense ~n_users ~pages:(Array.copy pages) ~dense:(Array.copy dense)
+          in
+          let pages = Array.of_list (Reference.distinct_pages r) in
+          let dense = Array.copy (Reference.dense r) in
+          same_outcome (of_dense pages dense)
+            (fun () -> Reference.of_dense ~n_users ~pages ~dense)
+          &&
+          (Array.length dense = 0
+          ||
+          let pos = victim mod Array.length dense in
+          dense.(pos) <- (rank mod (Array.length pages + 2)) - 1;
+          same_outcome (of_dense pages dense)
+            (fun () -> Reference.of_dense ~n_users ~pages ~dense)))
+
+(* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -388,7 +644,8 @@ let () =
           Alcotest.test_case "index" `Quick test_trace_index;
           Alcotest.test_case "append/flush" `Quick test_trace_append_flush;
           Alcotest.test_case "append mismatch" `Quick test_trace_append_mismatch;
-        ] );
+        ]
+        @ qsuite [ reference_property ] );
       ( "zipf",
         [
           Alcotest.test_case "pmf" `Quick test_zipf_pmf;

@@ -103,6 +103,7 @@ let test_binary_file_roundtrip () =
       checkb "file roundtrip" true (same_trace t (Trace_binary.read_file path));
       (* the handle view agrees with the materialised trace *)
       let h = Trace_binary.open_file path in
+      Trace_binary.validate h;
       checki "handle length" (Trace.length t) (Trace_binary.length h);
       checki "handle users" (Trace.n_users t) (Trace_binary.n_users h);
       checki "handle pages" (Trace.n_pages t) (Trace_binary.n_pages h);
@@ -190,6 +191,90 @@ let test_binary_rejects_garbage_files () =
       set_byte good 8 99;
       String.sub good 0 (String.length good - 1);
     ]
+
+(* Hand-built images: a header with chosen fields, a dictionary of
+   packed pages and a dense stream, with nothing checked. *)
+let craft ~n_users ~length ~pages ~ids =
+  let b = Buffer.create 64 in
+  let int_le bytes v =
+    for k = 0 to bytes - 1 do
+      Buffer.add_char b (Char.chr ((v lsr (8 * k)) land 0xFF))
+    done
+  in
+  Buffer.add_string b "CCTRACE0";
+  int_le 4 1;
+  int_le 4 0x0A0B0C0D;
+  int_le 4 n_users;
+  int_le 4 (List.length pages);
+  int_le 8 length;
+  int_le 8 0;
+  List.iter (fun pg -> int_le 8 (Page.pack pg)) pages;
+  List.iter (int_le 4) ids;
+  Buffer.contents b
+
+(* T = 2^61 + 1 makes 4T wrap to 4 in 63-bit arithmetic, so a 52-byte
+   file with one page used to pass the size check and claim 2^61 + 1
+   requests. *)
+let wrapped_length =
+  craft ~n_users:1 ~length:((1 lsl 61) + 1) ~pages:[ p 0 0 ] ~ids:[ 0 ]
+
+(* 56 bytes, well-formed but for its second dense id, 7, with P = 1. *)
+let bad_second_id = craft ~n_users:1 ~length:2 ~pages:[ p 0 0 ] ~ids:[ 0; 7 ]
+
+let test_crafted_files () =
+  checki "wrapped-length image is 52 bytes" 52 (String.length wrapped_length);
+  checki "bad-id image is 56 bytes" 56 (String.length bad_second_id);
+  let format_error f =
+    match f () with
+    | exception Trace_binary.Format_error { offset; _ } -> offset
+    | _ -> -1
+  in
+  checki "wrapped length: of_string" 24
+    (format_error (fun () -> ignore (Trace_binary.of_string wrapped_length)));
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc wrapped_length);
+      checki "wrapped length: open_file" 24
+        (format_error (fun () -> ignore (Trace_binary.open_file path))));
+  checki "bad id: of_string" 48
+    (format_error (fun () -> ignore (Trace_binary.of_string bad_second_id)));
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bad_second_id);
+      let h = Trace_binary.open_file path in
+      checkb "first request reads" true
+        (Page.equal (Trace_binary.page_at h 0) (p 0 0));
+      (* the zero-copy reader names the offending request's bytes *)
+      checki "bad id: page_at" 52
+        (format_error (fun () -> ignore (Trace_binary.page_at h 1)));
+      checki "bad id: validate" 52
+        (format_error (fun () -> Trace_binary.validate h));
+      checki "bad id: read_file" 48
+        (format_error (fun () -> ignore (Trace_binary.read_file path))));
+  (* one user past the flush dummy's id space *)
+  checki "user count beyond 2^24 - 1" 16
+    (format_error (fun () ->
+         ignore
+           (Trace_binary.of_string
+              (craft ~n_users:(1 lsl 24) ~length:1 ~pages:[ p 0 0 ] ~ids:[ 0 ]))))
+
+(* [to_trace] decodes the request region into the one O(T) array the
+   trace keeps: 8 bytes per request on a 64-bit host, plus the O(P)
+   dictionary and interner. *)
+let test_to_trace_allocation () =
+  let t =
+    W.generate ~seed:3 ~length:100_000
+      (W.symmetric_zipf ~tenants:4 ~pages_per_tenant:256 ~skew:0.9)
+  in
+  with_temp (fun path ->
+      Trace_binary.write_file path t;
+      let h = Trace_binary.open_file path in
+      let a0 = Gc.allocated_bytes () in
+      let t' = Trace_binary.to_trace h in
+      let per_request = (Gc.allocated_bytes () -. a0) /. 100_000. in
+      checkb "same trace" true (same_trace t t');
+      if per_request > 12. then
+        Alcotest.failf "to_trace allocates %.1f B/request (bound 12)" per_request)
 
 (* ------------------------------------------------------------------ *)
 (* External formats                                                    *)
@@ -377,6 +462,16 @@ let cli_exit args =
 
 let test_cli_exit_2 () =
   let good = Trace_binary.to_string (random_trace 3) in
+  List.iter
+    (fun (name, image) ->
+      with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
+          List.iter
+            (fun cmd ->
+              checki (cmd ^ " on " ^ name) 2
+                (cli_exit (cmd ^ " " ^ Filename.quote path)))
+            [ "run --policy lru --trace"; "trace stat"; "trace head -n 3" ]))
+    [ ("wrapped length", wrapped_length); ("bad second id", bad_second_id) ];
   with_temp (fun path ->
       (* corrupt header: wrong version byte *)
       Out_channel.with_open_bin path (fun oc ->
@@ -429,7 +524,12 @@ let test_cli_flags_exit_2 () =
     [ "run"; "gen"; "certify"; "sweep --k-min 1 --k-max 6"; "serve" ];
   List.iter
     (fun cmd -> check_exit cli (cmd ^ " --length 200 -k 0"))
-    [ "run"; "certify"; "serve" ]
+    [ "run"; "certify"; "serve" ];
+  (* a -k the shards cannot split evenly: a smaller one (4 shards of
+     one page would serve 4) or one with a remainder *)
+  List.iter
+    (fun k -> check_exit cli (Printf.sprintf "serve --length 200 -k %d --shards 4" k))
+    [ 2; 10; 65 ]
 
 (* A cache size the trace cannot fill: the engine sizes its cache set
    by the requests, not by k, so the run returns at once with the
@@ -456,6 +556,31 @@ let test_cli_k_beyond_trace () =
   checki "huge k exits 0" 0 code;
   let _, k200 = report "200" in
   Alcotest.(check (list string)) "hits and misses of k = 200" k200 huge
+
+(* A cache larger than the trace's distinct pages behaves like one of
+   exactly that size, for ALG and for OPT, so [certify] prints the same
+   certificate at k = 2^20 as at k = distinct. *)
+let test_cli_certify_beyond_pages () =
+  with_temp (fun path ->
+      checki "gen exits 0" 0
+        (cli_exit ("gen --length 100 --binary --out " ^ Filename.quote path));
+      let distinct = Trace.n_pages (Trace_binary.read_file path) in
+      let certify k =
+        let out = Filename.temp_file "ccache_certify" ".out" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s certify --trace %s -k %d > %s 2> /dev/null"
+               (Filename.quote cli) (Filename.quote path) k (Filename.quote out))
+        in
+        let text = In_channel.with_open_bin out In_channel.input_all in
+        Sys.remove out;
+        checki (Printf.sprintf "certify -k %d exits 0" k) 0 code;
+        text
+      in
+      let at_distinct = certify distinct in
+      checks "k = 2^20 certifies as k = distinct" at_distinct (certify (1 lsl 20));
+      checks "k = distinct + 1 certifies as k = distinct" at_distinct
+        (certify (distinct + 1)))
 
 (* [gen] and [trace convert] write the same bytes to stdout as to
    [--out FILE], in both encodings: each format has one encoder. *)
@@ -509,6 +634,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
           Alcotest.test_case "rejects garbage files" `Quick
             test_binary_rejects_garbage_files;
+          Alcotest.test_case "crafted files" `Quick test_crafted_files;
+          Alcotest.test_case "to_trace allocation" `Quick test_to_trace_allocation;
           Alcotest.test_case "read_any dispatch" `Quick test_read_any_dispatch;
         ]
         @ qsuite [ binary_roundtrip_property; text_binary_text_property ] );
@@ -540,6 +667,8 @@ let () =
             test_cli_flags_exit_2;
           Alcotest.test_case "cli k beyond the trace" `Quick
             test_cli_k_beyond_trace;
+          Alcotest.test_case "cli certify beyond the distinct pages" `Quick
+            test_cli_certify_beyond_pages;
           Alcotest.test_case "cli stdout = --out" `Quick
             test_cli_stdout_matches_out;
         ] );

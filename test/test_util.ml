@@ -504,6 +504,22 @@ let test_int_tbl_capacity_too_large () =
         (fun () -> ignore (Itbl.create ~capacity ())))
     [ max_int; max_int - 1; Sys.max_array_length; ((Sys.max_array_length + 1) / 2) + 1 ]
 
+(* The slot hash must read every key bit.  Packed pages keep the user
+   at bit 38 and up, so four tenants' copies of the page ids 0..4095
+   differ only there; a hash that ignores those bits files each group
+   of four under one home slot and probes ~2 extra slots per key. *)
+let test_int_tbl_reads_user_bits () =
+  let t = Itbl.create () in
+  for u = 0 to 3 do
+    for i = 0 to 4095 do
+      Itbl.set t ((u lsl 38) lor i) i
+    done
+  done;
+  checki "all keys stored" 16_384 (Itbl.length t);
+  checkb "invariant" true (Itbl.invariant_ok t);
+  let d = Itbl.mean_displacement t in
+  if d >= 0.5 then Alcotest.failf "mean probe displacement %.3f >= 0.5" d
+
 (* Model test vs Hashtbl: exercises growth from minimum capacity and
    backward-shift deletion under heavy key reuse (keys from a small
    range collide in probe runs once the table folds them down). *)
@@ -678,6 +694,8 @@ let () =
             test_int_tbl_min_int_rejected;
           Alcotest.test_case "capacity too large" `Quick
             test_int_tbl_capacity_too_large;
+          Alcotest.test_case "hash reads the user bits" `Quick
+            test_int_tbl_reads_user_bits;
         ]
         @ qsuite [ int_tbl_model_test ] );
       ( "interner",
