@@ -169,7 +169,7 @@ let structure_tests =
   in
   let rank_list_ops () =
     let module L = Ccache_util.Rank_list in
-    let l = L.create ~lists:1 in
+    let l = L.create ~ranks:1000 ~lists:1 in
     for r = 0 to 999 do
       L.push_front l 0 r
     done;

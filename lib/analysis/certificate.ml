@@ -96,7 +96,11 @@ let certify ?(ascent_iterations = 50) ~k ~costs trace =
     best_scale;
     improved_bound;
     certified_ratio =
-      (if improved_bound > 0.0 then online_cost /. improved_bound else infinity);
+      (* with no positive bound, a run that costs nothing still pays at
+         most once what any offline schedule pays *)
+      (if improved_bound > 0.0 then online_cost /. improved_bound
+       else if online_cost > 0.0 then infinity
+       else 1.0);
   }
 
 let pp ppf c =

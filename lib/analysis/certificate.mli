@@ -16,7 +16,10 @@ type t = {
   scaled_bound : float;  (** best over the scaling grid *)
   best_scale : float;
   improved_bound : float;  (** after warm-started ascent; >= 0 *)
-  certified_ratio : float;  (** online_cost / improved_bound *)
+  certified_ratio : float;
+      (** online_cost / improved_bound; [1] for a run that costs
+          nothing, and [infinity] for a positive cost with no positive
+          bound *)
 }
 
 val certify :

@@ -41,9 +41,12 @@ let drive ~n_users ~steps ~costs policy =
     | Engine.Miss_evict { victim; _ } -> missing := Page.user victim
     | Engine.Hit _ | Engine.Miss_insert _ -> ()
   in
-  let st =
-    Engine.Step.init ~on_event ~k ~costs policy (Trace.of_list ~n_users [])
+  (* the state is keyed by the n-page universe: page (u, 0) for each
+     user u, with dense id u *)
+  let universe =
+    Trace.of_list ~n_users (List.init n_users (fun u -> Page.make ~user:u ~id:0))
   in
+  let st = Engine.Step.init ~on_event ~k ~costs policy universe in
   let requests = ref [] in
   let request u =
     let page = Page.make ~user:u ~id:0 in

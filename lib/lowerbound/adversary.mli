@@ -4,7 +4,8 @@
     the cache with pages 0..n-2, every step requests exactly the page
     missing from the online algorithm's cache.  The sequence depends
     on the algorithm, so the adversary feeds it request by request to
-    an {!Ccache_sim.Engine.Step} built over an empty trace, and takes
+    an {!Ccache_sim.Engine.Step} built over the n-page universe (page
+    [(u, 0)] for each user u), and takes
     the next request from the last eviction's victim.  That victim is
     the only uncached page as long as the policy never evicts before
     the cache is full, which holds for every policy E4, [test_lb] and

@@ -8,9 +8,9 @@
     Model implemented here:
 
     - [pools] caches, each of size [pool_size], each an
-      {!Ccache_sim.Engine.Step} running its own instance of a policy
-      (ALG-DISCRETE by default), so every pool keeps the engine's cache
-      contract;
+      {!Ccache_sim.Engine.Step} over the parent trace running its own
+      instance of a policy (ALG-DISCRETE by default), so every pool
+      keeps the engine's cache contract;
     - every user is assigned to exactly one pool; all its requests are
       fed to that pool's engine;
     - an optional periodic rebalancer migrates users between pools; a
@@ -99,10 +99,11 @@ let run ?(policy = Ccache_core.Alg_discrete.policy) ?initial_assignment
         Page.Tbl.remove resident.(q) victim;
         on_miss q page
   in
-  let empty = Trace.of_list ~n_users [] in
+  (* every pool is keyed by the parent trace's dense ids, and is fed
+     only pages of its dictionary *)
   let engines =
     Array.init n_pools (fun q ->
-        Engine.Step.init ~on_event:(on_event q) ~k:pool_size ~costs policy empty)
+        Engine.Step.init ~on_event:(on_event q) ~k:pool_size ~costs policy trace)
   in
   (* migrate user u to pool q: drop its pages from the old pool (they
      are simply lost — the new pool warms up from scratch) *)

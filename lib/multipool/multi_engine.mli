@@ -1,7 +1,8 @@
 (** Multiple memory pools — the paper's future-work extension (§5):
     each tenant is assigned to one pool, an {!Ccache_sim.Engine.Step}
-    with its own policy instance, so every pool keeps the engine's
-    cache contract ([wants_evict] included); an optional rebalancer
+    built over the parent trace with its own policy instance, so every
+    pool keeps the engine's cache contract ([wants_evict] included) and
+    ranks pages by the parent trace's dense ids; an optional rebalancer
     migrates tenants between pools, paying a switching cost and losing
     the migrated tenant's warm pages (the old pool evicts them).
 

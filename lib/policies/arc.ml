@@ -27,10 +27,10 @@ let b2 = 3
 let policy =
   Policy.make ~name:"arc" (fun config ->
       let k = config.Policy.Config.k in
-      let ranks = Interner.create ~capacity:16 in
-      let lists = Rank_list.create ~lists:4 in
+      let ranks = config.Policy.Config.ranks in
+      let lists = Rank_list.create ~ranks:(Interner.length ranks) ~lists:4 in
       let len l = Rank_list.length lists l in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let rank page = Interner.find ranks (Page.pack page) in
       let p = ref 0.0 (* target size of T1, in [0, k] *) in
       (* move a rank from whatever list holds it to the front of [l] *)
       let move_front r l =
@@ -54,7 +54,7 @@ let policy =
                paper's tie nudge toward T1 if the incoming page is a B2
                ghost), else T2 *)
             let incoming_in_b2 =
-              Rank_list.owner lists (Interner.find ranks (Page.pack incoming)) = b2
+              Rank_list.owner lists (rank incoming) = b2
             in
             let t1_len = float_of_int (len t1) in
             let from_t1 =

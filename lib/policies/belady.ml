@@ -22,10 +22,10 @@ let policy =
         | Some i -> i
         | None -> assert false (* guarded by needs_future *)
       in
-      let ranks = Interner.create ~capacity:16 in
+      let ranks = config.Policy.Config.ranks in
       let heap = Heap.create () in
       let touch ~pos page =
-        let key = Interner.intern ranks (Page.pack page) in
+        let key = Interner.find ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
         let prio = if next = Int.max_int then Float.neg_infinity else -.float_of_int next in
         Heap.set heap ~key ~prio
@@ -39,5 +39,5 @@ let policy =
         on_insert = (fun ~pos page -> touch ~pos page);
         on_evict =
           (fun ~pos:_ page ->
-            Heap.remove heap (Interner.intern ranks (Page.pack page)));
+            Heap.remove heap (Interner.find ranks (Page.pack page)));
       })

@@ -11,16 +11,16 @@ module Interner = Ccache_util.Interner
 module Rank_list = Ccache_util.Rank_list
 
 let policy =
-  Policy.make ~name:"clock" (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
+  Policy.make ~name:"clock" (fun config ->
+      let ranks = config.Policy.Config.ranks in
       (* the list front is the hand position: entries cycle from front
          (oldest / next to examine) to back (most recently passed) *)
-      let ring = Rank_list.create ~lists:1 in
+      let ring = Rank_list.create ~ranks:(Interner.length ranks) ~lists:1 in
       (* reference bit per rank *)
-      let referenced = ref (Bytes.make 16 '\000') in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let referenced = Bytes.make (Interner.length ranks) '\000' in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
-        Policy.on_hit = (fun ~pos:_ page -> Bytes.set !referenced (rank page) '\001');
+        Policy.on_hit = (fun ~pos:_ page -> Bytes.set referenced (rank page) '\001');
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
@@ -28,8 +28,8 @@ let policy =
                surfaces.  Terminates within two laps. *)
             let rec sweep () =
               let r = Rank_list.front ring 0 in
-              if r >= 0 && Bytes.get !referenced r <> '\000' then begin
-                Bytes.set !referenced r '\000';
+              if r >= 0 && Bytes.get referenced r <> '\000' then begin
+                Bytes.set referenced r '\000';
                 Rank_list.remove ring r;
                 Rank_list.push_back ring 0 r;
                 sweep ()
@@ -40,13 +40,7 @@ let policy =
         on_insert =
           (fun ~pos:_ page ->
             let r = rank page in
-            let bits = !referenced in
-            if r >= Bytes.length bits then begin
-              let bigger = Bytes.make (2 * (r + 1)) '\000' in
-              Bytes.blit bits 0 bigger 0 (Bytes.length bits);
-              referenced := bigger
-            end;
-            Bytes.set !referenced r '\000';
+            Bytes.set referenced r '\000';
             Rank_list.push_back ring 0 r);
         on_evict = (fun ~pos:_ page -> Rank_list.remove ring (rank page));
       })

@@ -25,7 +25,7 @@ let policy =
         | Some i -> i
         | None -> assert false
       in
-      let ranks = Interner.create ~capacity:16 in
+      let ranks = config.Policy.Config.ranks in
       let heap = Heap.create () in
       let n_users = config.Policy.Config.n_users in
       let slot u = Stdlib.min u n_users in
@@ -48,7 +48,7 @@ let policy =
           marginal (Page.user page) /. Float.max 1.0 dist
       in
       let touch ~pos page =
-        let key = Interner.intern ranks (Page.pack page) in
+        let key = Interner.find ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
         Int_tbl.set next_use_of key next;
         Heap.set heap ~key ~prio:(score ~pos ~next page)
@@ -77,7 +77,7 @@ let policy =
           (fun ~pos page ->
             let u = Page.user page in
             Cf.Marginals.advance marginals (slot u);
-            let key = Interner.intern ranks (Page.pack page) in
+            let key = Interner.find ranks (Page.pack page) in
             Heap.remove heap key;
             ignore (Int_tbl.remove next_use_of key);
             refresh_user ~pos u);

@@ -7,11 +7,11 @@ module Interner = Ccache_util.Interner
 module Rank_list = Ccache_util.Rank_list
 
 let policy =
-  Policy.make ~name:"fifo" (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
+  Policy.make ~name:"fifo" (fun config ->
+      let ranks = config.Policy.Config.ranks in
       (* one list, newest at the front *)
-      let queue = Rank_list.create ~lists:1 in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let queue = Rank_list.create ~ranks:(Interner.length ranks) ~lists:1 in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit = Policy.no_hit;
         wants_evict = Policy.never_evict_early;

@@ -38,7 +38,7 @@ let make ~mode =
   Policy.make
     ~name:(Printf.sprintf "landlord-%s" (mode_name mode))
     (fun config ->
-      let ranks = Interner.create ~capacity:16 in
+      let ranks = config.Policy.Config.ranks in
       let heap = Heap.create () in
       let level = ref 0.0 in
       let n_users = config.Policy.Config.n_users in
@@ -55,7 +55,7 @@ let make ~mode =
             (Some m, Cf.Marginals.rates m)
       in
       let set_credit page =
-        let key = Interner.intern ranks (Page.pack page) in
+        let key = Interner.find ranks (Page.pack page) in
         let w = Float.Array.get weights (slot (Page.user page)) in
         Heap.set heap ~key ~prio:(w +. !level)
         [@@effects.no_alloc] [@@effects.deterministic]
@@ -74,7 +74,7 @@ let make ~mode =
             (match marginals with
             | Some m -> Cf.Marginals.advance m (slot (Page.user page))
             | None -> ());
-            Heap.remove heap (Interner.intern ranks (Page.pack page)));
+            Heap.remove heap (Interner.find ranks (Page.pack page)));
       })
 
 let static = make ~mode:Static

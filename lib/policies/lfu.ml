@@ -1,9 +1,10 @@
 (** Least Frequently Used (in-cache frequency, reset on eviction).
 
     Victim: the cached page with the fewest hits since insertion, ties
-    broken deterministically by first-touch rank.  A cached page's hit
-    count is its heap priority (exact: counts stay far below 2^53), so
-    no separate frequency table is kept. *)
+    broken deterministically by dense id (the page the trace requested
+    first goes first).  A cached page's hit count is its heap priority
+    (exact: counts stay far below 2^53), so no separate frequency table
+    is kept. *)
 
 module Policy = Ccache_sim.Policy
 
@@ -12,10 +13,10 @@ module Heap = Ccache_util.Indexed_heap
 module Interner = Ccache_util.Interner
 
 let policy =
-  Policy.make ~name:"lfu" (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
+  Policy.make ~name:"lfu" (fun config ->
+      let ranks = config.Policy.Config.ranks in
       let heap = Heap.create () in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->

@@ -2,7 +2,7 @@
 
     The classical k-competitive policy (Sleator & Tarjan).  Cost-blind:
     ignores both users and cost functions.  O(1) per event via a
-    recency list over the pages' first-touch ranks. *)
+    recency list over the pages' dense ids. *)
 
 module Policy = Ccache_sim.Policy
 
@@ -11,11 +11,11 @@ module Interner = Ccache_util.Interner
 module Rank_list = Ccache_util.Rank_list
 
 let policy =
-  Policy.make ~name:"lru" (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
+  Policy.make ~name:"lru" (fun config ->
+      let ranks = config.Policy.Config.ranks in
       (* one list, most recent at the front *)
-      let recency = Rank_list.create ~lists:1 in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let recency = Rank_list.create ~ranks:(Interner.length ranks) ~lists:1 in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->

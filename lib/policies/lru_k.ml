@@ -26,43 +26,36 @@ let make ~k_refs =
   if k_refs < 1 then invalid_arg "Lru_k.make: k_refs must be >= 1";
   Policy.make
     ~name:(Printf.sprintf "lru-%d" k_refs)
-    (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
+    (fun config ->
+      let ranks = config.Policy.Config.ranks in
       let heap = Heap.create () in
       (* the last <= k_refs reference positions of rank r, oldest
          first, in hist.(r * k_refs) .. hist.(r * k_refs + count.(r) - 1) *)
-      let hist = ref (Array.make (16 * k_refs) (-1)) in
-      let count = ref (Array.make 16 0) in
+      let hist = Array.make (Interner.length ranks * k_refs) (-1) in
+      let count = Array.make (Interner.length ranks) 0 in
       let record key pos =
-        if key >= Array.length !count then begin
-          let n = 2 * (key + 1) in
-          let bigger_hist = Array.make (n * k_refs) (-1) and bigger_count = Array.make n 0 in
-          Array.blit !hist 0 bigger_hist 0 (Array.length !hist);
-          Array.blit !count 0 bigger_count 0 (Array.length !count);
-          hist := bigger_hist;
-          count := bigger_count
-        end;
-        let base = key * k_refs and n = !count.(key) in
+        let base = key * k_refs and n = count.(key) in
         if n < k_refs then begin
-          !hist.(base + n) <- pos;
-          !count.(key) <- n + 1
+          hist.(base + n) <- pos;
+          count.(key) <- n + 1
         end
         else begin
           (* shift left: drop the oldest *)
-          Array.blit !hist (base + 1) !hist base (k_refs - 1);
-          !hist.(base + k_refs - 1) <- pos
+          Array.blit hist (base + 1) hist base (k_refs - 1);
+          hist.(base + k_refs - 1) <- pos
         end
       in
       (* only called after [record], so every rank has a reference *)
       let priority key =
-        let base = key * k_refs and n = !count.(key) in
-        if n < k_refs then float_of_int !hist.(base + n - 1) -. huge
-        else float_of_int !hist.(base)
+        let base = key * k_refs and n = count.(key) in
+        if n < k_refs then float_of_int hist.(base + n - 1) -. huge
+        else float_of_int hist.(base)
       in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos page ->
-            let key = Interner.intern ranks (Page.pack page) in
+            let key = rank page in
             record key pos;
             Heap.update heap ~key ~prio:(priority key));
         wants_evict = Policy.never_evict_early;
@@ -71,13 +64,10 @@ let make ~k_refs =
             Page.unpack (Interner.key ranks (Heap.min_key_exn heap)));
         on_insert =
           (fun ~pos page ->
-            let key = Interner.intern ranks (Page.pack page) in
+            let key = rank page in
             record key pos;
             Heap.add heap ~key ~prio:(priority key));
-        on_evict =
-          (fun ~pos:_ page ->
-            let key = Interner.intern ranks (Page.pack page) in
-            Heap.remove heap key);
+        on_evict = (fun ~pos:_ page -> Heap.remove heap (rank page));
       })
 
 let lru_2 = make ~k_refs:2

@@ -18,10 +18,10 @@ let unmarked = 0
 let marked = 1
 
 let policy =
-  Policy.make ~name:"marking" (fun _config ->
-      let ranks = Interner.create ~capacity:16 in
-      let lists = Rank_list.create ~lists:2 in
-      let rank page = Interner.intern ranks (Page.pack page) in
+  Policy.make ~name:"marking" (fun config ->
+      let ranks = config.Policy.Config.ranks in
+      let lists = Rank_list.create ~ranks:(Interner.length ranks) ~lists:2 in
+      let rank page = Interner.find ranks (Page.pack page) in
       let page_of r = Page.unpack (Interner.key ranks r) in
       let mark page =
         let r = rank page in

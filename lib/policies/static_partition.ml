@@ -25,12 +25,12 @@ let equal_split =
       let n_users = config.Policy.Config.n_users in
       let k = config.Policy.Config.k in
       let sizes = slice_sizes ~k ~n_users in
-      let ranks = Interner.create ~capacity:16 in
+      let ranks = config.Policy.Config.ranks in
       (* one LRU list per user, most recent at the front; the flush
          dummy user (id = n_users) has the last one *)
-      let slices = Rank_list.create ~lists:(n_users + 1) in
+      let slices = Rank_list.create ~ranks:(Interner.length ranks) ~lists:(n_users + 1) in
       let occupancy u = Rank_list.length slices u in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let rank page = Interner.find ranks (Page.pack page) in
       let slice_of page = Stdlib.min (Page.user page) n_users in
       (* the flush dummy user gets quota k so its requests displace real
          pages (via the over-quota branch) instead of each other *)

@@ -25,9 +25,9 @@ let policy =
   Policy.make ~name:"2q" (fun config ->
       let k = config.Policy.Config.k in
       let kin = Stdlib.max 1 (k / 4) and kout = Stdlib.max 1 (k / 2) in
-      let ranks = Interner.create ~capacity:16 in
-      let lists = Rank_list.create ~lists:3 in
-      let rank page = Interner.intern ranks (Page.pack page) in
+      let ranks = config.Policy.Config.ranks in
+      let lists = Rank_list.create ~ranks:(Interner.length ranks) ~lists:3 in
+      let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit =
           (fun ~pos:_ page ->

@@ -88,27 +88,24 @@ let record_obs r =
     engine between requests and advance it one request at a time.  The
     state is one record of flat arrays and mutable counters.
 
-    The cache set is keyed by the trace's dense ids: one byte per
-    distinct page, set while the page is cached, plus an occupancy
-    counter.  A request is then two array reads and a byte test, with
-    no hashing; only a victim, which the policy names as a page, goes
-    through the trace's interner to find its byte. *)
+    The trace's interner is the run's one key space: the engine's cache
+    set and the policy ({!Policy.Config.ranks}) are both keyed by the
+    trace's dense ids.  The cache set is one byte per distinct page,
+    set while the page is cached, plus an occupancy counter.  A request
+    is then two array reads and a byte test, with no hashing; only a
+    victim, which the policy names as a page, goes through the
+    interner to find its byte. *)
 module Step = struct
   module Interner = Ccache_util.Interner
 
   type t = {
     policy : Policy.t;
-    trace : Trace.t;
     dense : int array;
         (** [Trace.dense trace], hoisted so the per-request hot loop
             indexes local arrays instead of re-entering [Trace] *)
     dict : Page.t array;  (** [Trace.pages trace], hoisted likewise *)
-    ranks : Interner.t;
-        (** packed page -> dense id: the trace's interner, or, for a
-            state built over an empty trace, a private one that [feed]
-            interns into *)
-    feeding : bool;  (** built over an empty trace: [feed] is allowed *)
-    mutable cached : Bytes.t;  (** byte [d] is ['\001'] iff dense id [d] is cached *)
+    ranks : Interner.t;  (** [Trace.interner trace]: packed page -> dense id *)
+    cached : Bytes.t;  (** byte [d] is ['\001'] iff dense id [d] is cached *)
     mutable occupancy : int;
     k : int;
     real_users : int;
@@ -132,23 +129,17 @@ module Step = struct
           if Policy.needs_future policy then Some (Trace.Index.build trace)
           else None
     in
-    let config = Policy.Config.make ?index ~k ~costs () in
+    let ranks = Trace.interner trace in
+    let config = Policy.Config.make ?index ~ranks ~k ~costs () in
     let h = Policy.instantiate policy config in
-    (* A state over an empty trace is fed its requests one at a time:
-       it interns them into its own interner (the trace is shared and
-       never written) and its cache set grows amortised.  The size of
-       the set never depends on [k], so a [k] the trace cannot fill
-       costs nothing. *)
-    let feeding = Trace.length trace = 0 in
+    (* The size of the cache set never depends on [k], so a [k] the
+       trace cannot fill costs nothing. *)
     {
       policy;
-      trace;
       dense = Trace.dense trace;
       dict = Trace.pages trace;
-      ranks =
-        (if feeding then Interner.create ~capacity:16 else Trace.interner trace);
-      feeding;
-      cached = Bytes.make (if feeding then 16 else Trace.n_pages trace) '\000';
+      ranks;
+      cached = Bytes.make (Trace.n_pages trace) '\000';
       occupancy = 0;
       k;
       real_users;
@@ -161,7 +152,7 @@ module Step = struct
       on_event;
     }
 
-  let length t = Trace.length t.trace
+  let length t = Array.length t.dense
 
   let is_cached t d = Bytes.get t.cached d <> '\000' [@@inline]
 
@@ -188,10 +179,10 @@ module Step = struct
      those branches.
 
      [apply] is the decision body shared by [step] (trace replay) and
-     [feed] (requests chosen one at a time by the lower-bound
-     adversary): both spellings run the exact same cache and accounting
-     code, so a fed run is an ordinary engine run.  [d] is the dense id
-     of [page]. *)
+     [feed] (requests chosen one at a time by the lower-bound adversary
+     and the multipool engine): both spellings run the exact same cache
+     and accounting code, so a fed run is an ordinary engine run.  [d]
+     is the dense id of [page]. *)
   let apply t pos d page =
     t.fed <- pos + 1;
     let h = t.h in
@@ -243,18 +234,9 @@ module Step = struct
     apply t pos d t.dict.(d)
     [@@effects.no_alloc] [@@effects.deterministic]
 
-  (* Amortised doubling of a fed state's cache set, forgiven to [feed]
-     under [@@effects.amortized_alloc] as in [Int_tbl]. *)
-  let[@effects.amortized_alloc] grow t =
-    let bigger = Bytes.make (2 * Bytes.length t.cached) '\000' in
-    Bytes.blit t.cached 0 bigger 0 (Bytes.length t.cached);
-    t.cached <- bigger
-
   let feed t page =
-    if not t.feeding then
-      invalid_arg "Engine.Step.feed: state built over a non-empty trace";
-    let d = Interner.intern t.ranks (Page.pack page) in
-    if d >= Bytes.length t.cached then grow t;
+    let d = Interner.find t.ranks (Page.pack page) in
+    if d < 0 then invalid_arg "Engine.Step.feed: page outside the trace's dictionary";
     apply t t.fed d page
     [@@effects.no_alloc] [@@effects.deterministic]
 
@@ -277,10 +259,7 @@ module Step = struct
      do nothing and are not run: the loop is bounded by the cache, not
      by k. *)
   let finish t =
-    (* [fed] equals the trace length after a complete trace replay; it
-       exceeds it (trivially: the trace is empty) for dynamic states
-       driven through [feed]. *)
-    let n = max (Trace.length t.trace) t.fed in
+    let n = t.fed in
     if t.flush then begin
       let step = ref 0 in
       while t.occupancy > 0 && !step < t.k do

@@ -54,15 +54,15 @@ exception Policy_error of string
     once.  The state is single-run and single-domain, like a policy
     instance.
 
-    The cache set is keyed by the trace's dense ids ({!Trace.dense}):
-    one byte per distinct page plus an occupancy counter, so its size
-    is P bytes whatever [k] is.  [step] reads the request's dense id
-    and the trace's dictionary; a victim, which the policy names as a
-    page, is mapped to its dense id through the trace's interner.  A
-    state built over an empty trace (the [feed] form) owns a private
-    interner and a cache set that grows as pages arrive, so the
-    trace itself is never written and stays shareable across
-    domains. *)
+    The trace's interner ({!Trace.interner}) is the run's one key
+    space: [init] hands it to the policy as {!Policy.Config.ranks}, and
+    the cache set is keyed by the same dense ids ({!Trace.dense}): one
+    byte per distinct page plus an occupancy counter, so its size is P
+    bytes whatever [k] is.  [step] reads the request's dense id and the
+    trace's dictionary; a victim, which the policy names as a page, is
+    mapped to its dense id through the interner.  The engine's state
+    never grows during a run, and the trace is never written, so it
+    stays shareable across domains. *)
 module Step : sig
   type t
 
@@ -78,7 +78,7 @@ module Step : sig
   (** Same parameters and validation as {!run}. *)
 
   val length : t -> int
-  (** Trace length: the number of [step] calls [finish] expects. *)
+  (** Trace length: the number of [step] calls a full replay makes. *)
 
   val step : t -> int -> unit
   (** Replay one request.
@@ -87,16 +87,15 @@ module Step : sig
       incoming page. *)
 
   val feed : t -> Ccache_trace.Page.t -> unit
-  (** Dynamic form of [step]: replay [page] as the next request, at
-      position = number of requests replayed so far.  The lower-bound
-      adversary and the multipool engine's pools feed requests as they
-      pick them instead of replaying a prebuilt trace.  Only a state
-      built over an empty trace (which fixes [n_users] and the cost
-      vector) accepts [feed]; it interns each page into its own
-      interner, and its cache set grows amortised.  [step] and [feed]
-      run the same decision body.
-      @raise Invalid_argument if the state was built over a non-empty
-      trace.
+  (** Dynamic form of [step]: replay [page], any page of the trace's
+      dictionary, as the next request, at position = number of
+      requests replayed so far.  The lower-bound adversary and the
+      multipool engine's pools feed requests as they pick them instead
+      of replaying the trace in order; each builds its state over a
+      trace whose dictionary holds every page it will feed (the
+      adversary's n-page universe, a pool's parent trace).  [step] and
+      [feed] run the same decision body.
+      @raise Invalid_argument if the trace never requests [page].
       @raise Policy_error as [step]. *)
 
   val evict : t -> Ccache_trace.Page.t -> unit
@@ -110,8 +109,9 @@ module Step : sig
   val finish : t -> result
   (** Terminal flush (when [init] was given [~flush:true]) plus result
       assembly.  [result.trace_length] is the number of requests
-      actually replayed (= the trace length after a full [step] loop).
-      [final_cache] is read off the cache set's bytes and sorted.
+      replayed, stepped or fed (= the trace length after a full [step]
+      loop).  [final_cache] is read off the cache set's bytes and
+      sorted.
       @raise Policy_error if a flush victim is not cached. *)
 end
 

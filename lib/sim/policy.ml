@@ -22,13 +22,16 @@ module Config = struct
     costs : Ccache_cost.Cost_function.t array;  (** indexed by user id *)
     index : Trace.Index.t option;
         (** full-trace index; [Some _] only for offline policies *)
+    ranks : Ccache_util.Interner.t;
+        (** the run's key space: the trace's interner, packed page ->
+            dense id in [\[0, Interner.length ranks)] *)
   }
 
-  let make ?index ~k ~costs () =
+  let make ?index ?(ranks = Ccache_util.Interner.create ~capacity:0) ~k ~costs () =
     if k <= 0 then invalid_arg "Policy.Config.make: k must be positive";
     let n_users = Array.length costs in
     if n_users = 0 then invalid_arg "Policy.Config.make: no users";
-    { k; n_users; costs; index }
+    { k; n_users; costs; index; ranks }
 
   (** Cost function of [user], tolerating the flush dummy user (id =
       n_users) which has zero cost by construction. *)

@@ -23,15 +23,26 @@ module Config : sig
     costs : Ccache_cost.Cost_function.t array;  (** indexed by user id *)
     index : Trace.Index.t option;
         (** full-trace index; [Some _] only for offline policies *)
+    ranks : Ccache_util.Interner.t;
+        (** the run's one key space: the trace's interner
+            ({!Trace.interner}), mapping a packed page to its dense id
+            in [\[0, Interner.length ranks)].  Every page a run hands a
+            policy (the flush dummy aside) is in it, so a policy keys
+            its state by [Interner.find ranks (Page.pack p)] and sizes
+            its rank-indexed arrays once, to [Interner.length ranks].
+            Read-only: interning into it would break the trace. *)
   }
 
   val make :
     ?index:Trace.Index.t ->
+    ?ranks:Ccache_util.Interner.t ->
     k:int ->
     costs:Ccache_cost.Cost_function.t array ->
     unit ->
     t
-  (** @raise Invalid_argument if [k <= 0] or [costs] is empty. *)
+  (** {!Engine.Step.init} always passes [~ranks]; without it the key
+      space is empty.
+      @raise Invalid_argument if [k <= 0] or [costs] is empty. *)
 
   val cost : t -> int -> Ccache_cost.Cost_function.t
   (** Cost function of a user; out-of-range users (the engine-internal

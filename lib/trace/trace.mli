@@ -63,8 +63,9 @@ val pages : t -> Page.t array
 
 val interner : t -> Ccache_util.Interner.t
 (** Packed page -> dense id ({!Ccache_util.Interner.find} gives [-1]
-    for a page the trace never requests).  Read-only: interning a new
-    key into it would break the trace. *)
+    for a page the trace never requests): the one key space of every
+    engine run over the trace, which the engine hands its policy.
+    Read-only: interning a new key into it would break the trace. *)
 
 val page_of_dense : t -> int -> Page.t
 (** Page with the given dense id (its first-touch rank). *)

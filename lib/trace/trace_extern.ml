@@ -60,8 +60,12 @@ let parse ~page_shift s addr_of =
       | Some addr ->
           buf_push dense (Ccache_util.Interner.intern ranks (addr lsr page_shift))
       | None -> ());
-  Trace.of_pages ~n_users:1
-    (Array.init dense.len (fun i -> Page.make ~user:0 ~id:dense.data.(i)))
+  (* the ranks are already the trace's dense ids, and rank [d] is the
+     page [(0, d)] *)
+  Trace.of_dense ~n_users:1
+    ~pages:
+      (Array.init (Ccache_util.Interner.length ranks) (fun d -> Page.make ~user:0 ~id:d))
+    ~dense:(Array.sub dense.data 0 dense.len)
 
 (* {2 rw format} *)
 

@@ -1,8 +1,8 @@
 (** Descriptive statistics of a trace.
 
     Used by experiment reports to characterise generated workloads
-    (footprint, per-user request share, reuse distances) and by tests to
-    sanity-check the generators (e.g. Zipf skew actually skews). *)
+    (footprint, per-user request share) and by tests to sanity-check
+    the generators (e.g. Zipf skew actually skews). *)
 
 type per_user = {
   user : int;
@@ -18,58 +18,27 @@ type t = {
   cold_misses : int;  (** first-touch requests = compulsory misses *)
 }
 
+(* The trace's dictionary already holds its distinct pages, one per
+   compulsory miss; a tenant's distinct pages are its entries there. *)
 let compute trace =
   let n_users = Trace.n_users trace in
-  let req_counts = Array.make n_users 0 in
-  let page_sets = Array.init n_users (fun _ -> Page.Tbl.create 64) in
-  let seen = Page.Tbl.create 256 in
-  let cold = ref 0 in
+  let pages = Trace.pages trace in
+  let requests = Array.make n_users 0 and distinct = Array.make n_users 0 in
+  Array.iter (fun p -> distinct.(Page.user p) <- distinct.(Page.user p) + 1) pages;
   Array.iter
-    (fun p ->
-      let u = Page.user p in
-      req_counts.(u) <- req_counts.(u) + 1;
-      Page.Tbl.replace page_sets.(u) p ();
-      if not (Page.Tbl.mem seen p) then begin
-        Page.Tbl.add seen p ();
-        incr cold
-      end)
-    (Trace.requests trace);
+    (fun d ->
+      let u = Page.user pages.(d) in
+      requests.(u) <- requests.(u) + 1)
+    (Trace.dense trace);
   {
     length = Trace.length trace;
     n_users;
-    distinct_pages = Page.Tbl.length seen;
+    distinct_pages = Trace.n_pages trace;
     per_user =
       Array.init n_users (fun u ->
-          { user = u; requests = req_counts.(u); distinct_pages = Page.Tbl.length page_sets.(u) });
-    cold_misses = !cold;
+          { user = u; requests = requests.(u); distinct_pages = distinct.(u) });
+    cold_misses = Trace.n_pages trace;
   }
-
-(** Reuse distance of each non-first request: number of *distinct* pages
-    referenced strictly between consecutive uses of the same page.
-    Infinite-cache stack distances; the classical locality profile. *)
-let reuse_distances trace =
-  let idx = Trace.Index.build trace in
-  let n = Trace.length trace in
-  (* O(T * D) sweep with a distinct-page counter per gap would be
-     quadratic; instead count distinct pages via timestamps: for each
-     request at [pos] with previous use [prev], the reuse distance is
-     the number of pages whose last use in (prev, pos) lies in that
-     window.  We approximate with the standard "set of pages touched in
-     the window" computed by a per-window hash sweep, acceptable for the
-     trace sizes used in experiments. *)
-  let reqs = Trace.requests trace in
-  let out = ref [] in
-  for pos = 0 to n - 1 do
-    let prev = Trace.Index.prev_use idx pos in
-    if prev >= 0 then begin
-      let seen = Page.Tbl.create 16 in
-      for q = prev + 1 to pos - 1 do
-        Page.Tbl.replace seen reqs.(q) ()
-      done;
-      out := float_of_int (Page.Tbl.length seen) :: !out
-    end
-  done;
-  Array.of_list (List.rev !out)
 
 (** Fraction of requests that would hit in an unbounded cache
     (i.e. 1 - compulsory miss rate). *)

@@ -1,6 +1,7 @@
 (** Descriptive statistics of a trace: per-tenant footprints, request
-    shares, compulsory misses and reuse distances.  Used by reports
-    and by tests that sanity-check the generators. *)
+    shares and compulsory misses, read off the trace's dictionary and
+    dense ids.  Used by reports and by tests that sanity-check the
+    generators. *)
 
 type per_user = { user : int; requests : int; distinct_pages : int }
 
@@ -13,11 +14,6 @@ type t = {
 }
 
 val compute : Trace.t -> t
-
-val reuse_distances : Trace.t -> float array
-(** Per non-first request: distinct pages referenced strictly between
-    consecutive uses of the same page (infinite-cache stack
-    distances).  Quadratic sweep — intended for analysis-scale traces. *)
 
 val max_hit_ratio : t -> float
 (** 1 - compulsory miss rate: the best any cache could do. *)

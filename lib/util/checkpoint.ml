@@ -104,8 +104,10 @@ let parse ~path contents =
         pos := i + 1;
         l
   in
+  (* [n > len - !pos], not [!pos + n > len]: a header length near
+     [max_int] would wrap the sum *)
   let take n what =
-    if !pos + n > len then fail (Printf.sprintf "truncated (%s)" what);
+    if n > len - !pos then fail (Printf.sprintf "truncated (%s)" what);
     let s = String.sub contents !pos n in
     pos := !pos + n;
     s

@@ -3,10 +3,13 @@
     A key's rank is the number of distinct keys interned before it was
     first seen, so ranks depend only on the order keys arrive in, never
     on a hash.  This is the one place first-touch ranks are assigned:
-    {!Ccache_trace.Trace}'s dense interning, the external address-trace
-    readers and every policy but the two random ones (the heap-backed
-    ones break ties on the rank, the list-backed ones index their
-    {!Rank_list} by it) all go through it.
+    {!Ccache_trace.Trace}'s dense interning and the external
+    address-trace readers go through it.  A trace's interner is then
+    the key space of every engine run over it: the engine's cache set
+    and every policy but the two random ones {!find} pages in it (the
+    heap-backed ones break ties on the rank, the list-backed ones index
+    their {!Rank_list} by it), and nothing interns into it after the
+    trace is built.
 
     Layout: an {!Int_tbl} key -> rank plus a flat rank -> key array;
     {!intern} and {!find} allocate nothing once both are at capacity,

@@ -2,20 +2,20 @@
     contract). *)
 
 type t = {
-  mutable owner : int array;  (** rank -> its list, [-1] in none *)
-  mutable prev : int array;  (** rank -> previous rank, [-1] at the front *)
-  mutable next : int array;  (** rank -> next rank, [-1] at the back *)
+  owner : int array;  (** rank -> its list, [-1] in none *)
+  prev : int array;  (** rank -> previous rank, [-1] at the front *)
+  next : int array;  (** rank -> next rank, [-1] at the back *)
   front : int array;  (** list -> first rank, [-1] if empty *)
   back : int array;  (** list -> last rank, [-1] if empty *)
   length : int array;  (** list -> number of ranks *)
 }
 
-let create ~lists =
+let create ~ranks ~lists =
   if lists < 1 then invalid_arg "Rank_list.create: lists must be >= 1";
   {
-    owner = Array.make 16 (-1);
-    prev = Array.make 16 (-1);
-    next = Array.make 16 (-1);
+    owner = Array.make ranks (-1);
+    prev = Array.make ranks (-1);
+    next = Array.make ranks (-1);
     front = Array.make lists (-1);
     back = Array.make lists (-1);
     length = Array.make lists 0;
@@ -26,27 +26,9 @@ let length t l = t.length.(l)
 let owner t r = if r >= 0 && r < Array.length t.owner then t.owner.(r) else -1
   [@@effects.no_alloc] [@@effects.deterministic]
 
-(* Amortised-doubling growth until rank [r] has a slot, forgiven to
-   callers under [@@effects.amortized_alloc] as in [Int_tbl]. *)
-let[@effects.amortized_alloc] grow t r =
-  let n = ref (Array.length t.owner) in
-  while !n <= r do
-    n := 2 * !n
-  done;
-  let extend a =
-    let b = Array.make !n (-1) in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  t.owner <- extend t.owner;
-  t.prev <- extend t.prev;
-  t.next <- extend t.next
-
-(* Whether rank [r] may be pushed: it gets a slot, and must be in no
-   list. *)
+(* Whether rank [r] may be pushed: it is in range, and in no list. *)
 let free t r =
-  if r < 0 then invalid_arg "Rank_list: negative rank";
-  if r >= Array.length t.owner then grow t r;
+  if r < 0 || r >= Array.length t.owner then invalid_arg "Rank_list: rank out of range";
   t.owner.(r) < 0
 
 let push_front t l r =

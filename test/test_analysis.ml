@@ -83,6 +83,24 @@ let test_certificate_no_ascent () =
   checkb "no-ascent uses scaled bound" true
     (c.A.Certificate.improved_bound = Float.max 0.0 c.A.Certificate.scaled_bound)
 
+(* A run that costs nothing certifies ratio 1, not [infinity], even
+   though its bound is 0 too: an empty trace, and one whose tenant's
+   misses are free. *)
+let test_certificate_zero_cost () =
+  let module Trace = Ccache_trace.Trace in
+  let free = [| Cf.linear ~slope:0.0 () |] in
+  let trace =
+    Trace.of_list ~n_users:1
+      (List.init 40 (fun i -> Ccache_trace.Page.make ~user:0 ~id:(i mod 11)))
+  in
+  List.iter
+    (fun (name, trace) ->
+      let c = A.Certificate.certify ~k:4 ~costs:free trace in
+      checkb (name ^ ": costs nothing") true (c.A.Certificate.online_cost <= 0.0);
+      checkb (name ^ ": certifies ratio 1") true
+        (Float.equal c.A.Certificate.certified_ratio 1.0))
+    [ ("empty trace", Trace.of_list ~n_users:1 []); ("free misses", trace) ]
+
 (* ------------------------------------------------------------------ *)
 (* Suite registry                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -202,6 +220,7 @@ let () =
         [
           Alcotest.test_case "soundness" `Quick test_certificate_soundness;
           Alcotest.test_case "no ascent" `Quick test_certificate_no_ascent;
+          Alcotest.test_case "zero cost certifies 1" `Quick test_certificate_zero_cost;
         ] );
       ("suite", [ Alcotest.test_case "registry" `Quick test_suite_registry ]);
       ( "experiments",

@@ -173,8 +173,8 @@ module Reference = struct
     mutable occupancy : int;
   }
 
-  let make_pool ~policy ~pool_size ~costs =
-    let config = Policy.Config.make ~k:pool_size ~costs () in
+  let make_pool ~policy ~pool_size ~costs ~ranks =
+    let config = Policy.Config.make ~ranks ~k:pool_size ~costs () in
     {
       handlers = Policy.instantiate policy config;
       cached = Page.Tbl.create 64;
@@ -186,7 +186,8 @@ module Reference = struct
     let n_users = Trace.n_users trace in
     let pool_of_user = Array.copy initial_assignment in
     let pools =
-      Array.init n_pools (fun _ -> make_pool ~policy ~pool_size ~costs)
+      Array.init n_pools (fun _ ->
+          make_pool ~policy ~pool_size ~costs ~ranks:(Trace.interner trace))
     in
     let misses = Array.make n_users 0 in
     let pressure = Array.make n_users 0.0 in

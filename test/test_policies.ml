@@ -549,6 +549,221 @@ let recorded_decisions : (string * int64 array) list =
       |] );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Reference models                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Naive list programs for five baselines, written from each policy's
+   definition and nothing else.  A model keeps its own copy of the
+   cache and is driven by an engine run's event log: a hit touches a
+   page, a miss inserts it, and each eviction (flush ones included)
+   asks the model for its victim, which must be the policy's.  While
+   the victims agree, the model's cache is the engine's. *)
+module Model = struct
+  type t = {
+    hit : Page.t -> unit;
+    insert : Page.t -> unit;
+    victim : unit -> Page.t;  (** chosen and dropped from the model *)
+  }
+
+  let without page = List.filter (fun q -> not (Page.equal q page))
+
+  let rec last = function
+    | [ x ] -> x
+    | _ :: rest -> last rest
+    | [] -> Alcotest.fail "model: victim of an empty cache"
+
+  let drop_last cache () =
+    let v = last !cache in
+    cache := without v !cache;
+    v
+
+  (* most recent first *)
+  let lru () =
+    let cache = ref [] in
+    {
+      hit = (fun page -> cache := page :: without page !cache);
+      insert = (fun page -> cache := page :: !cache);
+      victim = drop_last cache;
+    }
+
+  (* newest first; a hit changes nothing *)
+  let fifo () =
+    let cache = ref [] in
+    {
+      hit = ignore;
+      insert = (fun page -> cache := page :: !cache);
+      victim = drop_last cache;
+    }
+
+  (* the ring from the hand (the oldest entry) round to the entry the
+     hand passed last, each with its reference bit *)
+  let clock () =
+    let ring = ref [] in
+    let rec sweep () =
+      match !ring with
+      | (q, true) :: rest ->
+          ring := rest @ [ (q, false) ];
+          sweep ()
+      | (q, false) :: rest ->
+          ring := rest;
+          q
+      | [] -> Alcotest.fail "model: victim of an empty cache"
+    in
+    {
+      hit =
+        (fun page -> ring := List.map (fun (q, r) -> (q, r || Page.equal q page)) !ring);
+      insert = (fun page -> ring := !ring @ [ (page, false) ]);
+      victim = sweep;
+    }
+
+  (* each cached page with its hits since insertion, plus one; the
+     fewest go first, and a tie goes to the page the run requested
+     first *)
+  let lfu () =
+    let cache = ref [] and seen = ref [] in
+    let first_touch page =
+      let rec index i = function
+        | [] -> Alcotest.fail "model: page never inserted"
+        | q :: rest -> if Page.equal q page then i else index (i + 1) rest
+      in
+      index 0 !seen
+    in
+    let victim () =
+      let key (q, n) = (n, first_touch q) in
+      match !cache with
+      | [] -> Alcotest.fail "model: victim of an empty cache"
+      | e :: rest ->
+          let v, _ = List.fold_left (fun m e -> if key e < key m then e else m) e rest in
+          cache := List.filter (fun (q, _) -> not (Page.equal q v)) !cache;
+          v
+    in
+    {
+      hit =
+        (fun page ->
+          cache := List.map (fun (q, n) -> (q, if Page.equal q page then n + 1 else n)) !cache);
+      insert =
+        (fun page ->
+          if not (List.exists (Page.equal page) !seen) then seen := !seen @ [ page ];
+          cache := (page, 1) :: !cache);
+      victim;
+    }
+
+  (* unmarked pages in victim order, and the marked ones; when none is
+     unmarked a new phase unmarks every page in [Page.compare] order *)
+  let marking () =
+    let unmarked = ref [] and marked = ref [] in
+    let mark page =
+      if not (List.exists (Page.equal page) !marked) then begin
+        unmarked := without page !unmarked;
+        marked := page :: !marked
+      end
+    in
+    let victim () =
+      if !unmarked = [] then begin
+        unmarked := List.sort Page.compare !marked;
+        marked := []
+      end;
+      match !unmarked with
+      | v :: rest ->
+          unmarked := rest;
+          v
+      | [] -> Alcotest.fail "model: victim of an empty cache"
+    in
+    { hit = mark; insert = mark; victim }
+
+  (* The first eviction whose victim differs from the model's, if any.
+     A flush request (its user is the dummy [n_users]) evicts without
+     inserting. *)
+  let disagreement ~n_users model log =
+    let rec go = function
+      | [] -> None
+      | Engine.Hit { page; _ } :: rest ->
+          model.hit page;
+          go rest
+      | Engine.Miss_insert { page; _ } :: rest ->
+          model.insert page;
+          go rest
+      | Engine.Miss_evict { pos; page; victim } :: rest ->
+          let v = model.victim () in
+          if not (Page.equal v victim) then
+            Some
+              (Printf.sprintf "pos %d: the policy evicts %s, the model %s" pos
+                 (Page.to_string victim) (Page.to_string v))
+          else begin
+            if Page.user page < n_users then model.insert page;
+            go rest
+          end
+    in
+    go log
+
+  (* cache size, users, flush, requests over a 12-page-per-user
+     universe: small enough that evictions and ties are frequent *)
+  let gen =
+    let open QCheck.Gen in
+    let* k = int_range 1 8 in
+    let* n_users = int_range 1 3 in
+    let* flush = bool in
+    let page =
+      map2 (fun u i -> Page.make ~user:u ~id:i) (int_bound (n_users - 1)) (int_bound 11)
+    in
+    let* pages = list_size (int_bound 200) page in
+    return (k, n_users, flush, pages)
+
+  let print (k, n_users, flush, pages) =
+    Printf.sprintf "k=%d users=%d flush=%b [%s]" k n_users flush
+      (String.concat " " (List.map Page.to_string pages))
+
+  let check policy model (k, n_users, flush, pages) =
+    let _, log =
+      Engine.run_logged ~flush ~k ~costs:(uni_costs n_users) policy
+        (Trace.of_list ~n_users pages)
+    in
+    disagreement ~n_users (model ()) log
+end
+
+let model_properties =
+  List.map
+    (fun (policy, model) ->
+      QCheck.Test.make
+        ~name:(Ccache_sim.Policy.name policy ^ " victims match the list model")
+        ~count:300
+        (QCheck.make ~print:Model.print Model.gen)
+        (fun case ->
+          match Model.check policy model case with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_report msg))
+    [
+      (P.Lru.policy, Model.lru);
+      (P.Fifo.policy, Model.fifo);
+      (P.Clock.policy, Model.clock);
+      (P.Lfu.policy, Model.lfu);
+      (P.Marking.policy, Model.marking);
+    ]
+
+(* LRU with its victim taken from the wrong end of the recency list: the
+   most recently used page.  Test-only; the LRU model must catch it. *)
+let lru_wrong_end =
+  Ccache_sim.Policy.make ~name:"lru-wrong-end" (fun _ ->
+      let recency = ref [] in
+      {
+        Ccache_sim.Policy.on_hit =
+          (fun ~pos:_ page -> recency := page :: Model.without page !recency);
+        wants_evict = Ccache_sim.Policy.never_evict_early;
+        choose_victim = (fun ~pos:_ ~incoming:_ -> List.hd !recency);
+        on_insert = (fun ~pos:_ page -> recency := page :: !recency);
+        on_evict = (fun ~pos:_ page -> recency := Model.without page !recency);
+      })
+
+let test_models_catch_lru_mutant () =
+  let rand = Random.State.make [| 22 |] in
+  let cases = List.init 100 (fun _ -> QCheck.Gen.generate1 ~rand Model.gen) in
+  let caught policy =
+    List.length (List.filter (fun c -> Model.check policy Model.lru c <> None) cases)
+  in
+  checki "real lru agrees on every case" 0 (caught P.Lru.policy);
+  checkb "the mutant is caught" true (caught lru_wrong_end > 0)
+
 let decision_cases =
   List.map
     (fun policy ->
@@ -631,5 +846,9 @@ let () =
           Alcotest.test_case "random determinism" `Quick test_random_deterministic_by_seed;
           Alcotest.test_case "registry" `Quick test_registry;
         ] );
+      ( "models",
+        Alcotest.test_case "models catch an lru mutant" `Quick
+          test_models_catch_lru_mutant
+        :: List.map (QCheck_alcotest.to_alcotest ~long:false) model_properties );
       ("decisions", decision_cases);
     ]

@@ -825,10 +825,7 @@ let test_feed_equals_run () =
   let costs = costs_of 3 in
   List.iter
     (fun policy ->
-      let st =
-        Engine.Step.init ~k:12 ~costs policy
-          (Trace.of_pages ~n_users:3 [||])
-      in
+      let st = Engine.Step.init ~k:12 ~costs policy t in
       Array.iter (fun p -> Engine.Step.feed st p) (pages_of t);
       let fed = Engine.Step.finish st in
       let run = Engine.run ~k:12 ~costs policy t in
@@ -837,9 +834,7 @@ let test_feed_equals_run () =
         fed.Engine.trace_length;
       (* [Step.evict] between requests: the page leaves the cache as one
          more eviction of its owner, and evicting it again raises *)
-      let st =
-        Engine.Step.init ~k:12 ~costs policy (Trace.of_pages ~n_users:3 [||])
-      in
+      let st = Engine.Step.init ~k:12 ~costs policy t in
       Array.iter (fun p -> Engine.Step.feed st p) (pages_of t);
       let victim = List.hd run.Engine.final_cache in
       Engine.Step.evict st victim;

@@ -116,7 +116,7 @@ let test_engine_rejects_bad_victims () =
       in
       let fed ~flush pages () =
         let st =
-          Engine.Step.init ~flush ~k:1 ~costs policy (Trace.of_list ~n_users:1 [])
+          Engine.Step.init ~flush ~k:1 ~costs policy (Trace.of_list ~n_users:1 pages)
         in
         List.iter (Engine.Step.feed st) pages;
         ignore (Engine.Step.finish st)
@@ -127,14 +127,20 @@ let test_engine_rejects_bad_victims () =
       raises (kname ^ " feed flush") (fed ~flush:true [ a; b ]))
     [ (Stale, "cached earlier"); (Never, "never requested"); (Incoming, "incoming") ]
 
-(* [feed] interns into a state's own interner, which only a state over
-   an empty trace has: a trace's interner is shared and never written. *)
-let test_engine_feed_needs_empty_trace () =
-  let t = Trace.of_list ~n_users:1 [ p 0 0 ] in
+(* A state is keyed by its trace's dictionary: [feed] replays any page
+   of it, in any order, and refuses a page the trace never requests
+   (the trace's interner is shared and never written). *)
+let test_engine_feed_within_dictionary () =
+  let t = Trace.of_list ~n_users:1 [ p 0 0; p 0 1 ] in
   let st = Engine.Step.init ~k:1 ~costs:(linear_costs 1) Ccache_policies.Lru.policy t in
-  Alcotest.check_raises "feed on a trace state"
-    (Invalid_argument "Engine.Step.feed: state built over a non-empty trace")
-    (fun () -> Engine.Step.feed st (p 0 0))
+  List.iter (Engine.Step.feed st) [ p 0 1; p 0 1; p 0 0 ];
+  Alcotest.check_raises "feed outside the dictionary"
+    (Invalid_argument "Engine.Step.feed: page outside the trace's dictionary")
+    (fun () -> Engine.Step.feed st (p 0 2));
+  let r = Engine.Step.finish st in
+  checki "fed requests" 3 r.Engine.trace_length;
+  checki "hits" 1 r.Engine.hits;
+  checkb "final cache" true (r.Engine.final_cache = [ p 0 0 ])
 
 (* ------------------------------------------------------------------ *)
 (* Flush semantics                                                     *)
@@ -276,11 +282,10 @@ let cache_safety_property =
 
    The model is a resident set plus per-user counters, advanced from
    the engine's own events; [Finish] then compares the engine's result
-   with it.  Online policies run twice, through [feed] on a state built
-   over an empty trace and through [step] over the trace of the fed
-   pages, and the two runs must agree event for event.  Offline
-   policies need the whole trace up front, so they run only the [step]
-   form, over a prebuilt index. *)
+   with it.  Online policies run twice over the trace of the fed pages,
+   through [feed] and through [step], and the two runs must agree event
+   for event.  Offline policies need the whole trace up front, so they
+   run only the [step] form, over a prebuilt index. *)
 module Ssm = struct
   type cmd =
     | Feed of Page.t
@@ -484,8 +489,7 @@ module Ssm = struct
         let fed_run =
           run ~k ~n_users ~flush cmds
             ~init:(fun ~on_event ->
-              Engine.Step.init ~flush ~on_event ~k ~costs policy
-                (Trace.of_list ~n_users []))
+              Engine.Step.init ~flush ~on_event ~k ~costs policy trace)
             ~advance:(fun st _ page -> Engine.Step.feed st page)
         in
         if fed_run <> stepped then
@@ -706,8 +710,8 @@ let () =
           Alcotest.test_case "detects bad victim" `Quick test_engine_detects_bad_victim;
           Alcotest.test_case "rejects bad victims" `Quick
             test_engine_rejects_bad_victims;
-          Alcotest.test_case "feed needs an empty trace" `Quick
-            test_engine_feed_needs_empty_trace;
+          Alcotest.test_case "feed stays within the dictionary" `Quick
+            test_engine_feed_within_dictionary;
           Alcotest.test_case "early eviction hook" `Quick test_early_eviction_hook;
           Alcotest.test_case "alloc budget per request" `Quick
             test_engine_alloc_per_request;

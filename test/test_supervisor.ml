@@ -278,12 +278,19 @@ let test_checkpoint_corrupt_and_missing () =
   (match Ck.load_or_create ~path ~fingerprint:"fp" () with
   | Ok ck -> checki "fresh when missing" 0 (Ck.length ck)
   | Error e -> Alcotest.fail e);
-  let oc = open_out_bin path in
-  output_string oc "not a checkpoint at all\n";
-  close_out oc;
-  match Ck.load ~path ~fingerprint:"fp" () with
-  | Ok _ -> Alcotest.fail "corrupt file must be refused"
-  | Error _ -> ()
+  (* garbage, and an entry header whose id length wraps [pos + n] *)
+  List.iter
+    (fun contents ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      match Ck.load ~path ~fingerprint:"fp" () with
+      | Ok _ -> Alcotest.fail "corrupt file must be refused"
+      | Error _ -> ())
+    [
+      "not a checkpoint at all\n";
+      "ccache-checkpoint v1\nfingerprint fp\nentry 4611686018427387903 1\n";
+    ]
 
 let test_checkpoint_flush_batching () =
   let path = tmp_path () in

@@ -619,15 +619,6 @@ let test_stats_compute () =
   checki "user0 distinct" 2 s.Trace_stats.per_user.(0).Trace_stats.distinct_pages;
   checkf "max hit ratio" 0.5 (Trace_stats.max_hit_ratio s)
 
-let test_stats_reuse_distances () =
-  (* a b a: reuse distance of second a is 1 (b in between) *)
-  let t = Trace.of_list ~n_users:2 [ p 0 0; p 1 0; p 0 0 ] in
-  let d = Trace_stats.reuse_distances t in
-  checkb "one reuse" true (d = [| 1.0 |]);
-  (* a a: distance 0 *)
-  let t2 = Trace.of_list ~n_users:1 [ p 0 0; p 0 0 ] in
-  checkb "adjacent reuse" true (Trace_stats.reuse_distances t2 = [| 0.0 |])
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -680,6 +671,5 @@ let () =
       ( "trace_stats",
         [
           Alcotest.test_case "compute" `Quick test_stats_compute;
-          Alcotest.test_case "reuse distances" `Quick test_stats_reuse_distances;
         ] );
     ]

@@ -338,6 +338,44 @@ let test_extern_lackey () =
     | exception Trace_io.Parse_error { line = 1; _ } -> true
     | _ -> false)
 
+(* The readers hand their first-touch ranks straight to
+   [Trace.of_dense]; the trace is the one [Trace.of_pages] builds from
+   the pages [(0, rank)], dictionary and dense ids included. *)
+let test_extern_matches_of_pages () =
+  let rng = Prng.create ~seed:31 in
+  let page_numbers =
+    List.init 3000 (fun _ ->
+        if Prng.int rng 10 < 8 then Prng.int rng 40 else Prng.int rng (1 lsl 40))
+  in
+  let expected =
+    let ranks = Hashtbl.create 64 in
+    let rank n =
+      match Hashtbl.find_opt ranks n with
+      | Some r -> r
+      | None ->
+          let r = Hashtbl.length ranks in
+          Hashtbl.add ranks n r;
+          r
+    in
+    Trace.of_list ~n_users:1 (List.map (fun n -> p 0 (rank n)) page_numbers)
+  in
+  let lines f = String.concat "" (List.map f page_numbers) in
+  let rw = lines (fun n -> Printf.sprintf "R 0x%x\n" ((n lsl 12) lor 0x123)) in
+  let lackey =
+    "==1== banner\n" ^ lines (fun n -> Printf.sprintf " L %x,8\n" (n lsl 12))
+  in
+  List.iter
+    (fun (name, t) ->
+      checkb (name ^ ": requests") true (same_trace expected t);
+      checkb (name ^ ": dense ids") true (Trace.dense expected = Trace.dense t);
+      checkb (name ^ ": dictionary") true (Trace.pages expected = Trace.pages t))
+    [
+      ("rw", Trace_extern.of_string_rw rw);
+      ("lackey", Trace_extern.of_string_lackey lackey);
+    ];
+  checki "empty input, no pages" 0
+    (Trace.n_pages (Trace_extern.of_string_rw "# nothing\n"))
+
 (* ------------------------------------------------------------------ *)
 (* Trace cache                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -529,7 +567,17 @@ let test_cli_flags_exit_2 () =
      one page would serve 4) or one with a remainder *)
   List.iter
     (fun k -> check_exit cli (Printf.sprintf "serve --length 200 -k %d --shards 4" k))
-    [ 2; 10; 65 ]
+    [ 2; 10; 65 ];
+  (* a checkpoint whose entry header's id length wraps the parser's
+     bounds check cannot be resumed from *)
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            "ccache-checkpoint v1\nfingerprint fp\nentry 4611686018427387903 1\n");
+      let resume = " --checkpoint " ^ Filename.quote path ^ " --resume" in
+      check_exit cli ("sweep --policy lru --k-min 16 --k-max 32 --length 100" ^ resume);
+      check_exit cli ("serve --length 200" ^ resume);
+      check_exit experiments ("--quick e1" ^ resume))
 
 (* A cache size the trace cannot fill: the engine sizes its cache set
    by the requests, not by k, so the run returns at once with the
@@ -646,6 +694,7 @@ let () =
           Alcotest.test_case "rw errors" `Quick test_extern_rw_errors;
           Alcotest.test_case "lackey format" `Quick test_extern_lackey;
           Alcotest.test_case "error lines" `Quick test_extern_error_lines;
+          Alcotest.test_case "matches of_pages" `Quick test_extern_matches_of_pages;
         ] );
       ( "cache",
         [

@@ -210,7 +210,7 @@ let test_float_cmp () =
 (* ------------------------------------------------------------------ *)
 
 let test_rank_list_basic () =
-  let l = Rank_list.create ~lists:2 in
+  let l = Rank_list.create ~ranks:4 ~lists:2 in
   checki "empty" 0 (Rank_list.length l 0);
   Rank_list.push_front l 0 1;
   Rank_list.push_front l 0 2;
@@ -237,7 +237,7 @@ let test_rank_list_basic () =
   checkb "reinserted" true (Rank_list.to_list l 0 = [ 1; 3 ])
 
 let test_rank_list_ends () =
-  let l = Rank_list.create ~lists:1 in
+  let l = Rank_list.create ~ranks:5_001 ~lists:1 in
   checki "front of empty" (-1) (Rank_list.front l 0);
   checki "back of empty" (-1) (Rank_list.back l 0);
   checki "unseen rank" (-1) (Rank_list.owner l 1_000);
@@ -255,7 +255,7 @@ let test_rank_list_ends () =
   checkb "invariant" true (Rank_list.invariant_ok l)
 
 let test_rank_list_guards () =
-  let l = Rank_list.create ~lists:2 in
+  let l = Rank_list.create ~ranks:3 ~lists:2 in
   Rank_list.push_front l 0 1;
   Alcotest.check_raises "double insert"
     (Invalid_argument "Rank_list.push_front: rank already in a list") (fun () ->
@@ -267,20 +267,25 @@ let test_rank_list_guards () =
     (Invalid_argument "Rank_list.remove: rank in no list") (fun () ->
       Rank_list.remove l 2);
   Alcotest.check_raises "negative rank"
-    (Invalid_argument "Rank_list: negative rank") (fun () ->
+    (Invalid_argument "Rank_list: rank out of range") (fun () ->
       Rank_list.push_back l 0 (-1));
+  Alcotest.check_raises "rank beyond the bound"
+    (Invalid_argument "Rank_list: rank out of range") (fun () ->
+      Rank_list.push_front l 0 3);
   Alcotest.check_raises "no lists"
     (Invalid_argument "Rank_list.create: lists must be >= 1") (fun () ->
-      ignore (Rank_list.create ~lists:0));
+      ignore (Rank_list.create ~ranks:3 ~lists:0));
   checkb "untouched" true (Rank_list.to_list l 0 = [ 1 ] && Rank_list.invariant_ok l)
 
 (* Model-based qcheck: a random op sequence over two lists against a
-   pair of list models. *)
+   pair of list models.  The ranks run past both ends of the bound
+   [\[0, 24)]: pushing one of those must raise and change nothing. *)
 let rank_list_model_test =
   QCheck.Test.make ~name:"rank_list matches list model" ~count:200
-    QCheck.(list (triple (int_range 0 3) (int_range 0 1) small_nat))
+    QCheck.(list (triple (int_range 0 3) (int_range 0 1) (int_range (-2) 26)))
     (fun ops ->
-      let l = Rank_list.create ~lists:2 in
+      let bound = 24 in
+      let l = Rank_list.create ~ranks:bound ~lists:2 in
       let model = [| []; [] |] in
       let owner r = if List.mem r model.(0) then 0 else if List.mem r model.(1) then 1 else -1 in
       let drop r =
@@ -291,6 +296,11 @@ let rank_list_model_test =
       List.iter
         (fun (op, li, r) ->
           match op with
+          | (0 | 1) when r < 0 || r >= bound -> (
+              let push = if op = 0 then Rank_list.push_front else Rank_list.push_back in
+              match push l li r with
+              | () -> failwith "out-of-range push accepted"
+              | exception Invalid_argument _ -> ())
           | 0 when owner r < 0 ->
               Rank_list.push_front l li r;
               model.(li) <- r :: model.(li)
