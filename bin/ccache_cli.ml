@@ -23,8 +23,13 @@ let policies () =
       Ccache_core.Alg_fast.policy;
     ]
 
-let find_policy name =
-  List.find_opt (fun p -> Ccache_sim.Policy.name p = name) (policies ())
+(* An unknown policy name is a usage error: its message and exit 2. *)
+let policy_named name =
+  match List.find_opt (fun p -> Ccache_sim.Policy.name p = name) (policies ()) with
+  | Some p -> p
+  | None ->
+      Fmt.epr "unknown policy %S; try the 'list' command@." name;
+      exit 2
 
 (* A workload the generator rejects (no tenants, no pages, a non-finite
    skew, a negative length) is a usage error: its message and exit 2. *)
@@ -77,6 +82,13 @@ let load_trace path =
 
 let set_trace_cache dir = Ccache_trace.Trace_cache.set_dir dir
 
+(* The request stream of run, certify and serve: the --trace file, else
+   the generated workload. *)
+let trace_or_workload trace_file ~workload ~tenants ~pages ~skew ~seed ~length =
+  match trace_file with
+  | Some path -> load_trace path
+  | None -> make_workload ~workload ~tenants ~pages ~skew ~seed ~length
+
 let make_costs ~cost n =
   match cost with
   | "linear" -> Array.init n (fun _ -> Cf.linear ~slope:1.0 ())
@@ -97,28 +109,23 @@ let make_costs ~cost n =
 
 let run_cmd policy_name trace_file workload tenants pages skew seed length k cost
     flush trace_cache trace_out metrics_out =
-  match find_policy policy_name with
-  | None ->
-      Fmt.epr "unknown policy %S; try the 'list' command@." policy_name;
-      2
-  | Some policy ->
-      check_k k;
-      set_trace_cache trace_cache;
-      let obs = Obs_args.setup ~trace_out ~metrics_out in
-      let trace =
-        match trace_file with
-        | Some path -> load_trace path
-        | None -> make_workload ~workload ~tenants ~pages ~skew ~seed ~length
-      in
-      let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
-      let result = Ccache_sim.Engine.run ~flush ~k ~costs policy trace in
-      Fmt.pr "%a@." (Ccache_sim.Metrics.pp_result ~costs) result;
-      Obs_args.finish obs;
-      0
+  let policy = policy_named policy_name in
+  check_k k;
+  set_trace_cache trace_cache;
+  let obs = Obs_args.setup ~trace_out ~metrics_out in
+  let trace =
+    trace_or_workload trace_file ~workload ~tenants ~pages ~skew ~seed ~length
+  in
+  let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
+  let result = Ccache_sim.Engine.run ~flush ~k ~costs policy trace in
+  Fmt.pr "%a@." (Ccache_sim.Metrics.pp_result ~costs) result;
+  Obs_args.finish obs;
+  0
 
 (* --- gen command --- *)
 
 let gen_cmd workload tenants pages skew seed length binary out trace_cache =
+  Option.iter (Supervisor_args.check_writable ~flag:"--out") out;
   set_trace_cache trace_cache;
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let write_file, write_channel =
@@ -140,9 +147,7 @@ let certify_cmd trace_file workload tenants pages skew seed length k cost iters
   check_k k;
   set_trace_cache trace_cache;
   let trace =
-    match trace_file with
-    | Some path -> load_trace path
-    | None -> make_workload ~workload ~tenants ~pages ~skew ~seed ~length
+    trace_or_workload trace_file ~workload ~tenants ~pages ~skew ~seed ~length
   in
   let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
   let c =
@@ -192,11 +197,10 @@ let row_codec = { U.Supervisor.encode = encode_row; decode = decode_row }
    independent simulation, so the table is identical at every job
    count. *)
 let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
-    k_factor cost flush jobs timeout retries backoff chaos kill checkpoint_path
-    resume trace_cache trace_out metrics_out =
+    k_factor cost flush (sup : Supervisor_args.t) trace_cache trace_out
+    metrics_out =
   set_trace_cache trace_cache;
   let obs = Obs_args.setup ~trace_out ~metrics_out in
-  let pool = Supervisor_args.pool ~jobs in
   if k_min <= 0 || k_max < k_min then begin
     Fmt.epr "bad cache-size range: need 0 < --k-min <= --k-max (got %d..%d)@."
       k_min k_max;
@@ -207,20 +211,15 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
     exit 2
   end;
   let policy_names = if policy_names = [] then [ "alg-discrete" ] else policy_names in
-  let policies =
-    List.map
-      (fun name ->
-        match find_policy name with
-        | Some p -> p
-        | None ->
-            Fmt.epr "unknown policy %S; try the 'list' command@." name;
-            exit 2)
-      policy_names
-  in
-  let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
+  let policies = List.map policy_named policy_names in
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
-  let index = Ccache_trace.Trace.Index.build trace in
+  (* one index for every offline cell; online policies never read it *)
+  let index =
+    if List.exists Ccache_sim.Policy.needs_future policies then
+      Some (Ccache_trace.Trace.Index.build trace)
+    else None
+  in
   let ks =
     Ccache_sim.Sweep.geometric ~start:k_min ~stop:k_max ~factor:k_factor
   in
@@ -228,7 +227,6 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
   let task_id (policy, k) =
     Printf.sprintf "%s/k=%d" (Ccache_sim.Policy.name policy) k
   in
-  let fault = Supervisor_args.fault ~chaos ~kill in
   let fingerprint =
     Printf.sprintf
       "sweep-v1 workload=%s tenants=%d pages=%d skew=%h seed=%d length=%d \
@@ -236,20 +234,15 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       workload tenants pages skew seed length k_min k_max k_factor cost flush
       (String.concat "," (List.map Ccache_sim.Policy.name policies))
   in
-  let checkpoint =
-    Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
-  in
-  (* The simulation is deterministic given the shared trace; the cell's
-     derived PRNG stream is unused today but keyed on the task id so
-     stochastic cells stay retry-safe. *)
-  let eval _ctx _prng (policy, k) =
+  let checkpoint = Supervisor_args.checkpoint sup ~fingerprint in
+  let eval (policy, k) =
     Ccache_sim.Metrics.row ~costs
-      (Ccache_sim.Engine.run ~flush ~index ~k ~costs policy trace)
+      (Ccache_sim.Engine.run ~flush ?index ~k ~costs policy trace)
   in
   let results =
-    Ccache_sim.Sweep.run_supervised ?pool ~policy:policy_cfg ~fault ?checkpoint
-      ~codec:row_codec ~on_event:Supervisor_args.on_event ~seed ~task_id cells
-      ~f:eval
+    Ccache_sim.Sweep.run_supervised ?pool:sup.pool ~policy:sup.policy
+      ~fault:sup.fault ?checkpoint ~codec:row_codec
+      ~on_event:Supervisor_args.on_event ~task_id cells ~f:eval
   in
   let module Tbl = Ccache_util.Ascii_table in
   let tbl =
@@ -259,40 +252,27 @@ let sweep_cmd policy_names workload tenants pages skew seed length k_min k_max
       ~aligns:[ Tbl.Left; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right ]
       [ "policy"; "k"; "misses"; "miss%"; "cost" ]
   in
-  let failures = ref [] in
-  List.iter
-    (fun ((_, k), outcome) ->
-      match outcome with
-      | U.Supervisor.Completed row ->
-          Tbl.add_row tbl
-            [
-              row.Ccache_sim.Metrics.policy;
-              Tbl.cell_int k;
-              Tbl.cell_int row.Ccache_sim.Metrics.misses;
-              Tbl.cell_pct row.Ccache_sim.Metrics.miss_ratio;
-              Tbl.cell_float ~digits:2 row.Ccache_sim.Metrics.cost;
-            ]
-      | U.Supervisor.Quarantined f -> failures := f :: !failures)
-    results;
+  let failures =
+    List.filter_map
+      (fun ((_, k), outcome) ->
+        match outcome with
+        | U.Supervisor.Completed row ->
+            Tbl.add_row tbl
+              [
+                row.Ccache_sim.Metrics.policy;
+                Tbl.cell_int k;
+                Tbl.cell_int row.Ccache_sim.Metrics.misses;
+                Tbl.cell_pct row.Ccache_sim.Metrics.miss_ratio;
+                Tbl.cell_float ~digits:2 row.Ccache_sim.Metrics.cost;
+              ];
+            None
+        | U.Supervisor.Quarantined f -> Some f)
+      results
+  in
   Tbl.print tbl;
   (* the map joined every worker domain: shards are complete *)
   Obs_args.finish obs;
-  match List.rev !failures with
-  | [] -> 0
-  | failures ->
-      List.iter
-        (fun { U.Supervisor.task; attempts; error } ->
-          Fmt.epr "quarantined: %s (after %d attempt(s)): %s@." task attempts
-            error)
-        failures;
-      (match checkpoint_path with
-      | Some p ->
-          Fmt.epr
-            "partial results checkpointed to %s; rerun with --checkpoint %s \
-             --resume to complete@."
-            p p
-      | None -> ());
-      3
+  Supervisor_args.report sup failures
 
 (* --- serve command --- *)
 
@@ -305,149 +285,121 @@ module Serve = Ccache_serve
    --kill shard/1 quarantines one shard while the rest complete, and
    --checkpoint/--resume replay finished shards bit-for-bit. *)
 let serve_cmd policy_name trace_file workload tenants pages skew seed length k
-    cost shards batch queue_cap clients rate route overload jobs timeout
-    retries backoff chaos kill checkpoint_path resume trace_cache trace_out
-    metrics_out =
-  match find_policy policy_name with
-  | None ->
-      Fmt.epr "unknown policy %S; try the 'list' command@." policy_name;
-      2
-  | Some policy ->
-      if Ccache_sim.Policy.needs_future policy then begin
-        Fmt.epr "offline policy %S cannot serve (no future on a request stream)@."
-          policy_name;
+    cost shards batch queue_cap clients rate route overload
+    (sup : Supervisor_args.t) trace_cache trace_out metrics_out =
+  let policy = policy_named policy_name in
+  if Ccache_sim.Policy.needs_future policy then begin
+    Fmt.epr "offline policy %S cannot serve (no future on a request stream)@."
+      policy_name;
+    exit 2
+  end;
+  check_k k;
+  if shards <= 0 || batch <= 0 || queue_cap <= 0 || clients <= 0 || rate <= 0
+  then begin
+    Fmt.epr
+      "--shards, --batch, --queue-cap, --clients and --rate must be \
+       positive@.";
+    exit 2
+  end;
+  (* each shard gets k / shards pages, so any other k would serve
+     a different total cache than the one asked for *)
+  if k mod shards <> 0 then begin
+    Fmt.epr "-k %d is not a multiple of --shards %d@." k shards;
+    exit 2
+  end;
+  set_trace_cache trace_cache;
+  let obs = Obs_args.setup ~trace_out ~metrics_out in
+  let trace =
+    trace_or_workload trace_file ~workload ~tenants ~pages ~skew ~seed ~length
+  in
+  let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
+  let router =
+    match route with
+    | "page" -> Serve.Router.by_page ~shards
+    | "tenant" -> Serve.Router.by_tenant ~shards
+    | other ->
+        Fmt.epr "unknown route %S (page|tenant)@." other;
         exit 2
-      end;
-      check_k k;
-      if shards <= 0 || batch <= 0 || queue_cap <= 0 || clients <= 0 || rate <= 0
-      then begin
-        Fmt.epr
-          "--shards, --batch, --queue-cap, --clients and --rate must be \
-           positive@.";
+  in
+  let overload =
+    match overload with
+    | "block" -> Serve.Scheduler.Block
+    | "reject" -> Serve.Scheduler.Reject
+    | other ->
+        Fmt.epr "unknown overload mode %S (block|reject)@." other;
         exit 2
-      end;
-      (* each shard gets k / shards pages, so any other k would serve
-         a different total cache than the one asked for *)
-      if k mod shards <> 0 then begin
-        Fmt.epr "-k %d is not a multiple of --shards %d@." k shards;
-        exit 2
-      end;
-      let pool = Supervisor_args.pool ~jobs in
-      let policy_cfg = Supervisor_args.policy ~timeout ~retries ~backoff () in
-      set_trace_cache trace_cache;
-      let obs = Obs_args.setup ~trace_out ~metrics_out in
-      let trace =
-        match trace_file with
-        | Some path -> load_trace path
-        | None -> make_workload ~workload ~tenants ~pages ~skew ~seed ~length
+  in
+  let shard_k = k / shards in
+  let config =
+    Serve.Service.config ~policy ~clients ~overload ~client_rate:rate ~batch
+      ~queue_cap ~router ~shard_k ()
+  in
+  let fingerprint = Serve.Service.fingerprint config ~costs trace in
+  let checkpoint = Supervisor_args.checkpoint sup ~fingerprint in
+  let result =
+    Serve.Service.run_supervised ?pool:sup.pool ~policy:sup.policy
+      ~fault:sup.fault ?checkpoint ~on_event:Supervisor_args.on_event config
+      ~costs trace
+  in
+  (match result.Serve.Service.outcome with
+  | Some r ->
+      let s = r.Serve.Service.schedule in
+      Fmt.pr
+        "serve: %d shards (route=%s), k=%d/shard, batch=%d, queue-cap=%d, %d \
+         client(s) x rate %d, overload=%s@."
+        shards
+        (Serve.Router.name router)
+        shard_k batch queue_cap clients rate
+        (Serve.Scheduler.overload_name
+           config.Serve.Service.sched.Serve.Scheduler.overload);
+      Fmt.pr
+        "requests %d  admitted %d  rejected %d  stalls %d  rounds %d  \
+         throughput %.2f req/round@."
+        (Serve.Service.requests r)
+        s.Serve.Scheduler.admitted s.Serve.Scheduler.rejected
+        s.Serve.Scheduler.stalls s.Serve.Scheduler.rounds
+        r.Serve.Service.throughput;
+      Fmt.pr "hits %d  misses %d  total cost %.2f@." r.Serve.Service.hits
+        (Serve.Service.misses r) r.Serve.Service.total_cost;
+      let module Tbl = Ccache_util.Ascii_table in
+      let tbl =
+        Tbl.create ~title:"per-shard"
+          ~aligns:
+            [
+              Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
+              Tbl.Right; Tbl.Right;
+            ]
+          [
+            "shard"; "requests"; "batches"; "maxdepth"; "meanwait"; "rejected";
+            "hits"; "misses";
+          ]
       in
-      let n_users = Ccache_trace.Trace.n_users trace in
-      let costs = make_costs ~cost n_users in
-      let router =
-        match route with
-        | "page" -> Serve.Router.by_page ~shards
-        | "tenant" -> Serve.Router.by_tenant ~shards ~n_users ()
-        | other ->
-            Fmt.epr "unknown route %S (page|tenant)@." other;
-            exit 2
-      in
-      let overload =
-        match overload with
-        | "block" -> Serve.Scheduler.Block
-        | "reject" -> Serve.Scheduler.Reject
-        | other ->
-            Fmt.epr "unknown overload mode %S (block|reject)@." other;
-            exit 2
-      in
-      let shard_k = k / shards in
-      let config =
-        Serve.Service.config ~policy ~clients ~overload ~client_rate:rate
-          ~batch ~queue_cap ~router ~shard_k ()
-      in
-      let fingerprint = Serve.Service.fingerprint config ~costs trace in
-      let fault = Supervisor_args.fault ~chaos ~kill in
-      let checkpoint =
-        Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
-      in
-      let sup =
-        Serve.Service.run_supervised ?pool ~policy:policy_cfg ~fault ?checkpoint
-          ~on_event:Supervisor_args.on_event config ~costs trace
-      in
-      (match sup.Serve.Service.outcome with
-      | Some r ->
-          let s = r.Serve.Service.schedule in
-          Fmt.pr
-            "serve: %d shards (route=%s), k=%d/shard, batch=%d, queue-cap=%d, \
-             %d client(s) x rate %d, overload=%s@."
-            shards
-            (Serve.Router.name router)
-            shard_k batch queue_cap clients rate
-            (Serve.Scheduler.overload_name
-               config.Serve.Service.sched.Serve.Scheduler.overload);
-          Fmt.pr
-            "requests %d  admitted %d  rejected %d  stalls %d  rounds %d  \
-             throughput %.2f req/round@."
-            (Serve.Service.requests r)
-            s.Serve.Scheduler.admitted s.Serve.Scheduler.rejected
-            s.Serve.Scheduler.stalls s.Serve.Scheduler.rounds
-            r.Serve.Service.throughput;
-          Fmt.pr "hits %d  misses %d  total cost %.2f@." r.Serve.Service.hits
-            (Serve.Service.misses r) r.Serve.Service.total_cost;
-          let module Tbl = Ccache_util.Ascii_table in
-          let tbl =
-            Tbl.create ~title:"per-shard"
-              ~aligns:
-                [
-                  Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right; Tbl.Right;
-                  Tbl.Right; Tbl.Right; Tbl.Right;
-                ]
-              [
-                "shard"; "requests"; "batches"; "maxdepth"; "meanwait";
-                "rejected"; "hits"; "misses";
-              ]
+      Array.iteri
+        (fun i (ss : Serve.Scheduler.shard_schedule) ->
+          let er = r.Serve.Service.engines.(i) in
+          let drained = Array.length ss.Serve.Scheduler.pages in
+          let mean_wait =
+            if drained = 0 then 0.
+            else
+              float_of_int (Array.fold_left ( + ) 0 ss.Serve.Scheduler.waits)
+              /. float_of_int drained
           in
-          Array.iteri
-            (fun i (ss : Serve.Scheduler.shard_schedule) ->
-              let er = r.Serve.Service.engines.(i) in
-              let drained = Array.length ss.Serve.Scheduler.pages in
-              let mean_wait =
-                if drained = 0 then 0.
-                else
-                  float_of_int
-                    (Array.fold_left ( + ) 0 ss.Serve.Scheduler.waits)
-                  /. float_of_int drained
-              in
-              Tbl.add_row tbl
-                [
-                  Tbl.cell_int i;
-                  Tbl.cell_int drained;
-                  Tbl.cell_int (Array.length ss.Serve.Scheduler.batches);
-                  Tbl.cell_int ss.Serve.Scheduler.max_depth;
-                  Tbl.cell_float ~digits:2 mean_wait;
-                  Tbl.cell_int ss.Serve.Scheduler.rejected;
-                  Tbl.cell_int er.Ccache_sim.Engine.hits;
-                  Tbl.cell_int (Ccache_sim.Engine.misses er);
-                ])
-            s.Serve.Scheduler.shards;
-          Tbl.print tbl
-      | None -> ());
-      Obs_args.finish obs;
-      (match sup.Serve.Service.failures with
-      | [] -> 0
-      | failures ->
-          List.iter
-            (fun { U.Supervisor.task; attempts; error } ->
-              Fmt.epr "quarantined: %s (after %d attempt(s)): %s@." task attempts
-                error)
-            failures;
-          (match checkpoint_path with
-          | Some p ->
-              Fmt.epr
-                "completed shards checkpointed to %s; rerun with --checkpoint \
-                 %s --resume to complete@."
-                p p
-          | None -> ());
-          3)
+          Tbl.add_row tbl
+            [
+              Tbl.cell_int i;
+              Tbl.cell_int drained;
+              Tbl.cell_int (Array.length ss.Serve.Scheduler.batches);
+              Tbl.cell_int ss.Serve.Scheduler.max_depth;
+              Tbl.cell_float ~digits:2 mean_wait;
+              Tbl.cell_int ss.Serve.Scheduler.rejected;
+              Tbl.cell_int er.Ccache_sim.Engine.hits;
+              Tbl.cell_int (Ccache_sim.Engine.misses er);
+            ])
+        s.Serve.Scheduler.shards;
+      Tbl.print tbl
+  | None -> ());
+  Obs_args.finish obs;
+  Supervisor_args.report sup result.Serve.Service.failures
 
 (* --- trace command group --- *)
 
@@ -628,74 +580,6 @@ let k_max_arg = Arg.(value & opt int 512 & info [ "k-max" ] ~docv:"K")
 let k_factor_arg =
   Arg.(value & opt float 2.0 & info [ "k-factor" ] ~docv:"F")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Evaluate sweep cells on $(docv) worker domains (default 1 = \
-           sequential, 0 = one per core).  The table is identical at \
-           every N.")
-
-let timeout_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "timeout" ] ~docv:"S"
-        ~doc:
-          "Per-attempt cell deadline in seconds; a cell past it is \
-           retried, then quarantined (default: none).")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt int Ccache_util.Supervisor.default_policy.Ccache_util.Supervisor.max_retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry budget for transient faults and deadline misses (default 3).")
-
-let backoff_arg =
-  Arg.(
-    value
-    & opt float
-        Ccache_util.Supervisor.default_policy.Ccache_util.Supervisor.backoff_base_s
-    & info [ "backoff" ] ~docv:"S"
-        ~doc:
-          "Base backoff before the first retry, in seconds; doubles per \
-           retry, capped at 1s (default 0.05).  Deterministic and \
-           jitter-free.")
-
-let chaos_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "chaos" ] ~docv:"SEED:RATE"
-        ~doc:
-          "Deterministic fault injection at cell boundaries; falls back \
-           to $(b,CCACHE_CHAOS).  With retries the table is \
-           byte-identical to a fault-free run.")
-
-let kill_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "kill" ] ~docv:"ID"
-        ~doc:
-          "Inject a permanent crash into the cell with task id $(docv) \
-           (e.g. 'lru/k=64'; repeatable).  The cell is quarantined and \
-           the exit code is 3.")
-
-let checkpoint_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:"Snapshot completed cells to $(docv) (atomic writes).")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Replay cells already recorded in --checkpoint FILE and \
-           compute only the rest.  Refuses a checkpoint written by a \
-           different sweep configuration.")
-
 let shards_arg =
   Arg.(
     value & opt int 4
@@ -768,8 +652,7 @@ let sweep_term =
   Term.(
     const sweep_cmd $ policies_arg $ workload_arg $ tenants_arg $ pages_arg
     $ skew_arg $ seed_arg $ length_arg $ k_min_arg $ k_max_arg $ k_factor_arg
-    $ cost_arg $ flush_arg $ jobs_arg $ timeout_arg $ retries_arg $ backoff_arg
-    $ chaos_arg $ kill_arg $ checkpoint_arg $ resume_arg $ trace_cache_arg
+    $ cost_arg $ flush_arg $ Supervisor_args.term $ trace_cache_arg
     $ trace_out_arg $ metrics_out_arg)
 
 let serve_term =
@@ -777,9 +660,8 @@ let serve_term =
     const serve_cmd $ policy_arg $ trace_arg $ workload_arg $ tenants_arg
     $ pages_arg $ skew_arg $ seed_arg $ length_arg $ k_arg $ cost_arg
     $ shards_arg $ batch_arg $ queue_cap_arg $ clients_arg $ rate_arg
-    $ route_arg $ overload_arg $ jobs_arg $ timeout_arg $ retries_arg
-    $ backoff_arg $ chaos_arg $ kill_arg $ checkpoint_arg $ resume_arg
-    $ trace_cache_arg $ trace_out_arg $ metrics_out_arg)
+    $ route_arg $ overload_arg $ Supervisor_args.term $ trace_cache_arg
+    $ trace_out_arg $ metrics_out_arg)
 
 let trace_cmd_group =
   Cmd.group
@@ -800,8 +682,10 @@ let trace_cmd_group =
       Cmd.v
         (Cmd.info "stat"
            ~doc:
-             "Print request/user/distinct-page counts (O(1) in the trace \
-              length for binary files)")
+             "Print request/user/distinct-page counts.  A binary file is \
+              read in place: its header and dictionary, then one \
+              validating pass over the mapped requests (O(T) reads, no \
+              allocation per request).")
         Term.(const trace_stat_cmd $ trace_in_arg);
       Cmd.v
         (Cmd.info "head" ~doc:"Print the first N requests as 'user page' lines")

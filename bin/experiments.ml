@@ -3,7 +3,7 @@
 
     Usage:
       experiments [--full | --quick] [--markdown] [--jobs N] [ID ...]
-                  [--timeout S] [--retries N] [--backoff S] [--jitter J]
+                  [--timeout S] [--retries N] [--backoff S]
                   [--chaos SEED:RATE] [--kill ID]
                   [--checkpoint FILE] [--resume]
 
@@ -24,12 +24,8 @@
 
 open Cmdliner
 module A = Ccache_analysis
-module U = Ccache_util
 
-let quarantine_exit = 3
-
-let run full quick markdown jobs timeout retries backoff jitter chaos kill
-    checkpoint_path resume trace_cache trace_out metrics_out ids =
+let run full quick markdown sup trace_cache trace_out metrics_out ids =
   if full && quick then begin
     Fmt.epr "--full and --quick are mutually exclusive@.";
     exit 2
@@ -51,14 +47,10 @@ let run full quick markdown jobs timeout retries backoff jitter chaos kill
                 exit 2)
           ids
   in
-  let pool = Supervisor_args.pool ~jobs in
   let obs = Obs_args.setup ~trace_out ~metrics_out in
-  let fault = Supervisor_args.fault ~chaos ~kill in
-  let policy = Supervisor_args.policy ~jitter ~timeout ~retries ~backoff () in
   let fingerprint = A.Report.fingerprint ~fmt ~size specs in
-  let checkpoint =
-    Supervisor_args.checkpoint ~path:checkpoint_path ~resume ~fingerprint
-  in
+  let { Supervisor_args.pool; policy; fault; checkpoint_path; _ } = sup in
+  let checkpoint = Supervisor_args.checkpoint sup ~fingerprint in
   let { A.Report.report; failures; replayed } =
     A.Report.run_suite_supervised ~fmt ?pool ~policy ~fault ?checkpoint
       ~on_event:Supervisor_args.on_event ~size specs
@@ -70,23 +62,7 @@ let run full quick markdown jobs timeout retries backoff jitter chaos kill
     Fmt.epr "[supervisor] replayed %d section(s) from %s@."
       (List.length replayed)
       (Option.value checkpoint_path ~default:"checkpoint");
-  if failures = [] then 0
-  else begin
-    List.iter
-      (fun { U.Supervisor.task; attempts; error } ->
-        Fmt.epr "quarantined: %s (after %d attempt(s)): %s@." task attempts
-          error)
-      failures;
-    (match checkpoint_path with
-    | Some p ->
-        Fmt.epr
-          "partial results checkpointed to %s; rerun with --checkpoint %s \
-           --resume to complete@."
-          p p
-    | None ->
-        Fmt.epr "hint: rerun with --checkpoint FILE to make the run resumable@.");
-    quarantine_exit
-  end
+  Supervisor_args.report sup failures
 
 let full =
   Arg.(value & flag & info [ "full" ] ~doc:"Full-size runs (EXPERIMENTS.md scale).")
@@ -98,83 +74,6 @@ let quick =
 
 let markdown =
   Arg.(value & flag & info [ "markdown" ] ~doc:"Emit markdown tables.")
-
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run experiments on $(docv) worker domains (default 1 = \
-           sequential, 0 = one per core, i.e. CCACHE_JOBS or the \
-           recommended domain count).  Output is identical at every N.")
-
-let timeout =
-  Arg.(
-    value & opt (some float) None
-    & info [ "timeout" ] ~docv:"S"
-        ~doc:
-          "Per-attempt deadline in seconds; an experiment past it is \
-           retried, then quarantined (default: none).")
-
-let retries =
-  Arg.(
-    value & opt int U.Supervisor.default_policy.U.Supervisor.max_retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retry budget for transient faults and deadline misses \
-           (default 3).  Backoff is deterministic and jitter-free.")
-
-let backoff =
-  Arg.(
-    value & opt float U.Supervisor.default_policy.U.Supervisor.backoff_base_s
-    & info [ "backoff" ] ~docv:"S"
-        ~doc:
-          "Base backoff before the first retry, in seconds; doubles per \
-           retry, capped at 1s (default 0.05).")
-
-let jitter =
-  Arg.(
-    value & opt float 0.
-    & info [ "jitter" ] ~docv:"J"
-        ~doc:
-          "Seeded backoff jitter fraction in [0,1] (default 0 = \
-           jitter-free; any value stays deterministic).")
-
-let chaos =
-  Arg.(
-    value & opt (some string) None
-    & info [ "chaos" ] ~docv:"SEED:RATE"
-        ~doc:
-          "Deterministic fault injection at task boundaries (transient \
-           exceptions and short delays).  Falls back to the \
-           $(b,CCACHE_CHAOS) environment variable.  With retries \
-           enabled the report is byte-identical to a fault-free run.")
-
-let kill =
-  Arg.(
-    value & opt_all string []
-    & info [ "kill" ] ~docv:"ID"
-        ~doc:
-          "Inject a permanent crash into experiment $(docv) (repeatable). \
-           The cell is quarantined; the rest of the suite completes and \
-           the exit code is 3.")
-
-let checkpoint =
-  Arg.(
-    value & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Snapshot completed sections to $(docv) (atomic write on every \
-           completion), making the run resumable.")
-
-let resume =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Replay sections already recorded in --checkpoint FILE \
-           bit-for-bit and compute only the rest.  Refuses a checkpoint \
-           written by a different configuration.")
 
 let trace_cache =
   Arg.(
@@ -193,15 +92,11 @@ let ids =
           (Printf.sprintf "Experiment ids (%s)."
              (String.concat ", " A.Suite.ids)))
 
-let trace_out = Obs_args.trace_out
-let metrics_out = Obs_args.metrics_out
-
 let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the convex-caching experiment suite")
     Term.(
-      const run $ full $ quick $ markdown $ jobs $ timeout $ retries $ backoff
-      $ jitter $ chaos $ kill $ checkpoint $ resume $ trace_cache $ trace_out
-      $ metrics_out $ ids)
+      const run $ full $ quick $ markdown $ Supervisor_args.term $ trace_cache
+      $ Obs_args.trace_out $ Obs_args.metrics_out $ ids)
 
 let () = exit (Cmd.eval' cmd)

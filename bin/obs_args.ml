@@ -29,14 +29,21 @@ let metrics_out =
            snapshot to $(docv): markdown tables if $(docv) ends in \
            .md, flat JSON otherwise.")
 
-(** Resolve the flags (plus [CCACHE_TRACE]) and flip recording on iff
-    any output was requested. *)
+(** Resolve the flags (plus [CCACHE_TRACE]), exit 2 if an output path
+    cannot be written (before the run, not after it), and flip
+    recording on iff any output was requested. *)
 let setup ~trace_out ~metrics_out =
   let trace =
     match trace_out with
-    | Some _ as t -> t
-    | None -> Ccache_obs.Control.trace_path_from_env ()
+    | Some path ->
+        Supervisor_args.check_writable ~flag:"--trace-out" path;
+        Some path
+    | None ->
+        let t = Ccache_obs.Control.trace_path_from_env () in
+        Option.iter (Supervisor_args.check_writable ~flag:"CCACHE_TRACE") t;
+        t
   in
+  Option.iter (Supervisor_args.check_writable ~flag:"--metrics-out") metrics_out;
   let cfg = { trace; metrics = metrics_out } in
   if cfg.trace <> None || cfg.metrics <> None then Ccache_obs.Control.enable ();
   cfg

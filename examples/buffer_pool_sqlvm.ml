@@ -49,7 +49,7 @@ let () =
   Printf.printf "accountings for ALG-DISCRETE at k = %d:\n" k;
   Printf.printf "  by misses            : %.0f\n" (Metrics.total_cost ~costs plain);
   Printf.printf "  by evictions (flush) : %.0f\n"
-    (Metrics.total_cost ~accounting:Metrics.By_evictions ~costs flushed);
+    (Cf.total costs flushed.Engine.evictions_per_user);
   Printf.printf
     "  (the paper's ICP accounting charges evictions; the terminal flush makes \
      them equal to misses)\n\n";

@@ -36,7 +36,6 @@ let run size =
   let s = Scenarios.sqlvm ~seed:101 ~length ~scale:1 in
   let costs = s.Scenarios.costs in
   let trace = s.Scenarios.trace in
-  let n_users = Array.length costs in
   let shared = Engine.run ~k:total_k ~costs policy trace in
   let shared_cost = Metrics.total_cost ~costs shared in
   let scaling =
@@ -67,7 +66,7 @@ let run size =
       let routers =
         [
           Serve.Router.by_page ~shards;
-          Serve.Router.by_tenant ~shards ~n_users ();
+          Serve.Router.by_tenant ~shards;
         ]
       in
       List.iter

@@ -26,14 +26,6 @@ let render_output fmt (o : Experiment.output) =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* Collect-then-print: with a pool the experiments run concurrently but
-   all rendering happens afterwards, in spec order, so the suite report
-   is byte-identical to the sequential one. *)
-let run_suite ?(fmt = Text) ?pool ~size specs =
-  Experiment.run_all ?pool ~size specs
-  |> List.map (render_output fmt)
-  |> String.concat ""
-
 (* ------------------------------------------------------------------ *)
 (* Supervised suites: quarantine, chaos, checkpoint/resume             *)
 (* ------------------------------------------------------------------ *)
@@ -76,7 +68,7 @@ let run_suite_supervised ?(fmt = Text) ?pool ?policy ?fault ?checkpoint
       (fun e ->
         {
           S.id = e.Experiment.id;
-          run = (fun _ctx -> render_output fmt (e.Experiment.run size));
+          run = (fun () -> render_output fmt (e.Experiment.run size));
         })
       specs
   in

@@ -4,23 +4,14 @@
 type format = Text | Markdown
 
 val render_output : format -> Experiment.output -> string
-val run_suite :
-  ?fmt:format ->
-  ?pool:Ccache_util.Domain_pool.t ->
-  size:Experiment.size ->
-  Experiment.t list ->
-  string
-(** Render a whole suite.  With [?pool] the experiments execute
-    concurrently (collect-then-print), and the returned report is
-    byte-identical to the sequential one. *)
 
 (** {1 Supervised suites} *)
 
 type supervised = {
   report : string;
-      (** completed sections concatenated in spec order — byte-identical
-          to {!run_suite} when nothing was quarantined, whatever faults
-          were injected and retried along the way *)
+      (** completed sections concatenated in spec order — the same bytes
+          at every pool width, whatever faults were injected and retried
+          along the way *)
   failures : Ccache_util.Supervisor.failure list;
       (** quarantined experiments, in spec order *)
   replayed : string list;  (** ids served from the checkpoint *)

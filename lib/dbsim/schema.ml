@@ -49,10 +49,7 @@ type table = {
   base : int;  (** first page id of this table within the tenant *)
 }
 
-type t = {
-  tables : table array;
-  footprint : int;  (** total pages across all tables *)
-}
+type t = table array
 
 let create specs =
   if specs = [] then invalid_arg "Schema.create: no tables";
@@ -65,14 +62,14 @@ let create specs =
         t)
       specs
   in
-  { tables = Array.of_list tables; footprint = !base }
+  Array.of_list tables
 
 let table t id =
-  if id < 0 || id >= Array.length t.tables then
+  if id < 0 || id >= Array.length t then
     invalid_arg "Schema.table: unknown table";
-  t.tables.(id)
+  t.(id)
 
-let n_tables t = Array.length t.tables
+let n_tables t = Array.length t
 
 (** Page id of the [i]-th index page at [level] (0 = root) of [tbl]. *)
 let index_page tbl ~level ~slot =
@@ -88,5 +85,3 @@ let data_page tbl i =
   if i < 0 || i >= tbl.spec.data_pages then
     invalid_arg "Schema.data_page: leaf out of range";
   tbl.base + index_pages tbl.spec + i
-
-let footprint t = t.footprint

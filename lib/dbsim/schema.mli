@@ -30,8 +30,6 @@ val create : table_spec list -> t
 val table : t -> int -> table
 val n_tables : t -> int
 
-val footprint : t -> int
-
 val index_page : table -> level:int -> slot:int -> int
 (** Page id of an index page (level 0 = root; slots wrap). *)
 

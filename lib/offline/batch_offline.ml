@@ -112,6 +112,3 @@ let run ~k trace =
   done;
   { misses_per_user = misses; evictions_per_user = evictions;
     batch_length; batches = !batches }
-
-(** Total cost of the batch schedule under [costs]. *)
-let cost ~costs r = Ccache_cost.Cost_function.total costs r.misses_per_user

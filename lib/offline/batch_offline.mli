@@ -18,5 +18,3 @@ type result = {
 val run : k:int -> Ccache_trace.Trace.t -> result
 (** @raise Invalid_argument if some user owns more than one page or
     the instance shape leaves no eviction candidate. *)
-
-val cost : costs:Ccache_cost.Cost_function.t array -> result -> float

@@ -1,7 +1,5 @@
 (** Catalogue of baseline policies, used by the CLI and experiments. *)
 
-module Policy = Ccache_sim.Policy
-
 (** Online, cost-blind or cost-aware-but-uncoupled baselines. *)
 let online =
   [
@@ -25,8 +23,3 @@ let online =
 let offline = [ Belady.policy; Convex_belady.policy ]
 
 let all = online @ offline
-
-let find name =
-  List.find_opt (fun p -> Policy.name p = name) all
-
-let names = List.map Policy.name all

@@ -8,5 +8,3 @@ val offline : Ccache_sim.Policy.t list
 (** Offline references (require the full trace). *)
 
 val all : Ccache_sim.Policy.t list
-val find : string -> Ccache_sim.Policy.t option
-val names : string list

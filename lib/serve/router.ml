@@ -10,30 +10,17 @@ open Ccache_trace
 
 type t =
   | By_page of { shards : int }
-  | By_tenant of { shards : int; assignment : int array }
+  | By_tenant of { shards : int }
 
 let by_page ~shards =
   if shards <= 0 then invalid_arg "Router.by_page: shards must be positive";
   By_page { shards }
 
-let by_tenant ?assignment ~shards ~n_users () =
+let by_tenant ~shards =
   if shards <= 0 then invalid_arg "Router.by_tenant: shards must be positive";
-  let assignment =
-    match assignment with
-    | None -> Array.init n_users (fun u -> u mod shards)
-    | Some a ->
-        if Array.length a <> n_users then
-          invalid_arg "Router.by_tenant: assignment/users mismatch";
-        Array.iter
-          (fun s ->
-            if s < 0 || s >= shards then
-              invalid_arg "Router.by_tenant: assignment outside shard range")
-          a;
-        Array.copy a
-  in
-  By_tenant { shards; assignment }
+  By_tenant { shards }
 
-let shards = function By_page { shards } | By_tenant { shards; _ } -> shards
+let shards = function By_page { shards } | By_tenant { shards } -> shards
 
 let name = function By_page _ -> "page" | By_tenant _ -> "tenant"
 
@@ -53,7 +40,7 @@ let mix x =
 let route t page =
   match t with
   | By_page { shards } -> mix (Page.pack page) mod shards
-  | By_tenant { assignment; _ } -> assignment.(Page.user page)
+  | By_tenant { shards } -> Page.user page mod shards
 
 let split t trace =
   let n = shards t in

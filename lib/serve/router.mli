@@ -10,11 +10,11 @@
       differential harness exercises (a page's shard is a pure
       function of the page, so any trace splits into per-shard
       sub-traces independent of scheduling).
-    - {b tenant} — shard = [assignment.(user)].  All of a tenant's
+    - {b tenant} — shard = [user mod shards].  All of a tenant's
       pages live on one shard, keeping per-tenant state sparse (one
       shard touches it) — the {!Ccache_multipool.Multi_engine} pool
-      model lifted onto the service; the default assignment is the
-      same round-robin [user mod shards]. *)
+      model lifted onto the service, with its static round-robin
+      assignment. *)
 
 open Ccache_trace
 
@@ -23,11 +23,9 @@ type t
 val by_page : shards:int -> t
 (** @raise Invalid_argument if [shards <= 0]. *)
 
-val by_tenant : ?assignment:int array -> shards:int -> n_users:int -> unit -> t
-(** [assignment.(user)] is the user's shard; defaults to round-robin
-    [user mod shards].  @raise Invalid_argument on [shards <= 0], an
-    assignment/users length mismatch, or an entry outside
-    [\[0, shards)]. *)
+val by_tenant : shards:int -> t
+(** User [u]'s pages go to shard [u mod shards].
+    @raise Invalid_argument on [shards <= 0]. *)
 
 val shards : t -> int
 

@@ -239,8 +239,7 @@ let run_supervised ?pool ?policy ?fault ?checkpoint ?on_event config ~costs
     |> List.map (fun (ss : Scheduler.shard_schedule) ->
            {
              Supervisor.id = shard_task_id ss.Scheduler.shard;
-             run =
-               (fun _ctx -> replay_shard config ~costs ~n_users ss);
+             run = (fun () -> replay_shard config ~costs ~n_users ss);
            })
   in
   let replayed = ref [] in

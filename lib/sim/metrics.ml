@@ -1,30 +1,13 @@
 (** Cost evaluation and result presentation.
 
-    Translates the raw per-user miss/eviction counts of an
-    {!Engine.result} into the paper's objective
-    [sum_i f_i(misses_i)] (and the eviction-charged variant used by the
-    (ICP) accounting). *)
+    Translates the raw per-user miss counts of an {!Engine.result} into
+    the paper's objective [sum_i f_i(misses_i)]. *)
 
-type accounting = By_misses | By_evictions
-
-(** Per-user counts under the chosen accounting. *)
-let counts ~accounting (r : Engine.result) =
-  match accounting with
-  | By_misses -> r.Engine.misses_per_user
-  | By_evictions -> r.Engine.evictions_per_user
-
-(** Total objective [sum_i f_i(c_i)]. *)
-let total_cost ?(accounting = By_misses) ~costs (r : Engine.result) =
+(** Total objective [sum_i f_i(misses_i)]. *)
+let total_cost ~costs (r : Engine.result) =
   if Array.length costs <> r.Engine.n_users then
     invalid_arg "Metrics.total_cost: costs/users mismatch";
-  Ccache_cost.Cost_function.total costs (counts ~accounting r)
-
-(** Per-user cost vector. *)
-let per_user_cost ?(accounting = By_misses) ~costs (r : Engine.result) =
-  let cs = counts ~accounting r in
-  Array.mapi
-    (fun u c -> Ccache_cost.Cost_function.eval costs.(u) (float_of_int c))
-    cs
+  Ccache_cost.Cost_function.total costs r.Engine.misses_per_user
 
 type row = {
   policy : string;
@@ -34,22 +17,22 @@ type row = {
   cost : float;
 }
 
-let row ?accounting ~costs (r : Engine.result) =
+let row ~costs (r : Engine.result) =
   {
     policy = r.Engine.policy;
     hits = r.Engine.hits;
     misses = Engine.misses r;
     miss_ratio = Engine.miss_ratio r;
-    cost = total_cost ?accounting ~costs r;
+    cost = total_cost ~costs r;
   }
 
 (** Comparison table over several results on the same trace, sorted by
     ascending cost. *)
-let comparison_table ?accounting ?(title = "policy comparison") ~costs results =
+let comparison_table ?(title = "policy comparison") ~costs results =
   let sorted =
     List.sort
       (fun a b -> Float.compare a.cost b.cost)
-      (List.map (row ?accounting ~costs) results)
+      (List.map (row ~costs) results)
   in
   let open Ccache_util.Ascii_table in
   let tbl =

@@ -2,22 +2,13 @@
     miss/eviction counts into the paper's objective
     [sum_i f_i(count_i)]. *)
 
-type accounting =
-  | By_misses  (** the objective the experiments report *)
-  | By_evictions  (** the (ICP) accounting; equals misses under flush *)
-
 val total_cost :
-  ?accounting:accounting ->
-  costs:Ccache_cost.Cost_function.t array ->
-  Engine.result ->
-  float
-(** @raise Invalid_argument on a costs/users mismatch. *)
-
-val per_user_cost :
-  ?accounting:accounting ->
-  costs:Ccache_cost.Cost_function.t array ->
-  Engine.result ->
-  float array
+  costs:Ccache_cost.Cost_function.t array -> Engine.result -> float
+(** The objective the experiments report, [sum_i f_i(misses_i)].
+    (The (ICP) accounting charges evictions instead; under a terminal
+    flush the two agree, and [Cost_function.total costs
+    r.evictions_per_user] prices it directly.)
+    @raise Invalid_argument on a costs/users mismatch. *)
 
 type row = {
   policy : string;
@@ -27,14 +18,9 @@ type row = {
   cost : float;
 }
 
-val row :
-  ?accounting:accounting ->
-  costs:Ccache_cost.Cost_function.t array ->
-  Engine.result ->
-  row
+val row : costs:Ccache_cost.Cost_function.t array -> Engine.result -> row
 
 val comparison_table :
-  ?accounting:accounting ->
   ?title:string ->
   costs:Ccache_cost.Cost_function.t array ->
   Engine.result list ->

@@ -3,9 +3,6 @@
 (** Cartesian product of two parameter lists. *)
 let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
-let product3 xs ys zs =
-  List.concat_map (fun x -> List.map (fun (y, z) -> (x, y, z)) (product ys zs)) xs
-
 (** Geometric range [start, start*factor, ...] not exceeding [stop]. *)
 let geometric ~start ~stop ~factor =
   if start <= 0 || stop < start then invalid_arg "Sweep.geometric: bad range";
@@ -23,22 +20,6 @@ let geometric ~start ~stop ~factor =
       if next > stop then List.rev acc else go acc next
   in
   go [] start
-
-(** Inclusive arithmetic range with step. *)
-let arithmetic ~start ~stop ~step =
-  if step <= 0 then invalid_arg "Sweep.arithmetic: step must be positive";
-  let rec go acc v =
-    if v > stop then List.rev acc
-    else if v > max_int - step then List.rev (v :: acc) (* v + step would wrap *)
-    else go (v :: acc) (v + step)
-  in
-  go [] start
-
-(** Evenly spaced floats, inclusive of both endpoints. *)
-let linspace ~start ~stop ~count =
-  if count < 2 then invalid_arg "Sweep.linspace: count must be >= 2";
-  List.init count (fun i ->
-      start +. ((stop -. start) *. float_of_int i /. float_of_int (count - 1)))
 
 (* One span per sweep cell, labelled by input position — [f] itself is
    opaque, so the position is the only stable identity a cell has. *)
@@ -111,24 +92,12 @@ let run_cells cells =
     cells
 
 (** Supervised sweep: deadlines, retry, quarantine, checkpoint replay.
-    Each cell's stream is keyed on [(seed, task_id p)] — not on split
-    order — so every retry (and every resume) rebuilds the exact
-    stream the first attempt saw; convergence to the fault-free output
-    follows.  See [Ccache_util.Supervisor] for the failure model. *)
-let run_supervised ?pool ?policy ?fault ?checkpoint ?codec ?on_event ~seed
-    ~task_id points ~f =
+    See [Ccache_util.Supervisor] for the failure model. *)
+let run_supervised ?pool ?policy ?fault ?checkpoint ?codec ?on_event ~task_id
+    points ~f =
   let module S = Ccache_util.Supervisor in
   let tasks =
-    List.map
-      (fun p ->
-        let id = task_id p in
-        {
-          S.id;
-          run =
-            (fun ctx ->
-              f ctx (Ccache_util.Prng.derive ~seed ~key:id) p);
-        })
-      points
+    List.map (fun p -> { S.id = task_id p; run = (fun () -> f p) }) points
   in
   let outcomes = S.run ?pool ?policy ?fault ?checkpoint ?codec ?on_event tasks in
   List.combine points outcomes

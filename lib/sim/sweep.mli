@@ -1,19 +1,12 @@
 (** Parameter-sweep helpers for experiments and benches. *)
 
 val product : 'a list -> 'b list -> ('a * 'b) list
-val product3 : 'a list -> 'b list -> 'c list -> ('a * 'b * 'c) list
 
 val geometric : start:int -> stop:int -> factor:float -> int list
 (** Rounded geometric range, strictly increasing, not exceeding
     [stop] (which may be [max_int]).
     @raise Invalid_argument on a bad range or a [factor] that is not
     finite or not above 1. *)
-
-val arithmetic : start:int -> stop:int -> step:int -> int list
-(** Inclusive range [start, start+step, ...] not exceeding [stop]
-    (which may be [max_int]).  @raise Invalid_argument if [step <= 0]. *)
-
-val linspace : start:float -> stop:float -> count:int -> float list
 
 val run :
   ?pool:Ccache_util.Domain_pool.t ->
@@ -68,21 +61,18 @@ val run_supervised :
   ?checkpoint:Ccache_util.Checkpoint.t ->
   ?codec:'b Ccache_util.Supervisor.codec ->
   ?on_event:(Ccache_util.Supervisor.event -> unit) ->
-  seed:int ->
   task_id:('a -> string) ->
   'a list ->
-  f:(Ccache_util.Supervisor.ctx -> Ccache_util.Prng.t -> 'a -> 'b) ->
+  f:('a -> 'b) ->
   ('a * 'b Ccache_util.Supervisor.outcome) list
-(** Supervised variant of {!run} that hands each cell a private
-    {!Ccache_util.Prng} stream: per-cell deadlines and
-    cooperative cancellation (the [ctx]), bounded deterministic retry,
-    quarantine of permanently-failing cells, fault injection, and
-    checkpoint replay ([?checkpoint] requires [?codec]).
+(** Supervised variant of {!run}: per-cell deadlines, bounded
+    deterministic retry, quarantine of permanently-failing cells, fault
+    injection, and checkpoint replay ([?checkpoint] requires [?codec]).
 
-    Determinism: each cell's stream is {!Ccache_util.Prng.derive}d from
-    [(seed, task_id cell)] — independent of split order, position, and
-    attempt number — so a retried (or resumed) cell recomputes exactly
-    what an undisturbed first attempt would have, and a run with
-    injected transient faults is byte-identical to a fault-free run at
-    any pool width.  [task_id] must be injective over [points]
-    (duplicate ids raise [Invalid_argument]). *)
+    Determinism: [f] must be a function of its cell alone, so a retried
+    (or resumed) cell recomputes exactly what an undisturbed first
+    attempt would have, and a run with injected transient faults is
+    byte-identical to a fault-free run at any pool width.  A cell that
+    needs randomness derives its stream from its own id
+    ({!Ccache_util.Prng.derive}).  [task_id] must be injective over
+    [points] (duplicate ids raise [Invalid_argument]). *)

@@ -45,18 +45,6 @@ let cost ~costs t =
     t.misses;
   !acc
 
-(** Per-user totals across windows (= the cumulative miss counts). *)
-let total_misses t =
-  match Array.length t.misses with
-  | 0 -> [||]
-  | _ ->
-      let n_users = Array.length t.misses.(0) in
-      let totals = Array.make n_users 0 in
-      Array.iter
-        (fun per_user -> Array.iteri (fun u m -> totals.(u) <- totals.(u) + m) per_user)
-        t.misses;
-      totals
-
 (** Windows in which [user] exceeded [threshold] misses — SLA breach
     count under a per-window tolerance. *)
 let breaches t ~user ~threshold =

@@ -12,9 +12,6 @@ type t = {
 
 val cost : costs:Ccache_cost.Cost_function.t array -> t -> float
 
-val total_misses : t -> int array
-(** Per-user sums across windows (the cumulative counts). *)
-
 val breaches : t -> user:int -> threshold:int -> int
 (** Windows in which the user exceeded [threshold] misses. *)
 

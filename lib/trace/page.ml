@@ -58,18 +58,6 @@ let hash t = (user t * 0x9E3779B1) lxor id t
 
 let to_string t = Printf.sprintf "u%d:p%d" (user t) (id t)
 
-(** Parse the [uU:pI] form produced by {!to_string}. *)
-let of_string s =
-  match String.split_on_char ':' s with
-  | [ u; p ]
-    when String.length u > 1 && u.[0] = 'u' && String.length p > 1 && p.[0] = 'p' ->
-      (try
-         let user = int_of_string (String.sub u 1 (String.length u - 1)) in
-         let id = int_of_string (String.sub p 1 (String.length p - 1)) in
-         Some (make ~user ~id)
-       with Invalid_argument _ | Failure _ -> None)
-  | _ -> None
-
 module Key = struct
   type nonrec t = t
 

@@ -40,9 +40,6 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 
-val of_string : string -> t option
-(** Parses the ["u<user>:p<id>"] form produced by {!to_string}. *)
-
 module Key : Hashtbl.HashedType with type t = t
 module Tbl : Hashtbl.S with type key = t
 module Set : Set.S with type elt = t

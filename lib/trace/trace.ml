@@ -4,12 +4,11 @@
     sequence, the convex program and the offline algorithms need the
     bookkeeping the paper defines in Section 2:
 
-    - [r(p,t)]     — number of requests of page p up to time t,
     - [j(p,t)]     — interval index of p at time t,
     - [B(t)]       — set of distinct pages requested up to time t,
-    - next/previous use positions (for Belady-style policies).
+    - next-use positions (for Belady-style policies).
 
-    [Index.build] precomputes all of these in O(T) once per trace.
+    [Index.build] precomputes these in O(T) once per trace.
     Positions are 0-based throughout the code base; the paper's t runs
     from 1, so position [t-1] here corresponds to the paper's time t.
 
@@ -45,10 +44,6 @@ let dense t = t.dense
 let pages t = t.dict
 let interner t = t.ranks
 let page_of_dense t d = t.dict.(d)
-
-let dense_of_page t page =
-  let d = Interner.find t.ranks (Page.pack page) in
-  if d >= 0 then Some d else None
 
 (* The one interning pass.  A page's user is checked once, on its
    dictionary entry: the first page out of range in first-touch order is
@@ -138,26 +133,18 @@ let with_flush ~k t =
   of_pages ~n_users:(t.n_users + 1) (Array.append (requests t) dummy)
 
 module Index = struct
-  type trace = t
-
-  (* All per-position vectors are flat int arrays; the per-page vectors
-     (request totals, first positions) are flat arrays over the dense
-     page space — no hashtable is touched, and page-keyed queries
-     translate through the trace's interner. *)
+  (* Flat per-position int arrays; the per-page working arrays of
+     [build] (request counts, last positions) are indexed by dense id,
+     so no hashtable is touched. *)
   type t = {
-    trace : trace;
     interval : int array;
         (** [interval.(pos)] = j(p,pos): 1-based index of this request
             among all requests of the same page. *)
     next_use : int array;
         (** position of the next request of the same page, or
             [Int.max_int] if none. *)
-    prev_use : int array;
-        (** position of the previous request of the same page, or [-1]. *)
     distinct_upto : int array;
         (** [distinct_upto.(pos)] = |B(t)| after including this request. *)
-    counts : int array;  (** r(p,T) per dense page id *)
-    first_pos : int array;  (** first position of each dense page id *)
   }
 
   let build trace =
@@ -166,11 +153,9 @@ module Index = struct
     let n = Array.length dense in
     let interval = Array.make n 0 in
     let next_use = Array.make n Int.max_int in
-    let prev_use = Array.make n (-1) in
     let distinct_upto = Array.make n 0 in
     let counts = Array.make p 0 in
     let last_pos = Array.make p (-1) in
-    let first_pos = Array.make p (-1) in
     let distinct = ref 0 in
     for pos = 0 to n - 1 do
       let d = Array.unsafe_get dense pos in
@@ -178,18 +163,11 @@ module Index = struct
       Array.unsafe_set counts d (c + 1);
       Array.unsafe_set interval pos (c + 1);
       let prev = Array.unsafe_get last_pos d in
-      if prev >= 0 then begin
-        Array.unsafe_set next_use prev pos;
-        Array.unsafe_set prev_use pos prev
-      end
-      else begin
-        incr distinct;
-        Array.unsafe_set first_pos d pos
-      end;
+      if prev >= 0 then Array.unsafe_set next_use prev pos else incr distinct;
       Array.unsafe_set last_pos d pos;
       Array.unsafe_set distinct_upto pos !distinct
     done;
-    { trace; interval; next_use; prev_use; distinct_upto; counts; first_pos }
+    { interval; next_use; distinct_upto }
 
   (** j(p, pos): which interval of page p the position falls in. *)
   let interval_index t pos = t.interval.(pos)
@@ -198,27 +176,6 @@ module Index = struct
   let next_use t pos = t.next_use.(pos)
     [@@effects.no_alloc] [@@effects.deterministic]
 
-  let prev_use t pos = t.prev_use.(pos)
-    [@@effects.no_alloc] [@@effects.deterministic]
-
   let distinct_upto t pos = t.distinct_upto.(pos)
-    [@@effects.no_alloc] [@@effects.deterministic]
-
-  (* page-keyed queries: one interner probe to enter the dense space *)
-  let dense_id t page = Interner.find t.trace.ranks (Page.pack page)
-    [@@effects.no_alloc] [@@effects.deterministic]
-
-  (** r(p, T): total number of requests of [page] in the whole trace. *)
-  let total_requests t page =
-    let d = dense_id t page in
-    if d >= 0 then t.counts.(d) else 0
-    [@@effects.no_alloc] [@@effects.deterministic]
-
-  let first_use t page =
-    let d = dense_id t page in
-    if d >= 0 then Some t.first_pos.(d) else None
-
-  (** Is [pos] the last request of its page? *)
-  let is_last_request t pos = t.next_use.(pos) = Int.max_int
     [@@effects.no_alloc] [@@effects.deterministic]
 end

@@ -3,9 +3,10 @@
     A trace is the online input sigma = (p_1, ..., p_T).  Positions are
     0-based throughout the code base; the paper's time t corresponds to
     position [t - 1].  {!Index.build} precomputes in O(T) the
-    bookkeeping of paper Section 2: interval indices [j(p,t)], distinct
-    counts [|B(t)|], request totals [r(p,t)] and next/previous-use
-    links (the latter also power Belady-style offline policies). *)
+    bookkeeping of paper Section 2 that its readers use: interval
+    indices [j(p,t)] and distinct counts [|B(t)|] (the convex
+    program's variables and constraints), and next-use links
+    (Belady-style offline policies). *)
 
 type t
 (** A trace is its dense interning, built eagerly by every constructor:
@@ -70,9 +71,6 @@ val interner : t -> Ccache_util.Interner.t
 val page_of_dense : t -> int -> Page.t
 (** Page with the given dense id (its first-touch rank). *)
 
-val dense_of_page : t -> Page.t -> int option
-(** Dense id of a page, or [None] if the trace never requests it. *)
-
 val append : t -> t -> t
 (** Concatenation; both traces must agree on [n_users]. *)
 
@@ -90,6 +88,7 @@ val with_flush : k:int -> t -> t
 module Index : sig
   type trace := t
   type t
+  (** Three T-length int arrays, one per query below. *)
 
   val build : trace -> t
   (** O(T) single pass. *)
@@ -101,16 +100,6 @@ module Index : sig
   val next_use : t -> int -> int
   (** Position of the next request of the same page, or [Int.max_int]. *)
 
-  val prev_use : t -> int -> int
-  (** Position of the previous request of the same page, or [-1]. *)
-
   val distinct_upto : t -> int -> int
   (** [|B(t)|] after including the request at this position. *)
-
-  val total_requests : t -> Page.t -> int
-  (** r(p, T); 0 for pages never requested. *)
-
-  val first_use : t -> Page.t -> int option
-
-  val is_last_request : t -> int -> bool
 end

@@ -61,15 +61,6 @@ let rec validate_pattern = function
           validate_pattern p)
         parts
 
-(** Number of distinct page ids a pattern can emit. *)
-let rec footprint = function
-  | Uniform { pages } | Zipf { pages; _ } | Cycle { pages }
-  | Sequential_scan { pages; _ } | Hot_cold { pages; _ }
-  | Drifting_zipf { pages; _ } ->
-      pages
-  | Mixture parts ->
-      List.fold_left (fun acc (_, p) -> Stdlib.max acc (footprint p)) 0 parts
-
 (* A sampler is a stateful thunk producing the next page id. *)
 let rec make_sampler pattern rng =
   validate_pattern pattern;

@@ -29,9 +29,6 @@ val validate_pattern : pattern -> unit
     names the offending field.  A NaN would otherwise pass the sign
     checks and silently corrupt every generated trace. *)
 
-val footprint : pattern -> int
-(** Number of distinct page ids the pattern can emit. *)
-
 type tenant_spec = {
   pattern : pattern;
   weight : float;  (** relative request rate *)

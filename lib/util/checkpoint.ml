@@ -6,28 +6,18 @@ let magic = "ccache-checkpoint v1"
 type t = {
   path : string;
   fingerprint : string;
-  lock : Mutex.t;  (** guards [entries], [dirty] — workers record concurrently *)
+  lock : Mutex.t;  (** guards [entries] — workers record concurrently *)
   entries : (string, string) Hashtbl.t;
-  mutable dirty : int;  (** records since the last flush *)
-  flush_every : int;
 }
 
-let validate ~path ~fingerprint ~flush_every =
+let validate ~path ~fingerprint =
   if path = "" then invalid_arg "Checkpoint: empty path";
   if String.contains fingerprint '\n' then
-    invalid_arg "Checkpoint: fingerprint must be a single line";
-  if flush_every < 1 then invalid_arg "Checkpoint: flush_every must be >= 1"
+    invalid_arg "Checkpoint: fingerprint must be a single line"
 
-let create ?(flush_every = 1) ~path ~fingerprint () =
-  validate ~path ~fingerprint ~flush_every;
-  {
-    path;
-    fingerprint;
-    lock = Mutex.create ();
-    entries = Hashtbl.create 64;
-    dirty = 0;
-    flush_every;
-  }
+let create ~path ~fingerprint =
+  validate ~path ~fingerprint;
+  { path; fingerprint; lock = Mutex.create (); entries = Hashtbl.create 64 }
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -63,8 +53,7 @@ let flush_locked t =
      close_out_noerr oc;
      raise e);
   close_out oc;
-  Sys.rename tmp t.path;
-  t.dirty <- 0
+  Sys.rename tmp t.path
 
 let flush t = Mutex.protect t.lock (fun () -> flush_locked t)
 
@@ -73,8 +62,7 @@ let record t ~id payload =
     invalid_arg "Checkpoint.record: id must be a single line";
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.entries id payload;
-      t.dirty <- t.dirty + 1;
-      if t.dirty >= t.flush_every then flush_locked t)
+      flush_locked t)
 
 let find t id = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.entries id)
 
@@ -143,8 +131,8 @@ let parse ~path contents =
   done;
   (fingerprint, entries)
 
-let load ?(flush_every = 1) ~path ~fingerprint () =
-  validate ~path ~fingerprint ~flush_every;
+let load ~path ~fingerprint =
+  validate ~path ~fingerprint;
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -162,17 +150,8 @@ let load ?(flush_every = 1) ~path ~fingerprint () =
                  "%s: fingerprint mismatch — checkpoint was written by a \
                   different run configuration (stored %S, expected %S)"
                  path stored_fp fingerprint)
-          else
-            Ok
-              {
-                path;
-                fingerprint;
-                lock = Mutex.create ();
-                entries;
-                dirty = 0;
-                flush_every;
-              })
+          else Ok { path; fingerprint; lock = Mutex.create (); entries })
 
-let load_or_create ?flush_every ~path ~fingerprint () =
-  if Sys.file_exists path then load ?flush_every ~path ~fingerprint ()
-  else Ok (create ?flush_every ~path ~fingerprint ())
+let load_or_create ~path ~fingerprint =
+  if Sys.file_exists path then load ~path ~fingerprint
+  else Ok (create ~path ~fingerprint)

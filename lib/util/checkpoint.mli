@@ -21,26 +21,24 @@
 
 type t
 
-val create : ?flush_every:int -> path:string -> fingerprint:string -> unit -> t
+val create : path:string -> fingerprint:string -> t
 (** Fresh, empty checkpoint bound to [path] (nothing is written until
-    the first flush).  [flush_every] (default 1) batches that many
-    {!record}s per snapshot write.
-    @raise Invalid_argument on an empty path, a multi-line
-    fingerprint, or [flush_every < 1]. *)
+    the first {!record} or {!flush}).
+    @raise Invalid_argument on an empty path or a multi-line
+    fingerprint. *)
 
-val load : ?flush_every:int -> path:string -> fingerprint:string -> unit -> (t, string) result
+val load : path:string -> fingerprint:string -> (t, string) result
 (** Parse an existing snapshot.  [Error _] on a missing or corrupt
     file, or when the stored fingerprint differs from [fingerprint]
     (the error message says which). *)
 
-val load_or_create :
-  ?flush_every:int -> path:string -> fingerprint:string -> unit -> (t, string) result
+val load_or_create : path:string -> fingerprint:string -> (t, string) result
 (** {!load} when [path] exists, fresh {!create} otherwise. *)
 
 val record : t -> id:string -> string -> unit
-(** Store (or overwrite) a payload; flushes automatically every
-    [flush_every] records.  @raise Invalid_argument on a multi-line
-    id (payloads may contain anything). *)
+(** Store (or overwrite) a payload and write the snapshot.
+    @raise Invalid_argument on a multi-line id (payloads may contain
+    anything).  @raise Sys_error if the snapshot cannot be written. *)
 
 val flush : t -> unit
 (** Write the snapshot now (atomic temp-file + rename). *)

@@ -11,11 +11,10 @@
     Determinism contract: the map never reorders *results* — only the
     wall-clock interleaving of side effects differs between widths.
     Callers that need bit-for-bit reproducible randomness must derive
-    one {!Prng} stream per element before the map (see
-    [Ccache_sim.Sweep.run_supervised], which {!Prng.derive}s each
-    cell's stream from the seed and the cell's id); with that
-    discipline a run at width 1 and a run at width 8 produce identical
-    output. *)
+    one {!Prng} stream per element from the element itself, never share
+    one across the map (see {!Fault.at_boundary}, which {!Prng.derive}s
+    its stream from the task id and attempt); with that discipline a
+    run at width 1 and a run at width 8 produce identical output. *)
 
 type t
 (** A map width: the most domains a pooled {!map_list} may use. *)

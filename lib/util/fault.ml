@@ -23,18 +23,18 @@ type t = {
   seed : int;
   rate : float;  (** transient-fault probability per task, in [0, 1] *)
   kill : string list;  (** task ids that crash permanently *)
-  max_delay_s : float;  (** upper bound of an injected delay *)
 }
 
-let none = { seed = 0; rate = 0.0; kill = []; max_delay_s = 0.0 }
+(* Upper bound of an injected delay: enough to perturb cross-domain
+   scheduling, small enough that a chaos run stays fast. *)
+let max_delay_s = 0.002
 
-let create ?(max_delay_s = 0.002) ~seed ~rate () =
+let none = { seed = 0; rate = 0.0; kill = [] }
+
+let create ~seed ~rate =
   if not (Float.is_finite rate) || rate < 0.0 || rate > 1.0 then
     invalid_arg (Printf.sprintf "Fault.create: rate = %g outside [0, 1]" rate);
-  if not (Float.is_finite max_delay_s) || max_delay_s < 0.0 then
-    invalid_arg
-      (Printf.sprintf "Fault.create: max_delay_s = %g must be >= 0" max_delay_s);
-  { seed; rate; kill = []; max_delay_s }
+  { seed; rate; kill = [] }
 
 let seed t = t.seed
 let rate t = t.rate
@@ -51,7 +51,7 @@ let of_spec spec =
       match (int_of_string_opt seed_s, float_of_string_opt rate_s) with
       | Some seed, Some rate
         when Float.is_finite rate && rate >= 0.0 && rate <= 1.0 ->
-          Ok (create ~seed ~rate ())
+          Ok (create ~seed ~rate)
       | Some _, (Some _ | None) ->
           Error
             (Printf.sprintf "bad chaos spec %S: rate must be a float in [0, 1]"
@@ -82,8 +82,8 @@ let at_boundary t ~task ~attempt =
       Prng.derive ~seed:t.seed ~key:(task ^ "#" ^ string_of_int attempt)
     in
     (* Delays perturb scheduling (any attempt) without touching results. *)
-    if Prng.bernoulli g ~p:(t.rate /. 2.0) && t.max_delay_s > 0.0 then
-      Unix.sleepf (Prng.float_range g t.max_delay_s);
+    if Prng.bernoulli g ~p:(t.rate /. 2.0) then
+      Unix.sleepf (Prng.float_range g max_delay_s);
     (* Transient faults fire only on the first attempt, so any retry
        budget >= 1 provably recovers every injected transient — the
        invariant behind the chaos-equals-fault-free CI diff. *)

@@ -10,8 +10,8 @@
       retry budget of one or more provably recovers every injected
       transient and a chaos run converges byte-for-byte to the
       fault-free output;
-    - {b delays}: short sleeps (up to [max_delay_s], probability
-      [rate/2], any attempt) that perturb cross-domain scheduling
+    - {b delays}: short sleeps (up to 2 ms, probability [rate/2], any
+      attempt) that perturb cross-domain scheduling
       without touching results — they exercise the determinism contract
       under adversarial interleavings;
     - {b permanent crashes} ({!Injected_crash}): task ids listed in
@@ -32,10 +32,10 @@ type t
 val none : t
 (** Injects nothing; {!at_boundary} is a no-op. *)
 
-val create : ?max_delay_s:float -> seed:int -> rate:float -> unit -> t
+val create : seed:int -> rate:float -> t
 (** No task is killed until {!kill} adds some.
-    @raise Invalid_argument if [rate] is outside [\[0, 1\]] or
-    [max_delay_s < 0] (non-finite values included). *)
+    @raise Invalid_argument if [rate] is outside [\[0, 1\]] (non-finite
+    values included). *)
 
 val seed : t -> int
 val rate : t -> float

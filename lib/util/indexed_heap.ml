@@ -290,15 +290,6 @@ let min_prio_exn t =
   Float.Array.unsafe_get t.prios 0
   [@@effects.no_alloc] [@@effects.deterministic]
 
-(** Minimum entry without removing it. *)
-let peek t =
-  if t.size = 0 then None else Some (t.keys.(0), Float.Array.get t.prios 0)
-
-let peek_exn t =
-  match peek t with
-  | Some kp -> kp
-  | None -> invalid_arg "Indexed_heap.peek_exn: empty heap"
-
 let remove_slot t i =
   let last = t.size - 1 in
   tbl_remove_at t t.tpos.(i);

@@ -25,20 +25,14 @@ val add : t -> key:int -> prio:float -> unit
 val priority : t -> int -> float
 (** @raise Not_found if absent. *)
 
-val peek : t -> (int * float) option
-(** Minimum entry, not removed. *)
-
 val min_key_exn : t -> int
-(** Key of the minimum entry, not removed.  Unlike {!peek} this
-    allocates nothing — the hot-path accessor for eviction loops.
+(** Key of the minimum entry, not removed.  Allocates nothing — the
+    hot-path accessor for eviction loops.
     @raise Invalid_argument on an empty heap. *)
 
 val min_prio_exn : t -> float
 (** Priority of the minimum entry, not removed.
     @raise Invalid_argument on an empty heap. *)
-
-val peek_exn : t -> int * float
-(** @raise Invalid_argument on an empty heap. *)
 
 val pop : t -> (int * float) option
 

@@ -82,12 +82,6 @@ let find_default t key ~default =
   if t.keys.(i) = key then t.vals.(i) else default
   [@@effects.no_alloc] [@@effects.deterministic]
 
-let find_exn t key =
-  check_key key;
-  let i = probe t key in
-  if t.keys.(i) = key then t.vals.(i) else raise Not_found
-  [@@effects.no_alloc] [@@effects.deterministic]
-
 (* Amortised-doubling growth: the one allocation site after [create],
    forgiven to callers under [@@effects.amortized_alloc]. *)
 let[@effects.amortized_alloc] grow t =

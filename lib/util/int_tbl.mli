@@ -32,9 +32,6 @@ val mem : t -> int -> bool
 val find_default : t -> int -> default:int -> int
 (** Value bound to the key, or [default].  Never allocates. *)
 
-val find_exn : t -> int -> int
-(** @raise Not_found if the key is absent. *)
-
 val set : t -> int -> int -> unit
 (** Insert or overwrite. *)
 

@@ -11,8 +11,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 finalizer: one 64-bit output per step. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -99,21 +97,8 @@ let float t =
 (** Uniform float in [\[0, hi)]. *)
 let float_range t hi = float t *. hi
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 (** Bernoulli trial with success probability [p]. *)
 let bernoulli t ~p = float t < p
-
-(** Exponential variate with the given [rate]. *)
-let exponential t ~rate =
-  if rate <= 0.0 then invalid_arg "Prng.exponential: rate must be positive";
-  -.log1p (-.float t) /. rate
-
-(** Geometric variate: number of failures before first success. *)
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Prng.geometric: p in (0,1]";
-  if p >= 1.0 then 0
-  else int_of_float (floor (log1p (-.float t) /. log1p (-.p)))
 
 (** Sample an index from unnormalised non-negative [weights]. *)
 let categorical t ~weights =
@@ -128,40 +113,3 @@ let categorical t ~weights =
       if target < acc then i else go (i + 1) acc
   in
   go 0 0.0
-
-(** In-place Fisher-Yates shuffle. *)
-let shuffle_in_place t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let shuffle t a =
-  let b = Array.copy a in
-  shuffle_in_place t b;
-  b
-
-(** Sample [count] distinct elements from [\[0, bound)]. *)
-let sample_distinct t ~bound ~count =
-  if count > bound then invalid_arg "Prng.sample_distinct: count > bound";
-  if 3 * count >= bound then begin
-    let all = Array.init bound (fun i -> i) in
-    shuffle_in_place t all;
-    Array.sub all 0 count
-  end
-  else begin
-    let seen = Hashtbl.create (2 * count) in
-    let out = Array.make count 0 in
-    let filled = ref 0 in
-    while !filled < count do
-      let v = int t bound in
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out.(!filled) <- v;
-        incr filled
-      end
-    done;
-    out
-  end

@@ -11,9 +11,6 @@ type t
 val create : seed:int -> t
 (** Fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** Independent copy continuing from the same state. *)
-
 val split : t -> t
 (** [split t] derives an independent child generator; the parent
     advances, so repeated splits yield distinct streams. *)
@@ -48,25 +45,9 @@ val float : t -> float
 val float_range : t -> float -> float
 (** [float_range t hi] is uniform in [\[0, hi)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> p:float -> bool
 (** Success with probability [p]. *)
-
-val exponential : t -> rate:float -> float
-(** Exponential variate. @raise Invalid_argument if [rate <= 0]. *)
-
-val geometric : t -> p:float -> int
-(** Number of failures before the first success.
-    @raise Invalid_argument unless [0 < p <= 1]. *)
 
 val categorical : t -> weights:float array -> int
 (** Index sampled proportionally to unnormalised non-negative
     [weights]. @raise Invalid_argument if they sum to 0 or less. *)
-
-val shuffle : t -> 'a array -> 'a array
-(** Shuffled copy; the input is untouched. *)
-
-val sample_distinct : t -> bound:int -> count:int -> int array
-(** [count] distinct values from [\[0, bound)].
-    @raise Invalid_argument if [count > bound]. *)

@@ -9,7 +9,7 @@ exception Timed_out of { task : string; elapsed_s : float }
    through the quarantined capability so the no-wall-clock lint rule
    holds: Ccache_obs.Clock is the only module in lib/ that touches
    Unix.gettimeofday.  Deadline results never feed simulation state —
-   a miss raises and the attempt is recomputed from its seed. *)
+   a miss raises and the attempt is recomputed. *)
 let wall_now () = Ccache_obs.Clock.(now wall)
 
 let () =
@@ -24,22 +24,9 @@ type policy = {
   max_retries : int;
   timeout_s : float option;
   backoff_base_s : float;
-  backoff_factor : float;
-  backoff_max_s : float;
-  jitter : float;
-  seed : int;
 }
 
-let default_policy =
-  {
-    max_retries = 3;
-    timeout_s = None;
-    backoff_base_s = 0.05;
-    backoff_factor = 2.0;
-    backoff_max_s = 1.0;
-    jitter = 0.0;
-    seed = 0;
-  }
+let default_policy = { max_retries = 3; timeout_s = None; backoff_base_s = 0.05 }
 
 let validate_policy p =
   if p.max_retries < 0 then
@@ -50,52 +37,13 @@ let validate_policy p =
         (Printf.sprintf "Supervisor: timeout_s = %g must be finite and > 0" s)
   | _ -> ());
   if not (Float.is_finite p.backoff_base_s) || p.backoff_base_s < 0.0 then
-    invalid_arg "Supervisor: backoff_base_s must be finite and >= 0";
-  if not (Float.is_finite p.backoff_factor) || p.backoff_factor < 1.0 then
-    invalid_arg "Supervisor: backoff_factor must be finite and >= 1";
-  if not (Float.is_finite p.backoff_max_s) || p.backoff_max_s < 0.0 then
-    invalid_arg "Supervisor: backoff_max_s must be finite and >= 0";
-  if not (Float.is_finite p.jitter) || p.jitter < 0.0 || p.jitter > 1.0 then
-    invalid_arg "Supervisor: jitter must be in [0, 1]"
+    invalid_arg "Supervisor: backoff_base_s must be finite and >= 0"
 
 (* Pure so tests can assert the exact schedule.  [attempt] is the
    0-based attempt that just failed; the delay precedes attempt+1. *)
-let backoff_delay policy ~task ~attempt =
+let backoff_delay policy ~attempt =
   if policy.backoff_base_s <= 0.0 then 0.0
-  else
-    let d =
-      policy.backoff_base_s *. (policy.backoff_factor ** float_of_int attempt)
-    in
-    let d = Float.min d policy.backoff_max_s in
-    if policy.jitter <= 0.0 then d
-    else
-      (* Seeded jitter keyed on (seed, task, attempt): still fully
-         deterministic, merely decorrelated across tasks. *)
-      let g =
-        Prng.derive ~seed:policy.seed
-          ~key:(task ^ "/backoff#" ^ string_of_int attempt)
-      in
-      let scale = 1.0 -. policy.jitter +. (2.0 *. policy.jitter *. Prng.float g) in
-      Float.min (d *. scale) policy.backoff_max_s
-
-(* ------------------------------------------------------------------ *)
-(* Task context: cooperative cancellation                              *)
-(* ------------------------------------------------------------------ *)
-
-type ctx = {
-  ctx_task : string;
-  ctx_attempt : int;
-  started : float;
-  deadline : float option;
-}
-
-let check ctx =
-  match ctx.deadline with
-  | Some d when wall_now () > d ->
-      raise
-        (Timed_out
-           { task = ctx.ctx_task; elapsed_s = wall_now () -. ctx.started })
-  | _ -> ()
+  else Float.min (policy.backoff_base_s *. (2.0 ** float_of_int attempt)) 1.0
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes and events                                                 *)
@@ -110,7 +58,7 @@ type event =
   | Gave_up of failure
   | Replayed of { task : string }
 
-type 'a task = { id : string; run : ctx -> 'a }
+type 'a task = { id : string; run : unit -> 'a }
 type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
 
 let string_codec = { encode = Fun.id; decode = Option.some }
@@ -189,14 +137,6 @@ let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
     | None ->
         let rec go att =
           let started = wall_now () in
-          let ctx =
-            {
-              ctx_task = task.id;
-              ctx_attempt = att;
-              started;
-              deadline = Option.map (fun s -> started +. s) policy.timeout_s;
-            }
-          in
           match
             (* One span per attempt: the trace shows every retry as its
                own region (recorded even when the attempt raises), with
@@ -206,10 +146,16 @@ let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
               ("task:" ^ task.id)
               (fun () ->
                 Fault.at_boundary fault ~task:task.id ~attempt:att;
-                let v = task.run ctx in
-                (* Closing boundary check: even a task that never calls
-                   [check] cannot return a result past its deadline. *)
-                check ctx;
+                let v = task.run () in
+                (* The deadline is checked when the attempt returns: an
+                   overrun result is discarded, never returned. *)
+                (match policy.timeout_s with
+                | Some s ->
+                    let now = wall_now () in
+                    if now > started +. s then
+                      raise
+                        (Timed_out { task = task.id; elapsed_s = now -. started })
+                | None -> ());
                 v)
           with
           | v ->
@@ -217,7 +163,7 @@ let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
               Ccache_obs.Metrics.incr "supervisor/completed";
               Completed v
           | exception e when retryable e && att < policy.max_retries ->
-              let delay_s = backoff_delay policy ~task:task.id ~attempt:att in
+              let delay_s = backoff_delay policy ~attempt:att in
               emit
                 (Retrying
                    {
@@ -255,8 +201,10 @@ let run ?pool ?(policy = default_policy) ?(fault = Fault.none) ?checkpoint
         in
         go 0
   in
-  (* run_task never raises, so one quarantined task cannot abort the
-     map: every other task still runs and keeps its slot. *)
+  (* A task's own failure is an outcome, never an exception, so one
+     quarantined task cannot abort the map: every other task still runs
+     and keeps its slot.  run_task raises only when recording a result
+     to the checkpoint fails (an I/O error), which aborts the run. *)
   let outcomes = Domain_pool.map_list ?pool ~f:run_task tasks in
   Option.iter Checkpoint.flush checkpoint;
   outcomes

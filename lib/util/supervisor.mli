@@ -1,6 +1,6 @@
-(** Supervised task execution over {!Domain_pool}: per-task deadlines
-    with cooperative cancellation, bounded deterministic retry,
-    crash quarantine, and checkpoint replay.
+(** Supervised task execution over {!Domain_pool}: per-task deadlines,
+    bounded deterministic retry, crash quarantine, and checkpoint
+    replay.
 
     {2 Failure model (DESIGN.md Section 8)}
 
@@ -13,19 +13,17 @@
       deadline misses depend on wall-clock load).  Retries are bounded
       by [max_retries] with exponential backoff.
     - {b quarantined immediately}: everything else.  Tasks are
-      deterministic functions of their inputs and their {!Prng} stream,
-      so a real exception is permanent by construction; re-running it
+      deterministic functions of their inputs, so a real exception is
+      permanent by construction; re-running it
       would only burn the retry budget.  The task's slot in the result
       list becomes [Quarantined], every other task still completes.
 
     {2 Why determinism survives retries}
 
-    Each attempt re-derives the task's PRNG stream from its id
-    ({!Prng.derive}) rather than mutating a shared stream, so attempt
-    [n] sees exactly the state attempt [0] saw; backoff delays are a
-    pure function of [(policy, task id, attempt)] (jitter-free by
-    default, seeded jitter otherwise); and results are collected in
-    input order by {!Domain_pool.map_list}.  Hence a run with injected
+    A task is a thunk of its own inputs, so attempt [n] computes
+    exactly what attempt [0] would have; backoff delays are a pure
+    function of [(policy, attempt)]; and results are collected in input
+    order by {!Domain_pool.map_list}.  Hence a run with injected
     transient faults and retries produces output byte-identical to a
     fault-free run at any pool width.
 
@@ -37,48 +35,31 @@
     without executing — which is what makes [--resume] bit-for-bit. *)
 
 exception Timed_out of { task : string; elapsed_s : float }
-(** Raised by {!check} (and at the closing task boundary) once the
-    attempt's deadline has passed.  Retryable. *)
+(** Raised when an attempt returns after its deadline: the result is
+    discarded.  Retryable. *)
 
 type policy = {
   max_retries : int;  (** extra attempts after the first (>= 0) *)
-  timeout_s : float option;  (** per-attempt cooperative deadline *)
-  backoff_base_s : float;  (** delay before the first retry *)
-  backoff_factor : float;  (** multiplier per subsequent retry (>= 1) *)
-  backoff_max_s : float;  (** cap on any single delay *)
-  jitter : float;
-      (** 0 (default) = jitter-free; otherwise the fraction by which a
-          delay may deviate, drawn from a stream keyed on
-          [(seed, task, attempt)] — deterministic either way *)
-  seed : int;  (** seeds the jitter stream only *)
+  timeout_s : float option;
+      (** per-attempt deadline, checked when the attempt returns *)
+  backoff_base_s : float;
+      (** delay before the first retry; it doubles per retry, capped
+          at 1 s *)
 }
 
 val default_policy : policy
-(** 3 retries, no deadline, 50 ms base doubling to a 1 s cap, no
-    jitter. *)
+(** 3 retries, no deadline, 50 ms base. *)
 
 val validate_policy : policy -> unit
 (** The check {!run} applies to its [?policy]: retries [>= 0], a
-    finite positive deadline, finite non-negative backoff times, a
-    finite factor [>= 1] and jitter in [\[0, 1\]].  Exposed so
-    front ends can reject bad flags before any task runs.
+    finite positive deadline and a finite non-negative backoff base.
+    Exposed so front ends can reject bad flags before any task runs.
     @raise Invalid_argument naming the offending field. *)
 
-val backoff_delay : policy -> task:string -> attempt:int -> float
+val backoff_delay : policy -> attempt:int -> float
 (** Pure backoff schedule: the delay slept after 0-based [attempt]
-    fails (i.e. before attempt [attempt + 1]).  Exposed so tests can
-    assert the exact schedule. *)
-
-(** {1 Task context} *)
-
-type ctx
-(** Handed to each attempt: identity plus the cooperative deadline. *)
-
-val check : ctx -> unit
-(** Cooperative cancellation point: long-running tasks call this
-    periodically.  @raise Timed_out once the attempt deadline has
-    passed.  The supervisor also checks at the closing task boundary,
-    so even non-cooperative tasks cannot return past their deadline. *)
+    fails (i.e. before attempt [attempt + 1]), [backoff_base_s * 2^attempt]
+    capped at 1 s.  Exposed so tests can assert the exact schedule. *)
 
 (** {1 Outcomes and events} *)
 
@@ -95,7 +76,7 @@ type event =
   | Gave_up of failure
   | Replayed of { task : string }  (** served from the checkpoint *)
 
-type 'a task = { id : string; run : ctx -> 'a }
+type 'a task = { id : string; run : unit -> 'a }
 
 type 'a codec = { encode : 'a -> string; decode : string -> 'a option }
 (** Payload codec for checkpointing.  [decode] returning [None] marks
@@ -124,6 +105,10 @@ val run :
     with quarantined tasks still leaves its partial results on disk).
     [?on_event] observes retries, quarantines and replays; callbacks
     are serialised under a mutex but may fire from worker domains —
-    don't print to stdout from them (stderr is fine).
+    don't print to stdout from them (stderr is fine).  A task that
+    raises is quarantined or retried, never re-raised.
     @raise Invalid_argument on duplicate task ids, a [?checkpoint]
-    without [?codec], or a malformed policy. *)
+    without [?codec], or a malformed policy.
+    @raise Sys_error if writing [?checkpoint] fails: the run is
+    aborted, since a result that cannot be recorded cannot be
+    resumed. *)

@@ -305,7 +305,10 @@ let weak_duality =
       let rng = Prng.create ~seed:(seed * 3 + 1) in
       let y =
         Array.init (F.horizon cp) (fun i ->
-            if cp.F.rhs.(i) > 0 && Prng.bool rng then Prng.float rng else 0.0)
+            (* a coin flip on the low bit of one draw *)
+            if cp.F.rhs.(i) > 0 && Int64.logand (Prng.next_int64 rng) 1L = 1L
+            then Prng.float rng
+            else 0.0)
       in
       let dual = L.eval cp ~y in
       (* feasible x: the LRU run's integral solution *)

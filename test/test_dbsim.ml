@@ -41,8 +41,9 @@ let test_schema_layout_disjoint () =
   let t0 = S.table schema 0 and t1 = S.table schema 1 in
   checki "t0 starts at 0" 0 t0.S.base;
   checki "t1 starts after t0" (S.total_pages t0.S.spec) t1.S.base;
-  checki "footprint" (S.total_pages t0.S.spec + S.total_pages t1.S.spec)
-    (S.footprint schema);
+  checki "t1's last leaf ends the layout"
+    (S.total_pages t0.S.spec + S.total_pages t1.S.spec - 1)
+    (S.data_page t1 5);
   (* data pages of t0 never collide with any page of t1 *)
   for i = 0 to 9 do
     checkb "t0 data below t1 base" true (S.data_page t0 i < t1.S.base)
@@ -130,8 +131,14 @@ let test_generate_deterministic_and_valid () =
     (Array.fold_left ( + ) 0 s1.WG.queries_per_tenant);
   checki "page counts match trace" (Trace.length t1)
     (Array.fold_left ( + ) 0 s1.WG.pages_per_tenant);
-  (* every page id within the owning tenant's schema footprint *)
-  let fps = List.map (fun p -> S.footprint p.WG.schema) profiles in
+  (* every page id within the owning tenant's schema footprint: its
+     tables' pages, laid out back to back *)
+  let footprint schema =
+    List.fold_left ( + ) 0
+      (List.init (S.n_tables schema) (fun i ->
+           S.total_pages (S.table schema i).S.spec))
+  in
+  let fps = List.map (fun p -> footprint p.WG.schema) profiles in
   Array.iter
     (fun q ->
       let fp = List.nth fps (Page.user q) in

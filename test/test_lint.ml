@@ -35,8 +35,8 @@ let golden =
      an unsynchronised cross-domain write (data race); return per-element \
      results and combine them after the map instead";
     "lint_fixtures/lib/bad_float_eq.ml:3:12: [float-eq] exact float \
-     comparison (=) on a float operand; use Ccache_util.Float_cmp (approx_eq \
-     / approx_zero) or justify with [@lint.allow \"float-eq\"]";
+     comparison (=) on a float operand; use Ccache_util.Float_cmp.approx_zero \
+     or justify with [@lint.allow \"float-eq\"]";
     "lint_fixtures/lib/bad_print.ml:3:13: [no-print-in-lib] direct stdout \
      print (print_endline) in lib/; route output through Report / \
      Ascii_table so suite reports stay byte-diffable";

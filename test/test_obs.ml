@@ -205,7 +205,6 @@ let retry_policy =
     U.Supervisor.default_policy with
     U.Supervisor.max_retries = 3;
     backoff_base_s = 0.001;
-    backoff_max_s = 0.002;
   }
 
 let run_supervised_with_faults pool =
@@ -220,7 +219,7 @@ let run_supervised_with_faults pool =
         {
           U.Supervisor.id = Printf.sprintf "t%d" i;
           run =
-            (fun _ctx ->
+            (fun () ->
               Span.with_ ~cat:"work" (Printf.sprintf "body%d" i) (fun () -> i));
         })
   in
@@ -286,12 +285,15 @@ let test_report_bytes_off_vs_on () =
   let specs =
     match A.Suite.all with a :: b :: _ -> [ a; b ] | l -> l
   in
+  let report () =
+    (A.Report.run_suite_supervised ~size:A.Experiment.Quick specs).A.Report.report
+  in
   Control.disable ();
-  let off = A.Report.run_suite ~size:A.Experiment.Quick specs in
+  let off = report () in
   let on =
     Control.with_enabled (fun () ->
         M.reset ();
-        A.Report.run_suite ~size:A.Experiment.Quick specs)
+        report ())
   in
   Alcotest.(check string) "report bytes identical" off on
 

@@ -145,7 +145,7 @@ let test_batch_on_adversarial_instance () =
   checkb "<= one eviction per batch" true (total_evictions <= b.Batch.batches);
   (* offline far cheaper than online *)
   let online = Cf.total costs adv.Ccache_lb.Adversary.online_misses in
-  let offline = Batch.cost ~costs b in
+  let offline = Cf.total costs b.Batch.misses_per_user in
   checkb "offline much cheaper" true (offline *. 2.0 < online);
   (* evictions spread evenly: max within factor ~3 of mean *)
   let nonzero = Array.to_list b.Batch.evictions_per_user in

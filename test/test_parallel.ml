@@ -79,14 +79,15 @@ let map_model_test =
 (* ------------------------------------------------------------------ *)
 
 let test_suite_output_identical () =
-  (* the --jobs 1 vs --jobs 4 contract, on a suite prefix to keep the
-     test fast; bin/experiments.exe runs the supervised form of this
-     path, Report.run_suite_supervised, whose report is this one when
-     nothing is quarantined *)
+  (* the --jobs 1 vs --jobs 4 contract of bin/experiments.exe, on a
+     suite prefix to keep the test fast *)
   let specs = List.filteri (fun i _ -> i < 3) A.Suite.all in
   let size = A.Experiment.Quick in
-  let serial = A.Report.run_suite ~size specs in
-  let pooled = A.Report.run_suite ~pool:(Pool.create ~size:4 ()) ~size specs in
+  let report ?pool () =
+    (A.Report.run_suite_supervised ?pool ~size specs).A.Report.report
+  in
+  let serial = report () in
+  let pooled = report ~pool:(Pool.create ~size:4 ()) () in
   checks "suite report byte-identical" serial pooled
 
 (* ------------------------------------------------------------------ *)

@@ -39,17 +39,14 @@ let test_router_basics () =
       let s = Router.route r p in
       checkb "in range" true (s >= 0 && s < 4))
     (pages_of t);
-  let rt = Router.by_tenant ~shards:2 ~n_users:5 () in
+  let rt = Router.by_tenant ~shards:2 in
   checkb "tenant name" true (Router.name rt = "tenant");
   Array.iter
     (fun p -> checki "round-robin tenant" (Page.user p mod 2) (Router.route rt p))
     (pages_of (workload ~seed:2 ~tenants:5 ~length:200));
-  Alcotest.check_raises "assignment size"
-    (Invalid_argument "Router.by_tenant: assignment/users mismatch") (fun () ->
-      ignore (Router.by_tenant ~assignment:[| 0 |] ~shards:2 ~n_users:2 ()));
-  Alcotest.check_raises "assignment range"
-    (Invalid_argument "Router.by_tenant: assignment outside shard range")
-    (fun () -> ignore (Router.by_tenant ~assignment:[| 0; 7 |] ~shards:2 ~n_users:2 ()))
+  Alcotest.check_raises "no shards"
+    (Invalid_argument "Router.by_tenant: shards must be positive") (fun () ->
+      ignore (Router.by_tenant ~shards:0))
 
 let test_split_partitions () =
   let t = workload ~seed:3 ~tenants:3 ~length:800 in
@@ -320,12 +317,7 @@ let oracle_gen =
     oneof
       [
         map (fun shards -> Router.by_page ~shards) (int_range 1 5);
-        int_range 1 4 >>= fun shards ->
-        map
-          (fun assignment ->
-            Router.by_tenant ~assignment:(Array.of_list assignment) ~shards
-              ~n_users:oracle_n_users ())
-          (list_repeat oracle_n_users (int_bound (shards - 1)));
+        map (fun shards -> Router.by_tenant ~shards) (int_range 1 4);
       ]
   in
   let queue_cap =
@@ -499,7 +491,7 @@ let test_tenant_routing_matches_multipool () =
       let r =
         Service.run
           (Service.config ~policy:Ccache_core.Alg_discrete.policy
-             ~router:(Router.by_tenant ~shards ~n_users:4 ())
+             ~router:(Router.by_tenant ~shards)
              ~shard_k:8 ())
           ~costs t
       in
@@ -677,7 +669,7 @@ let test_kill_quarantines_and_resume_completes () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let fingerprint = Service.fingerprint config ~costs t in
-      let ck = U.Checkpoint.create ~path ~fingerprint () in
+      let ck = U.Checkpoint.create ~path ~fingerprint in
       let killed =
         Service.run_supervised
           ~fault:(U.Fault.kill U.Fault.none [ Service.shard_task_id 1 ])
@@ -692,7 +684,7 @@ let test_kill_quarantines_and_resume_completes () =
          only shard/1 is recomputed, and the merged result is
          byte-identical to the uninterrupted run *)
       let ck2 =
-        match U.Checkpoint.load_or_create ~path ~fingerprint () with
+        match U.Checkpoint.load_or_create ~path ~fingerprint with
         | Ok ck -> ck
         | Error e -> Alcotest.failf "reload failed: %s" e
       in
@@ -722,14 +714,12 @@ let test_fingerprint_guards_resume () =
       let ck =
         U.Checkpoint.create ~path
           ~fingerprint:(Service.fingerprint (config 8) ~costs t)
-          ()
       in
       let _ = Service.run_supervised ~checkpoint:ck (config 8) ~costs t in
       checkb "other-config resume refused" true
         (match
            U.Checkpoint.load_or_create ~path
              ~fingerprint:(Service.fingerprint (config 4) ~costs t)
-             ()
          with
         | Error _ -> true
         | Ok _ -> false))

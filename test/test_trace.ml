@@ -28,10 +28,10 @@ let test_page_basics () =
 
 let test_page_string_roundtrip () =
   let a = p 3 17 in
-  checkb "roundtrip" true (Page.of_string (Page.to_string a) = Some a);
-  checkb "garbage rejected" true (Page.of_string "nonsense" = None);
-  checkb "partial rejected" true (Page.of_string "u1" = None);
-  checkb "bad numbers rejected" true (Page.of_string "ux:py" = None)
+  checkb "printed form" true (Page.to_string a = "u3:p17");
+  checkb "roundtrip" true
+    (Scanf.sscanf (Page.to_string a) "u%d:p%d%!" (fun user id ->
+         Page.equal (Page.make ~user ~id) a))
 
 (* ------------------------------------------------------------------ *)
 (* Trace + Index                                                       *)
@@ -61,17 +61,11 @@ let test_trace_index () =
   (* next use: a@0 -> 2, b@1 -> 4, a@2 -> 5, c@3 -> none, b@4 -> none, a@5 -> none *)
   checki "next of a@0" 2 (Trace.Index.next_use idx 0);
   checki "next of b@1" 4 (Trace.Index.next_use idx 1);
-  checkb "c@3 last" true (Trace.Index.is_last_request idx 3);
-  checkb "a@5 last" true (Trace.Index.is_last_request idx 5);
-  checki "prev of a@2" 0 (Trace.Index.prev_use idx 2);
-  checki "prev of a@0" (-1) (Trace.Index.prev_use idx 0);
+  checki "c@3 last" Int.max_int (Trace.Index.next_use idx 3);
+  checki "a@5 last" Int.max_int (Trace.Index.next_use idx 5);
   (* distinct counts: 1 2 2 3 3 3 *)
   checkb "distinct_upto" true
-    (List.init 6 (Trace.Index.distinct_upto idx) = [ 1; 2; 2; 3; 3; 3 ]);
-  checki "r(a,T)" 3 (Trace.Index.total_requests idx (p 0 0));
-  checki "r(c,T)" 1 (Trace.Index.total_requests idx (p 0 1));
-  checkb "first_use" true (Trace.Index.first_use idx (p 0 1) = Some 3);
-  checkb "unknown page" true (Trace.Index.first_use idx (p 1 9) = None)
+    (List.init 6 (Trace.Index.distinct_upto idx) = [ 1; 2; 2; 3; 3; 3 ])
 
 let test_trace_append_flush () =
   let t = sample_trace () in
@@ -125,10 +119,6 @@ module Reference = struct
   let n_pages t = Interner.length (interning t).ranks
   let dense t = (interning t).dense
   let page_of_dense t d = Page.unpack (Interner.key (interning t).ranks d)
-
-  let dense_of_page t page =
-    let d = Interner.find (interning t).ranks (Page.pack page) in
-    if d >= 0 then Some d else None
 
   let check_users ~n_users pages =
     Array.iter
@@ -191,16 +181,10 @@ module Reference = struct
     }
 
   module Index = struct
-    type trace = t
-
     type t = {
-      trace : trace;
       interval : int array;
       next_use : int array;
-      prev_use : int array;
       distinct_upto : int array;
-      counts : int array;
-      first_pos : int array;
     }
 
     let build trace =
@@ -209,53 +193,30 @@ module Reference = struct
       let n = Array.length trace.requests in
       let interval = Array.make n 0 in
       let next_use = Array.make n Int.max_int in
-      let prev_use = Array.make n (-1) in
       let distinct_upto = Array.make n 0 in
       let counts = Array.make p 0 in
       let last_pos = Array.make p (-1) in
-      let first_pos = Array.make p (-1) in
       let distinct = ref 0 in
       for pos = 0 to n - 1 do
         let d = dense.(pos) in
         counts.(d) <- counts.(d) + 1;
         interval.(pos) <- counts.(d);
         let prev = last_pos.(d) in
-        if prev >= 0 then begin
-          next_use.(prev) <- pos;
-          prev_use.(pos) <- prev
-        end
-        else begin
-          incr distinct;
-          first_pos.(d) <- pos
-        end;
+        if prev >= 0 then next_use.(prev) <- pos else incr distinct;
         last_pos.(d) <- pos;
         distinct_upto.(pos) <- !distinct
       done;
-      { trace; interval; next_use; prev_use; distinct_upto; counts; first_pos }
+      { interval; next_use; distinct_upto }
 
     let interval_index t pos = t.interval.(pos)
     let next_use t pos = t.next_use.(pos)
-    let prev_use t pos = t.prev_use.(pos)
     let distinct_upto t pos = t.distinct_upto.(pos)
-    let dense_id t page = match dense_of_page t.trace page with Some d -> d | None -> -1
-
-    let total_requests t page =
-      let d = dense_id t page in
-      if d >= 0 then t.counts.(d) else 0
-
-    let first_use t page =
-      let d = dense_id t page in
-      if d >= 0 then Some t.first_pos.(d) else None
-
-    let is_last_request t pos = t.next_use.(pos) = Int.max_int
   end
 end
 
-(* Every observation the two representations offer, on one trace;
-   [probe] adds pages the trace may not request. *)
-let agrees (t : Trace.t) (r : Reference.t) ~probe =
+(* Every observation the two representations offer, on one trace. *)
+let agrees (t : Trace.t) (r : Reference.t) =
   let n = Trace.length t in
-  let pages = Trace.distinct_pages t @ probe in
   let it = Trace.Index.build t and ir = Reference.Index.build r in
   n = Reference.length r
   && Trace.n_users t = Reference.n_users r
@@ -268,18 +229,10 @@ let agrees (t : Trace.t) (r : Reference.t) ~probe =
        (fun d -> Trace.page_of_dense t d = Reference.page_of_dense r d)
        (List.init (Trace.n_pages t) Fun.id)
   && List.for_all
-       (fun pg ->
-         Trace.dense_of_page t pg = Reference.dense_of_page r pg
-         && Trace.Index.total_requests it pg = Reference.Index.total_requests ir pg
-         && Trace.Index.first_use it pg = Reference.Index.first_use ir pg)
-       pages
-  && List.for_all
        (fun pos ->
          Trace.Index.interval_index it pos = Reference.Index.interval_index ir pos
          && Trace.Index.next_use it pos = Reference.Index.next_use ir pos
-         && Trace.Index.prev_use it pos = Reference.Index.prev_use ir pos
-         && Trace.Index.distinct_upto it pos = Reference.Index.distinct_upto ir pos
-         && Trace.Index.is_last_request it pos = Reference.Index.is_last_request ir pos)
+         && Trace.Index.distinct_upto it pos = Reference.Index.distinct_upto ir pos)
        (List.init n Fun.id)
 
 (* Both constructions raise [Invalid_argument], or both succeed and
@@ -288,7 +241,7 @@ let same_outcome f g =
   let attempt h = match h () with v -> Some v | exception Invalid_argument _ -> None in
   match (attempt f, attempt g) with
   | None, None -> true
-  | Some t, Some r -> agrees t r ~probe:[ p 0 999; p 3 0 ]
+  | Some t, Some r -> agrees t r
   | Some _, None | None, Some _ -> false
 
 (* Random traces, each built through every constructor by both
@@ -452,9 +405,13 @@ let test_workload_mixture_and_weights () =
   Array.iter (fun q -> counts.(Page.user q) <- counts.(Page.user q) + 1) (Trace.requests t);
   let ratio = float_of_int counts.(0) /. float_of_int counts.(1) in
   checkb "9:1 rate ratio" true (ratio > 7.0 && ratio < 11.5);
-  (* mixture pattern validates and respects footprint *)
+  (* mixture pattern validates and respects its parts' footprint *)
   let m = W.Mixture [ (1.0, W.Uniform { pages = 5 }); (1.0, W.Cycle { pages = 9 }) ] in
-  checki "mixture footprint" 9 (W.footprint m)
+  W.validate_pattern m;
+  checkb "mixture footprint" true
+    (List.for_all
+       (fun q -> Page.id q < 9)
+       (Trace.distinct_pages (W.generate_single ~seed:5 ~length:500 m)))
 
 let test_workload_validation () =
   Alcotest.check_raises "no tenants"

@@ -90,79 +90,9 @@ let test_prng_categorical () =
   let ratio = float_of_int counts.(2) /. float_of_int counts.(0) in
   checkb "3:1 ratio" true (ratio > 2.7 && ratio < 3.3)
 
-let test_prng_exponential_mean () =
-  let t = Prng.create ~seed:9 in
-  let n = 50_000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Prng.exponential t ~rate:2.0
-  done;
-  let mean = !acc /. float_of_int n in
-  checkb "mean ~ 1/rate" true (Float.abs (mean -. 0.5) < 0.02)
-
-let test_prng_geometric () =
-  let t = Prng.create ~seed:10 in
-  checki "p=1 is 0" 0 (Prng.geometric t ~p:1.0);
-  for _ = 1 to 1000 do
-    checkb "non-negative" true (Prng.geometric t ~p:0.4 >= 0)
-  done
-
-let test_prng_shuffle_permutation () =
-  let t = Prng.create ~seed:11 in
-  let a = Array.init 50 (fun i -> i) in
-  let b = Prng.shuffle t a in
-  checkb "original untouched" true (a = Array.init 50 (fun i -> i));
-  let sorted = Array.copy b in
-  Array.sort compare sorted;
-  checkb "is a permutation" true (sorted = a)
-
-let test_prng_copy () =
-  let a = Prng.create ~seed:5 in
-  ignore (Prng.float a);
-  let b = Prng.copy a in
-  checkb "copy continues identically" true
-    (Array.init 8 (fun _ -> Prng.float a) = Array.init 8 (fun _ -> Prng.float b))
-
-let test_prng_sample_distinct () =
-  let t = Prng.create ~seed:12 in
-  let s = Prng.sample_distinct t ~bound:100 ~count:30 in
-  checki "count" 30 (Array.length s);
-  let uniq = List.sort_uniq compare (Array.to_list s) in
-  checki "distinct" 30 (List.length uniq);
-  List.iter (fun v -> checkb "in bound" true (v >= 0 && v < 100)) uniq;
-  (* dense case takes the shuffle path *)
-  let d = Prng.sample_distinct t ~bound:10 ~count:10 in
-  checki "all of them" 10 (List.length (List.sort_uniq compare (Array.to_list d)))
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_stats_mean_var () =
-  checkf "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
-  checkf "variance" 1.0 (Stats.variance [| 1.0; 2.0; 3.0 |]);
-  checkf "singleton variance" 0.0 (Stats.variance [| 5.0 |]);
-  checkf "stddev" 1.0 (Stats.stddev [| 1.0; 2.0; 3.0 |])
-
-let test_stats_minmax () =
-  checkf "min" (-2.0) (Stats.min [| 3.0; -2.0; 1.0 |]);
-  checkf "max" 3.0 (Stats.max [| 3.0; -2.0; 1.0 |])
-
-let test_stats_quantile () =
-  let a = [| 1.0; 2.0; 3.0; 4.0 |] in
-  checkf "q0" 1.0 (Stats.quantile a 0.0);
-  checkf "q1" 4.0 (Stats.quantile a 1.0);
-  checkf "median interpolates" 2.5 (Stats.median a);
-  checkf "q25" 1.75 (Stats.quantile a 0.25);
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Stats.quantile: q outside [0,1]") (fun () ->
-      ignore (Stats.quantile a 1.5))
-
-let test_stats_geometric_mean () =
-  checkf "gm" 2.0 (Stats.geometric_mean [| 1.0; 2.0; 4.0 |] ** 3.0 /. 4.0 *. 1.0
-                   |> fun _ -> Stats.geometric_mean [| 2.0; 2.0 |]);
-  checkb "gm of 1,4 is 2" true
-    (Fc.approx_eq (Stats.geometric_mean [| 1.0; 4.0 |]) 2.0)
 
 let test_stats_linear_fit () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -174,36 +104,18 @@ let test_stats_linear_fit () =
 let test_stats_loglog_slope () =
   let xs = [| 1.0; 2.0; 4.0; 8.0 |] in
   let ys = Array.map (fun x -> 3.0 *. (x ** 1.7)) xs in
-  checkb "power-law exponent" true
-    (Fc.approx_eq ~tol:1e-6 (Stats.loglog_slope ~xs ~ys) 1.7)
-
-let test_stats_correlation () =
-  let xs = [| 1.0; 2.0; 3.0 |] in
-  checkf "perfect" 1.0 (Stats.correlation ~xs ~ys:xs);
-  checkf "anti" (-1.0) (Stats.correlation ~xs ~ys:(Array.map (fun x -> -.x) xs))
-
-let test_stats_histogram () =
-  let counts = Stats.histogram ~bins:4 ~lo:0.0 ~hi:4.0 [| 0.5; 1.5; 1.6; 3.9; -1.0; 9.0 |] in
-  checkb "clamped ends" true (counts = [| 2; 2; 0; 2 |])
-
-let test_stats_summary () =
-  let s = Stats.summarize (Array.init 101 (fun i -> float_of_int i)) in
-  checki "n" 101 s.Stats.n;
-  checkf "median" 50.0 s.Stats.median;
-  checkf "p95" 95.0 s.Stats.p95
+  Alcotest.(check (float 1e-6)) "power-law exponent" 1.7
+    (Stats.loglog_slope ~xs ~ys)
 
 (* ------------------------------------------------------------------ *)
 (* Float_cmp                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_float_cmp () =
-  checkb "eq" true (Fc.approx_eq 1.0 (1.0 +. 1e-12));
-  checkb "neq" false (Fc.approx_eq 1.0 1.1);
-  checkb "le" true (Fc.approx_le 1.0 (1.0 -. 1e-12));
-  checkb "ge" true (Fc.approx_ge (1.0 -. 1e-12) 1.0);
   checkb "zero" true (Fc.approx_zero 1e-12);
-  checkf "rel err" 0.1 (Fc.relative_error ~expected:10.0 ~measured:11.0);
-  checkf "clamp" 2.0 (Fc.clamp ~lo:0.0 ~hi:2.0 5.0)
+  checkb "negative zero" true (Fc.approx_zero (-1e-12));
+  checkb "not zero" false (Fc.approx_zero 1e-6);
+  checkb "wider tolerance" true (Fc.approx_zero ~tol:1e-3 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Rank_list                                                           *)
@@ -325,19 +237,23 @@ let rank_list_model_test =
 (* Indexed_heap                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The minimum entry, read through the allocation-free accessors. *)
+let peek h =
+  if Heap.is_empty h then None else Some (Heap.min_key_exn h, Heap.min_prio_exn h)
+
 let test_heap_basic () =
   let h = Heap.create () in
   checkb "empty" true (Heap.is_empty h);
   Heap.add h ~key:1 ~prio:5.0;
   Heap.add h ~key:2 ~prio:3.0;
   Heap.add h ~key:3 ~prio:4.0;
-  checkb "peek min" true (Heap.peek h = Some (2, 3.0));
+  checkb "peek min" true (peek h = Some (2, 3.0));
   Heap.update h ~key:2 ~prio:10.0;
-  checkb "after increase" true (Heap.peek h = Some (3, 4.0));
+  checkb "after increase" true (peek h = Some (3, 4.0));
   Heap.update h ~key:1 ~prio:0.5;
-  checkb "after decrease" true (Heap.peek h = Some (1, 0.5));
+  checkb "after decrease" true (peek h = Some (1, 0.5));
   Heap.remove h 1;
-  checkb "after remove" true (Heap.peek h = Some (3, 4.0));
+  checkb "after remove" true (peek h = Some (3, 4.0));
   checki "length" 2 (Heap.length h);
   checkb "invariant" true (Heap.invariant_ok h)
 
@@ -346,7 +262,7 @@ let test_heap_tie_break () =
   Heap.add h ~key:9 ~prio:1.0;
   Heap.add h ~key:3 ~prio:1.0;
   Heap.add h ~key:7 ~prio:1.0;
-  checkb "smallest key wins ties" true (fst (Heap.peek_exn h) = 3)
+  checki "smallest key wins ties" 3 (Heap.min_key_exn h)
 
 let test_heap_errors () =
   let h = Heap.create () in
@@ -359,9 +275,9 @@ let test_heap_errors () =
 let test_heap_set_upsert () =
   let h = Heap.create () in
   Heap.set h ~key:1 ~prio:5.0;
-  checkb "insert path" true (Heap.peek h = Some (1, 5.0));
+  checkb "insert path" true (peek h = Some (1, 5.0));
   Heap.set h ~key:1 ~prio:2.0;
-  checkb "update path" true (Heap.peek h = Some (1, 2.0));
+  checkb "update path" true (peek h = Some (1, 2.0));
   checki "no duplicate" 1 (Heap.length h)
 
 let test_heap_pop_order () =
@@ -416,7 +332,7 @@ let heap_model_test =
                   if p < bp || (p = bp && k < bk) then Some (k, p) else acc)
             model None
         in
-        Heap.peek h = min_model
+        peek h = min_model
       end)
 
 (* Drain equivalence against a naive sorted-list model: the heap's pop
@@ -460,10 +376,10 @@ let heap_drain_model_test =
                  | 0 -> Int.compare k1 k2
                  | c -> c)
         in
-        (if not (Heap.is_empty h) then
-           let mk = Heap.min_key_exn h and mp = Heap.min_prio_exn h in
-           if Some (mk, mp) <> Heap.peek h then
-             QCheck.Test.fail_report "min_key/min_prio disagree with peek");
+        (match expected with
+        | first :: _ when peek h <> Some first ->
+            QCheck.Test.fail_report "min_key/min_prio disagree with the model"
+        | _ -> ());
         let drained = ref [] in
         let rec go () =
           match Heap.pop h with
@@ -487,8 +403,8 @@ let test_int_tbl_basic () =
   Itbl.set t (-7) 70;
   Itbl.set t 5 51;
   checki "replace keeps one" 2 (Itbl.length t);
-  checki "find" 51 (Itbl.find_exn t 5);
-  checki "negative key" 70 (Itbl.find_exn t (-7));
+  checki "find" 51 (Itbl.find_default t 5 ~default:(-1));
+  checki "negative key" 70 (Itbl.find_default t (-7) ~default:(-1));
   checki "default" 9 (Itbl.find_default t ~default:9 99);
   checkb "remove hit" true (Itbl.remove t 5);
   checkb "remove miss" false (Itbl.remove t 5);
@@ -662,23 +578,11 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_prng_uniformity;
           Alcotest.test_case "bernoulli" `Quick test_prng_bernoulli;
           Alcotest.test_case "categorical" `Quick test_prng_categorical;
-          Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
-          Alcotest.test_case "geometric" `Quick test_prng_geometric;
-          Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutation;
-          Alcotest.test_case "copy" `Quick test_prng_copy;
-          Alcotest.test_case "sample distinct" `Quick test_prng_sample_distinct;
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean/var" `Quick test_stats_mean_var;
-          Alcotest.test_case "min/max" `Quick test_stats_minmax;
-          Alcotest.test_case "quantile" `Quick test_stats_quantile;
-          Alcotest.test_case "geometric mean" `Quick test_stats_geometric_mean;
           Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
           Alcotest.test_case "loglog slope" `Quick test_stats_loglog_slope;
-          Alcotest.test_case "correlation" `Quick test_stats_correlation;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
-          Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
       ("float_cmp", [ Alcotest.test_case "all" `Quick test_float_cmp ]);
       ( "rank_list",

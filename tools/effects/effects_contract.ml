@@ -67,10 +67,7 @@ let required : (string * contract list) list =
     ("Ccache_trace.Trace.request", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace.Index.interval_index", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace.Index.next_use", [ No_alloc; Deterministic ]);
-    ("Ccache_trace.Trace.Index.prev_use", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace.Index.distinct_upto", [ No_alloc; Deterministic ]);
-    ("Ccache_trace.Trace.Index.total_requests", [ No_alloc; Deterministic ]);
-    ("Ccache_trace.Trace.Index.is_last_request", [ No_alloc; Deterministic ]);
     ("Ccache_trace.Trace_binary.dense_at", [ No_alloc; Deterministic ]);
   ]
 

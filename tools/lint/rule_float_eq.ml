@@ -66,8 +66,8 @@ let check ~path:_ src =
                 Lint_rule.finding e.pexp_loc
                   (Printf.sprintf
                      "exact float comparison (%s) on a float operand; use \
-                      Ccache_util.Float_cmp (approx_eq / approx_zero) or \
-                      justify with [@lint.allow \"float-eq\"]"
+                      Ccache_util.Float_cmp.approx_zero or justify with \
+                      [@lint.allow \"float-eq\"]"
                      op)
                 :: !out
           | _ -> ());
