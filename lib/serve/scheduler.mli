@@ -15,7 +15,7 @@
       order, forming that round's batch.
 
     The schedule — which request reaches which shard in which batch —
-    is therefore a pure function of [(config, clients)]: no wall
+    is therefore a pure function of [(config, clients, trace)]: no wall
     clock, no thread interleaving, no engine feedback (a drain slot
     costs the same whether the request hits or misses).  That purity
     is what the rest of the layer leans on: {!Service} replays batches
@@ -52,10 +52,14 @@ val config :
 
 type shard_schedule = {
   shard : int;
-  pages : Page.t array;  (** drained requests, in processing order *)
-  batches : (int * int) array;
-      (** non-empty drains as [(round, count)]; counts sum to
+  pages : int array;
+      (** drained requests, in processing order, as dense ids of the
+          planned trace ({!Ccache_trace.Trace.dense}) *)
+  batches : int array;
+      (** sizes of the non-empty drains, in order; they sum to
           [Array.length pages] and prefix-partition it *)
+  batch_rounds : int array;
+      (** round of each drain, aligned with [batches] *)
   waits : int array;
       (** rounds spent queued, aligned with [pages] (0 = drained in
           its admission round) *)
@@ -73,23 +77,19 @@ type t = {
   stalls : int;  (** client-rounds lost to [Block] backpressure *)
 }
 
-val build : config -> clients:Page.t array array -> t
-(** Run the admission simulation to completion (every client stream
-    exhausted, every queue empty).  O(total requests + rounds x
-    shards) time, engine-free.  Memory is a few words per request (its
-    route, its shard's [pages] and [waits] slots, the batch log);
-    nothing is sized by [queue_cap].
+val build : config -> clients:int -> Trace.t -> t
+(** Deal the trace over [clients] request streams — client [c] sends
+    positions [c], [c + clients], ... in order — and run the admission
+    simulation to completion (every stream exhausted, every queue
+    empty).  With [client_rate = 1] and no stalls, admission
+    re-interleaves the streams back into trace order.  O(requests +
+    distinct pages + rounds x shards) time, engine-free.  Each distinct
+    page is routed once; memory is a few words per request (its shard's
+    [pages] and [waits] slots, the batch log), and nothing is sized by
+    [queue_cap], [client_rate] or [clients].
 
     Order guarantee, relied on by the differential test harness: with
-    one client — or with several whose streams never stall — each
-    shard's [pages] is exactly the {!Router.split} sub-trace of the
-    concatenated client streams, in order.
-    @raise Invalid_argument if a tenant router's assignment does not
-    cover a client page's user. *)
-
-val clients_of_trace : clients:int -> Trace.t -> Page.t array array
-(** Deal a recorded trace round-robin over [clients] request streams
-    (position [i] to client [i mod clients]); with the default
-    [client_rate = 1] and no stalls, admission re-interleaves the
-    streams back into trace order.
+    one client — or with several whose requests never stall or get
+    rejected, at [client_rate = 1] — each shard's [pages] selects
+    exactly the {!Router.split} sub-trace, in order.
     @raise Invalid_argument if [clients <= 0]. *)

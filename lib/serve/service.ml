@@ -42,9 +42,7 @@ type result = {
 let requests r = r.schedule.Scheduler.admitted + r.schedule.Scheduler.rejected
 let misses r = Array.fold_left ( + ) 0 r.misses_per_user
 
-let plan config trace =
-  let clients = Scheduler.clients_of_trace ~clients:config.clients trace in
-  Scheduler.build config.sched ~clients
+let plan config trace = Scheduler.build config.sched ~clients:config.clients trace
 
 (* Re-checked here (not just in [config]) because the record type is
    exposed and can be built literally. *)
@@ -121,18 +119,20 @@ let record_obs result =
 
 (* A shard is a plain engine run over the requests it drained, in
    drain order: its batches tile that sequence in order, so replaying
-   them batch by batch is replaying the sequence. *)
-let replay_shard config ~costs ~n_users (ss : Scheduler.shard_schedule) =
+   them batch by batch is replaying the sequence.  The shard's trace
+   has its own first-touch ranks: clients interleave, so a shard's
+   first-touch order need not be the parent trace's, and the rank-tied
+   victims of LFU and Landlord depend on it. *)
+let replay_shard config ~costs trace (ss : Scheduler.shard_schedule) =
   Engine.replay ~k:config.shard_k ~costs config.policy
-    (Trace.of_pages ~n_users ss.Scheduler.pages)
+    (Trace.select trace ss.Scheduler.pages)
 
 let run_inner ?pool config ~costs trace =
   validate config ~costs trace;
   let schedule = plan config trace in
-  let n_users = Trace.n_users trace in
   let engines =
     Domain_pool.map_list ?pool
-      ~f:(fun ss -> replay_shard config ~costs ~n_users ss)
+      ~f:(fun ss -> replay_shard config ~costs trace ss)
       (Array.to_list schedule.Scheduler.shards)
     |> Array.of_list
   in
@@ -233,13 +233,12 @@ let run_supervised ?pool ?policy ?fault ?checkpoint ?on_event config ~costs
     trace =
   validate config ~costs trace;
   let schedule = plan config trace in
-  let n_users = Trace.n_users trace in
   let tasks =
     Array.to_list schedule.Scheduler.shards
     |> List.map (fun (ss : Scheduler.shard_schedule) ->
            {
              Supervisor.id = shard_task_id ss.Scheduler.shard;
-             run = (fun () -> replay_shard config ~costs ~n_users ss);
+             run = (fun () -> replay_shard config ~costs trace ss);
            })
   in
   let replayed = ref [] in

@@ -1,10 +1,11 @@
 (** The sharded cache service, replay form: schedule, execute, merge.
 
-    [run] is the whole pipeline: {!Scheduler.clients_of_trace} deals
-    the recorded trace over the configured clients,
-    {!Scheduler.build} derives the deterministic round schedule, every
-    shard replays the requests it drained, in drain order, as one
-    {!Ccache_sim.Engine.replay} — on [?pool]'s worker domains when given —
+    [run] is the whole pipeline: {!Scheduler.build} deals the recorded
+    trace over the configured clients and derives the deterministic
+    round schedule, every shard replays the requests it drained, in
+    drain order, as one {!Ccache_sim.Engine.replay} over their
+    {!Ccache_trace.Trace.select} sub-trace — on [?pool]'s worker domains
+    when given —
     and the per-shard results are merged into service-level
     accounting: summed per-user miss counts, total convex cost
     [sum_i f_i(m_i)] over the {e merged} counts, and logical
@@ -67,8 +68,10 @@ val requests : result -> int
 val misses : result -> int
 
 val plan : config -> Trace.t -> Scheduler.t
-(** The admission schedule [run] executes: [clients_of_trace] +
-    [build].  Exposed for tests and for the CLI's dry summary. *)
+(** The admission schedule [run] executes: {!Scheduler.build} over
+    [config.clients] streams of the trace, whose shard queues hold the
+    trace's dense ids.  Exposed for tests and for the benchmark's
+    serve ledger. *)
 
 val run :
   ?pool:Ccache_util.Domain_pool.t ->

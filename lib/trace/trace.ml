@@ -115,6 +115,39 @@ let of_dense ~n_users ~pages ~dense =
     pages;
   { n_users; dict = pages; dense; ranks }
 
+(** The trace of a sequence of [t]'s dense ids.  A P-sized remap gives
+    each selected page its first-touch rank in [ids]; the dictionary is
+    read from [t]'s, and only the selected pages are interned (once
+    each), so no hash probe runs per request.  The result is what
+    [of_pages ~n_users:t.n_users] builds from the same pages. *)
+let select t ids =
+  let p = Array.length t.dict in
+  let remap = Array.make p (-1) in
+  let dense = Array.make (Array.length ids) 0 in
+  let seen = ref 0 in
+  for pos = 0 to Array.length ids - 1 do
+    let d = ids.(pos) in
+    if d < 0 || d >= p then
+      invalid_arg
+        (Printf.sprintf "Trace.select: id %d outside [0,%d) at position %d" d
+           p pos);
+    let r = Array.unsafe_get remap d in
+    if r >= 0 then Array.unsafe_set dense pos r
+    else begin
+      Array.unsafe_set remap d !seen;
+      Array.unsafe_set dense pos !seen;
+      incr seen
+    end
+  done;
+  let dict = Array.make !seen (Page.unpack 0) in
+  let ranks = Interner.create ~capacity:!seen in
+  for d = 0 to p - 1 do
+    let r = Array.unsafe_get remap d in
+    if r >= 0 then dict.(r) <- t.dict.(d)
+  done;
+  Array.iter (fun page -> ignore (Interner.intern ranks (Page.pack page))) dict;
+  { n_users = t.n_users; dict; dense; ranks }
+
 (** Concatenate traces over the same user universe. *)
 let append a b =
   if a.n_users <> b.n_users then invalid_arg "Trace.append: user-count mismatch";

@@ -46,6 +46,15 @@ val of_dense : n_users:int -> pages:Page.t array -> dense:int array -> t
     never requested, duplicate pages, or a user outside
     [\[0, n_users)]. *)
 
+val select : t -> int array -> t
+(** [select t ids] is the trace of the requests [ids], a sequence of
+    [t]'s dense ids: equal to [of_pages ~n_users:(n_users t)] of their
+    pages (the same dictionary, dense ids and interner ranks), but
+    built by a remap of [t]'s ids in O(length ids + n_pages t), with one
+    interning per selected page and none per request.  [ids] is not
+    kept.
+    @raise Invalid_argument if an id is outside [\[0, n_pages t)]. *)
+
 (** {1 Dense page interning}
 
     The dense ids [\[0, P)] key {!Index.build}'s flat-array index, the

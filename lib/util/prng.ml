@@ -41,21 +41,39 @@ let hash_string s =
   done;
   !h
 
+(* [digit_pairs.[2d]] and [.[2d + 1]] render d in [0, 99] as two digits *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      let d = i / 2 in
+      Char.chr (48 + if i land 1 = 0 then d / 10 else d mod 10))
+
+let[@inline] set_pair buf k d =
+  Bytes.unsafe_set buf k (String.unsafe_get digit_pairs (2 * d));
+  Bytes.unsafe_set buf (k + 1) (String.unsafe_get digit_pairs ((2 * d) + 1))
+
 let hash_decimals n f =
   (* 20 bytes: the longest rendering is min_int's sign and 19 digits *)
   let buf = Bytes.create 20 in
-  (* digits come from the non-positive side, so min_int cannot overflow *)
-  let digit r = Char.unsafe_chr (48 - (r mod 10)) in
   let h = ref fnv_offset in
   for i = 0 to n - 1 do
     let v = f i in
-    let r = ref (if v < 0 then v else -v) and k = ref 19 in
-    Bytes.unsafe_set buf 19 (digit !r);
-    while !r <= -10 do
-      r := !r / 10;
-      decr k;
-      Bytes.unsafe_set buf !k (digit !r)
+    (* digits come from the non-positive side, so min_int cannot
+       overflow; one division renders two of them *)
+    let r = ref (if v < 0 then v else -v) and k = ref 20 in
+    while !r <= -100 do
+      let q = !r / 100 in
+      k := !k - 2;
+      set_pair buf !k ((q * 100) - !r);
+      r := q
     done;
+    if !r <= -10 then begin
+      k := !k - 2;
+      set_pair buf !k (- !r)
+    end
+    else begin
+      decr k;
+      Bytes.unsafe_set buf !k (Char.unsafe_chr (48 - !r))
+    end;
     if v < 0 then begin
       decr k;
       Bytes.unsafe_set buf !k '-'

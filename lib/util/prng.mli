@@ -22,8 +22,8 @@ val hash_string : string -> int64
 val hash_decimals : int -> (int -> int) -> int64
 (** [hash_decimals n f] is [hash_string] of the concatenation of
     [string_of_int (f i) ^ ","] for [i = 0 .. n-1], computed while
-    streaming the digits: no string is built, and nothing is allocated
-    per element. *)
+    streaming the digits (rendered two per division): no string is
+    built, and nothing is allocated per element. *)
 
 val derive : seed:int -> key:string -> t
 (** [derive ~seed ~key] is a stream that depends only on [(seed, key)]

@@ -83,11 +83,10 @@ let sched_config ?(overload = Scheduler.Block) ?(client_rate = 1) ~shards
 
 let test_scheduler_conservation () =
   let t = workload ~seed:4 ~tenants:3 ~length:600 in
-  let clients = Scheduler.clients_of_trace ~clients:3 t in
   List.iter
     (fun (overload, cap) ->
       let cfg = sched_config ~overload ~shards:4 ~batch:2 ~queue_cap:cap () in
-      let s = Scheduler.build cfg ~clients in
+      let s = Scheduler.build cfg ~clients:3 t in
       checki "admitted+rejected = requests" (Trace.length t)
         (s.Scheduler.admitted + s.Scheduler.rejected);
       let drained =
@@ -99,14 +98,15 @@ let test_scheduler_conservation () =
       checki "drained = admitted" s.Scheduler.admitted drained;
       Array.iter
         (fun (ss : Scheduler.shard_schedule) ->
-          let batched =
-            Array.fold_left (fun a (_, n) -> a + n) 0 ss.Scheduler.batches
-          in
+          let batched = Array.fold_left ( + ) 0 ss.Scheduler.batches in
           checki "batches tile the sequence" (Array.length ss.Scheduler.pages)
             batched;
           Array.iter
-            (fun (_, n) -> checkb "batch within bound" true (n >= 1 && n <= 2))
+            (fun n -> checkb "batch within bound" true (n >= 1 && n <= 2))
             ss.Scheduler.batches;
+          checki "a round per batch"
+            (Array.length ss.Scheduler.batches)
+            (Array.length ss.Scheduler.batch_rounds);
           Array.iter (fun w -> checkb "wait >= 0" true (w >= 0)) ss.Scheduler.waits;
           checki "waits align with pages"
             (Array.length ss.Scheduler.pages)
@@ -122,34 +122,37 @@ let test_scheduler_deterministic_batches () =
      catches up immediately; the batch log is exactly one singleton
      batch per round. *)
   let pages = Array.init 6 (fun i -> Page.make ~user:0 ~id:i) in
+  let t = Trace.of_pages ~n_users:1 pages in
   let cfg = sched_config ~shards:1 ~batch:2 ~queue_cap:2 () in
-  let s = Scheduler.build cfg ~clients:[| pages |] in
+  let s = Scheduler.build cfg ~clients:1 t in
   let ss = s.Scheduler.shards.(0) in
   checkb "FIFO order preserved" true
-    (Array.to_list ss.Scheduler.pages = Array.to_list pages);
+    (Array.map (Trace.page_of_dense t) ss.Scheduler.pages = pages);
   checkb "one batch per round" true
-    (Array.to_list ss.Scheduler.batches
-    = List.init 6 (fun r -> (r, 1)));
+    (ss.Scheduler.batches = Array.make 6 1
+    && ss.Scheduler.batch_rounds = Array.init 6 Fun.id);
   checki "makespan" 6 s.Scheduler.rounds;
   checki "no queueing beyond depth 1" 1 ss.Scheduler.max_depth
+
+(* Dealt over 4 clients, client c sends pages 5c, ..., 5c + 4. *)
+let four_streams =
+  Trace.of_pages ~n_users:1
+    (Array.init 20 (fun pos ->
+         Page.make ~user:0 ~id:((pos mod 4 * 5) + (pos / 4))))
 
 let test_scheduler_backpressure_block () =
   (* 4 clients racing into one shard of cap 1, batch 1: three of the
      four stall every admission round. *)
-  let client c = Array.init 5 (fun i -> Page.make ~user:0 ~id:((c * 5) + i)) in
-  let clients = Array.init 4 client in
   let cfg = sched_config ~shards:1 ~batch:1 ~queue_cap:1 () in
-  let s = Scheduler.build cfg ~clients in
+  let s = Scheduler.build cfg ~clients:4 four_streams in
   checki "nothing dropped" 0 s.Scheduler.rejected;
   checki "everything served" 20 s.Scheduler.admitted;
   checkb "stalls observed" true (s.Scheduler.stalls > 0);
   checkb "makespan stretched to ~1/round" true (s.Scheduler.rounds >= 20)
 
 let test_scheduler_backpressure_reject () =
-  let client c = Array.init 5 (fun i -> Page.make ~user:0 ~id:((c * 5) + i)) in
-  let clients = Array.init 4 client in
   let cfg = sched_config ~overload:Scheduler.Reject ~shards:1 ~batch:1 ~queue_cap:1 () in
-  let s = Scheduler.build cfg ~clients in
+  let s = Scheduler.build cfg ~clients:4 four_streams in
   checki "no stalls in reject mode" 0 s.Scheduler.stalls;
   checkb "load shed" true (s.Scheduler.rejected > 0);
   checki "conservation" 20 (s.Scheduler.admitted + s.Scheduler.rejected);
@@ -173,20 +176,28 @@ let prop_single_client_order =
       let cfg =
         Scheduler.config ~client_rate:rate ~router ~batch ~queue_cap:cap ()
       in
-      let s =
-        Scheduler.build cfg ~clients:(Scheduler.clients_of_trace ~clients:1 t)
-      in
+      let s = Scheduler.build cfg ~clients:1 t in
       let subs = Router.split router t in
       Array.for_all
         (fun (ss : Scheduler.shard_schedule) ->
-          Array.to_list ss.Scheduler.pages
-          = Array.to_list (pages_of subs.(ss.Scheduler.shard)))
+          Array.map (Trace.page_of_dense t) ss.Scheduler.pages
+          = pages_of subs.(ss.Scheduler.shard))
         s.Scheduler.shards)
 
 (* The reference scheduler: the list/[Queue] implementation the flat
    array [Scheduler.build] replaced, kept verbatim in behaviour as the
-   oracle for every field of the plan. *)
+   oracle for every field of the plan.  It deals the trace into page
+   streams and queues pages; a drained page becomes its dense id only
+   in the result. *)
 module Reference = struct
+  let clients_of_trace ~clients trace =
+    let streams = Array.make clients [] in
+    for pos = Trace.length trace - 1 downto 0 do
+      let c = pos mod clients in
+      streams.(c) <- Trace.request trace pos :: streams.(c)
+    done;
+    Array.map Array.of_list streams
+
   type shard_state = {
     queue : (Page.t * int) Queue.t;
     mutable drained : Page.t list;
@@ -197,7 +208,9 @@ module Reference = struct
     mutable s_depth_sum : int;
   }
 
-  let build (config : Scheduler.config) ~clients =
+  let build (config : Scheduler.config) ~clients trace =
+    let clients = clients_of_trace ~clients trace in
+    let dense_of page = U.Interner.find (Trace.interner trace) (Page.pack page) in
     let n_shards = Router.shards config.Scheduler.router in
     let shards =
       Array.init n_shards (fun _ ->
@@ -278,8 +291,9 @@ module Reference = struct
           (fun i s ->
             {
               Scheduler.shard = i;
-              pages = Array.of_list (List.rev s.drained);
-              batches = Array.of_list (List.rev s.batch_log);
+              pages = Array.of_list (List.rev_map dense_of s.drained);
+              batches = Array.of_list (List.rev_map snd s.batch_log);
+              batch_rounds = Array.of_list (List.rev_map fst s.batch_log);
               waits = Array.of_list (List.rev s.drained_waits);
               rejected = s.s_rejected;
               max_depth = s.s_max_depth;
@@ -290,21 +304,14 @@ module Reference = struct
       rejected = !rejected;
       stalls = !stalls;
     }
-
-  let clients_of_trace ~clients trace =
-    let streams = Array.make clients [] in
-    for pos = Trace.length trace - 1 downto 0 do
-      let c = pos mod clients in
-      streams.(c) <- Trace.request trace pos :: streams.(c)
-    done;
-    Array.map Array.of_list streams
 end
 
 let oracle_n_users = 4
 
-(* Config knobs and raw client streams: 1-6 clients of 0-12 requests
-   each (so some runs have more clients than requests), page or tenant
-   routing, both overload modes, queue_cap anywhere in [1, max_int]. *)
+(* Config knobs, a trace of 0-40 requests and 1-6 clients (so some
+   runs have more clients than requests): page or tenant routing, both
+   overload modes, queue_cap anywhere in [1, max_int] and client_rate
+   up to max_int. *)
 let oracle_gen =
   let open QCheck.Gen in
   let page =
@@ -324,44 +331,37 @@ let oracle_gen =
     frequency
       [ (6, int_range 1 8); (1, int_range 9 max_int); (1, return max_int) ]
   in
+  let client_rate = frequency [ (6, int_range 1 8); (1, return max_int) ] in
   let config =
     map3
       (fun (router, overload) (batch, queue_cap) client_rate ->
         Scheduler.config ~overload ~client_rate ~router ~batch ~queue_cap ())
       (pair router (oneofl [ Scheduler.Block; Scheduler.Reject ]))
       (pair (int_range 1 8) queue_cap)
-      (int_range 1 8)
+      client_rate
   in
-  pair config
-    (int_range 1 6 >>= fun n ->
-     array_repeat n (array_size (int_bound 12) page))
+  triple config (int_range 1 6)
+    (map
+       (Trace.of_list ~n_users:oracle_n_users)
+       (list_size (int_bound 40) page))
 
-let print_oracle_case ((cfg : Scheduler.config), clients) =
+let print_oracle_case ((cfg : Scheduler.config), clients, trace) =
   Printf.sprintf
-    "router=%s shards=%d overload=%s batch=%d cap=%d rate=%d streams=[%s]"
+    "router=%s shards=%d overload=%s batch=%d cap=%d rate=%d clients=%d \
+     trace=[%s]"
     (Router.name cfg.Scheduler.router)
     (Router.shards cfg.Scheduler.router)
     (Scheduler.overload_name cfg.Scheduler.overload)
     cfg.Scheduler.batch cfg.Scheduler.queue_cap cfg.Scheduler.client_rate
-    (String.concat "; "
-       (Array.to_list
-          (Array.map
-             (fun s ->
-               String.concat "," (Array.to_list (Array.map Page.to_string s)))
-             clients)))
+    clients
+    (String.concat ","
+       (Array.to_list (Array.map Page.to_string (pages_of trace))))
 
 let prop_build_matches_reference =
   QCheck.Test.make ~name:"build = reference scheduler, every field" ~count:500
-    (QCheck.make ~print:print_oracle_case oracle_gen) (fun (cfg, clients) ->
-      Scheduler.build cfg ~clients = Reference.build cfg ~clients)
-
-let prop_clients_of_trace_matches_reference =
-  QCheck.Test.make ~name:"clients_of_trace = reference dealing" ~count:200
-    QCheck.(pair (int_range 1 6) (int_range 0 30))
-    (fun (clients, length) ->
-      let t = workload ~seed:length ~tenants:2 ~length in
-      Scheduler.clients_of_trace ~clients t
-      = Reference.clients_of_trace ~clients t)
+    (QCheck.make ~print:print_oracle_case oracle_gen)
+    (fun (cfg, clients, trace) ->
+      Scheduler.build cfg ~clients trace = Reference.build cfg ~clients trace)
 
 (* ------------------------------------------------------------------ *)
 (* Differential replay: sharded service vs independent engines         *)
@@ -578,11 +578,27 @@ let joined_decimals ints =
   String.concat "" (List.map (fun v -> string_of_int v ^ ",") ints)
 
 let prop_hash_decimals =
+  (* 10^k - 1, 10^k and 10^k + 1 of either sign: every digit count, odd
+     and even, where the renderer's digit pairs split *)
+  let around_pow10 =
+    QCheck.Gen.(
+      map3
+        (fun k d neg ->
+          let v = int_of_float (10. ** float_of_int k) + d in
+          if neg then -v else v)
+        (int_bound 18) (int_range (-1) 1) bool)
+  in
   QCheck.Test.make ~name:"hash_decimals = hash_string of the joined digits"
     ~count:300
     QCheck.(
       list
-        (oneof [ int; small_signed_int; oneofl [ 0; max_int; min_int; -1 ] ]))
+        (oneof
+           [
+             int;
+             small_signed_int;
+             make ~print:string_of_int around_pow10;
+             oneofl [ 0; max_int; min_int; -1 ];
+           ]))
     (fun ints ->
       let a = Array.of_list ints in
       U.Prng.hash_decimals (Array.length a) (Array.get a)
@@ -644,9 +660,9 @@ let test_plan_allocation_budget () =
       in
       let plan = per_request (fun () -> Service.plan config t) in
       checkb
-        (Printf.sprintf "plan, queue_cap %d: %.1f B/request <= 96" queue_cap
+        (Printf.sprintf "plan, queue_cap %d: %.1f B/request <= 40" queue_cap
            plan)
-        true (plan <= 96.);
+        true (plan <= 40.);
       let fp =
         per_request (fun () ->
             Service.fingerprint config ~costs:(costs_of 4) t)
@@ -865,7 +881,6 @@ let () =
             [
               prop_single_client_order;
               prop_build_matches_reference;
-              prop_clients_of_trace_matches_reference;
             ] );
       ( "differential",
         [

@@ -294,6 +294,64 @@ let reference_property =
           same_outcome (of_dense pages dense)
             (fun () -> Reference.of_dense ~n_users ~pages ~dense)))
 
+(* [select t ids] builds the trace of a sequence of [t]'s dense ids by
+   remapping them; it must equal [of_pages] of the same pages:
+   dictionary, dense ids, users and the interner's rank of every page
+   of [t]. *)
+let select_property =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 4 >>= fun n_users ->
+    list_size (int_bound 300)
+      (map2
+         (fun user id -> Page.make ~user ~id)
+         (int_bound (n_users - 1))
+         (int_bound 60))
+    >>= fun pages ->
+    let t = Trace.of_list ~n_users pages in
+    let last = Trace.n_pages t - 1 in
+    (if last < 0 then return [||]
+     else
+       frequency
+         [
+           (1, return [||]);
+           (4, array_size (int_bound 300) (int_bound last));
+           (* one or two pages, repeated *)
+           ( 2,
+             pair (int_bound last) (int_bound last) >>= fun (a, b) ->
+             array_size (int_range 1 50) (oneofl [ a; b ]) );
+         ])
+    >>= fun ids ->
+    map (fun bad -> (t, ids, bad)) (oneofl [ -1; last + 1; last + 9; min_int; max_int ])
+  in
+  let print (t, ids, bad) =
+    Printf.sprintf "users=%d trace=[%s] ids=[%s] bad=%d" (Trace.n_users t)
+      (String.concat "," (Array.to_list (Array.map Page.to_string (Trace.requests t))))
+      (String.concat "," (Array.to_list (Array.map string_of_int ids)))
+      bad
+  in
+  QCheck.Test.make ~name:"select = of_pages on the selected pages" ~count:300
+    (QCheck.make ~print gen) (fun (t, ids, bad) ->
+      let module I = Ccache_util.Interner in
+      let s = Trace.select t ids in
+      let r =
+        Trace.of_pages ~n_users:(Trace.n_users t)
+          (Array.map (Trace.page_of_dense t) ids)
+      in
+      let rank tr page = I.find (Trace.interner tr) (Page.pack page) in
+      let raises ids =
+        match Trace.select t ids with
+        | exception Invalid_argument _ -> true
+        | _ -> false
+      in
+      Trace.pages s = Trace.pages r
+      && Trace.dense s = Trace.dense r
+      && Trace.n_users s = Trace.n_users r
+      && I.length (Trace.interner s) = I.length (Trace.interner r)
+      && Array.for_all (fun page -> rank s page = rank r page) (Trace.pages t)
+      && raises (Array.append ids [| bad |])
+      && raises (Array.append [| bad |] ids))
+
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -593,7 +651,7 @@ let () =
           Alcotest.test_case "append/flush" `Quick test_trace_append_flush;
           Alcotest.test_case "append mismatch" `Quick test_trace_append_mismatch;
         ]
-        @ qsuite [ reference_property ] );
+        @ qsuite [ reference_property; select_property ] );
       ( "zipf",
         [
           Alcotest.test_case "pmf" `Quick test_zipf_pmf;

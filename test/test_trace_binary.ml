@@ -616,6 +616,34 @@ let test_cli_k_beyond_trace () =
   let _, k200 = report "200" in
   Alcotest.(check (list string)) "hits and misses of k = 200" k200 huge
 
+(* Any positive --rate or --clients is served.  At a rate above the
+   stream lengths every client sends all it has in its first round, so
+   max_int prints the report of --rate 1000; a client past the trace's
+   last position has nothing to send, so max_int clients print the
+   report of one client per request.  The header line echoes both. *)
+let test_cli_serve_extremes () =
+  let report args =
+    let out = Filename.temp_file "ccache_cli_rate" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s serve --shards 2 -k 16 --length 200 %s > %s"
+           (Filename.quote cli) args (Filename.quote out))
+    in
+    let lines = In_channel.with_open_bin out In_channel.input_lines in
+    Sys.remove out;
+    checki (args ^ " exits 0") 0 code;
+    checkb (args ^ " prints a report") true (List.length lines > 1);
+    match lines with _ :: rest -> rest | [] -> []
+  in
+  Alcotest.(check (list string))
+    "--rate max_int = --rate 1000"
+    (report "--clients 3 --rate 1000")
+    (report "--clients 3 --rate 4611686018427387903");
+  Alcotest.(check (list string))
+    "--clients max_int = --clients 200"
+    (report "--clients 200 --rate 2")
+    (report "--clients 4611686018427387903 --rate 2")
+
 (* A cache larger than the trace's distinct pages behaves like one of
    exactly that size, for ALG and for OPT, so [certify] prints the same
    certificate at k = 2^20 as at k = distinct. *)
@@ -731,5 +759,7 @@ let () =
             test_cli_certify_beyond_pages;
           Alcotest.test_case "cli stdout = --out" `Quick
             test_cli_stdout_matches_out;
+          Alcotest.test_case "cli serve at any rate or client count" `Quick
+            test_cli_serve_extremes;
         ] );
     ]
