@@ -312,6 +312,15 @@ let serve_cmd policy_name trace_file workload tenants pages skew seed length k
   let trace =
     trace_or_workload trace_file ~workload ~tenants ~pages ~skew ~seed ~length
   in
+  (* a shard past the distinct pages can only stay empty, and the plan
+     sizes per-shard state by the shard count before any request; an
+     empty trace still prints its all-zero report *)
+  let distinct = Ccache_trace.Trace.n_pages trace in
+  if distinct > 0 && shards > distinct then begin
+    Fmt.epr "--shards %d exceeds the trace's %d distinct pages@." shards
+      distinct;
+    exit 2
+  end;
   let costs = make_costs ~cost (Ccache_trace.Trace.n_users trace) in
   let router =
     match route with
@@ -584,7 +593,9 @@ let shards_arg =
   Arg.(
     value & opt int 4
     & info [ "shards" ] ~docv:"N"
-        ~doc:"Partition the page space across $(docv) engine shards.")
+        ~doc:
+          "Partition the page space across $(docv) engine shards; at most \
+           a non-empty trace's distinct pages.")
 
 let batch_arg =
   Arg.(

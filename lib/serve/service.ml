@@ -208,8 +208,9 @@ let fingerprint config ~costs trace =
   let sched = config.sched in
   (* the hash of the packed pages rendered "p0,p1,...,pn," *)
   let trace_hash =
-    Ccache_util.Prng.hash_decimals (Trace.length trace) (fun pos ->
-        Page.pack (Trace.request trace pos))
+    Ccache_util.Prng.hash_decimals ~n:(Trace.n_pages trace)
+      (fun d -> Page.pack (Trace.page_of_dense trace d))
+      (Trace.dense trace)
   in
   Printf.sprintf
     "serve-v1 router=%s shards=%d k=%d batch=%d cap=%d overload=%s rate=%d \

@@ -51,35 +51,68 @@ let[@inline] set_pair buf k d =
   Bytes.unsafe_set buf k (String.unsafe_get digit_pairs (2 * d));
   Bytes.unsafe_set buf (k + 1) (String.unsafe_get digit_pairs ((2 * d) + 1))
 
-let hash_decimals n f =
-  (* 20 bytes: the longest rendering is min_int's sign and 19 digits *)
-  let buf = Bytes.create 20 in
+(* Renders [v] in decimal so that it ends just before [stop] in [buf]
+   and returns where it starts.  Digits come from the non-positive
+   side, so min_int cannot overflow; one division renders two.
+   Inlined into its one caller, where it runs once per element of a
+   trace whose pages rarely repeat. *)
+let[@inline] render buf stop v =
+  let r = ref (if v < 0 then v else -v) and k = ref stop in
+  while !r <= -100 do
+    let q = !r / 100 in
+    k := !k - 2;
+    set_pair buf !k ((q * 100) - !r);
+    r := q
+  done;
+  if !r <= -10 then begin
+    k := !k - 2;
+    set_pair buf !k (- !r)
+  end
+  else begin
+    decr k;
+    Bytes.unsafe_set buf !k (Char.unsafe_chr (48 - !r))
+  end;
+  if v < 0 then begin
+    decr k;
+    Bytes.unsafe_set buf !k '-'
+  end;
+  !k
+
+(* A slot is the rendering's length (0 until first rendered) in one
+   byte, then 20 bytes of digits: the longest rendering is min_int's
+   sign and 19 digits *)
+let slot = 21
+
+(* A kept rendering saves one rendering per repeat of its id and costs
+   21 bytes and a write at the id's first sight; below this many
+   elements per id the saving does not repay that, so every element is
+   rendered afresh (DESIGN.md, "Faults and resume"). *)
+let reuse = 4
+
+let hash_decimals ~n value ids =
+  if n < 0 then invalid_arg "Prng.hash_decimals: n must be non-negative";
+  (* with slots = n, id d renders into slot d, right-aligned to byte
+     [slot * (d + 1)] of [digits], whose first byte keeps the length;
+     with slots = 0 every element renders into slot 0, whose length
+     stays 0 *)
+  let slots = if Array.length ids / reuse >= n then n else 0 in
+  let digits = Bytes.make (slot * max 1 slots) '\000' in
   let h = ref fnv_offset in
-  for i = 0 to n - 1 do
-    let v = f i in
-    (* digits come from the non-positive side, so min_int cannot
-       overflow; one division renders two of them *)
-    let r = ref (if v < 0 then v else -v) and k = ref 20 in
-    while !r <= -100 do
-      let q = !r / 100 in
-      k := !k - 2;
-      set_pair buf !k ((q * 100) - !r);
-      r := q
-    done;
-    if !r <= -10 then begin
-      k := !k - 2;
-      set_pair buf !k (- !r)
-    end
-    else begin
-      decr k;
-      Bytes.unsafe_set buf !k (Char.unsafe_chr (48 - !r))
-    end;
-    if v < 0 then begin
-      decr k;
-      Bytes.unsafe_set buf !k '-'
-    end;
-    for j = !k to 19 do
-      h := fnv_step !h (Bytes.unsafe_get buf j)
+  for i = 0 to Array.length ids - 1 do
+    let d = Array.unsafe_get ids i in
+    if d < 0 || d >= n then invalid_arg "Prng.hash_decimals: id out of range";
+    let stop = slot * ((if d < slots then d else 0) + 1) in
+    let s =
+      match Char.code (Bytes.unsafe_get digits (stop - slot)) with
+      | 0 ->
+          let s = render digits stop (value d) in
+          if slots > 0 then
+            Bytes.unsafe_set digits (stop - slot) (Char.unsafe_chr (stop - s));
+          s
+      | len -> stop - len
+    in
+    for j = s to stop - 1 do
+      h := fnv_step !h (Bytes.unsafe_get digits j)
     done;
     h := fnv_step !h ','
   done;

@@ -19,11 +19,22 @@ val hash_string : string -> int64
 (** Deterministic, platform-independent 64-bit FNV-1a hash (unlike
     [Hashtbl.hash], stable across OCaml versions). *)
 
-val hash_decimals : int -> (int -> int) -> int64
-(** [hash_decimals n f] is [hash_string] of the concatenation of
-    [string_of_int (f i) ^ ","] for [i = 0 .. n-1], computed while
-    streaming the digits (rendered two per division): no string is
-    built, and nothing is allocated per element. *)
+val hash_decimals : n:int -> (int -> int) -> int array -> int64
+(** [hash_decimals ~n value ids] is [hash_string] of the concatenation
+    of [string_of_int (value ids.(i)) ^ ","] for every [i], in order,
+    computed in one pass over [ids] without building that string.
+    When [ids] has at least 4 elements per id of [\[0, n)], every id
+    owns a 21-byte slot: the first time [d] appears, [value d] is
+    rendered there (two digits per division) and its length kept in
+    the slot's first byte, and every later appearance only hashes the
+    slot's digits and the comma.  So [value] is called once per
+    distinct id, in order of first appearance, and the slots take 21
+    bytes per id (at most 5.25 per element of [ids]), allocated once.
+    With fewer elements per id, repeats are too rare to repay a slot:
+    [value] is called and rendered on every element, in order, into
+    one scratch slot.  Nothing is allocated per element of [ids].
+    @raise Invalid_argument if [n] is negative or an id is outside
+    [\[0, n)]. *)
 
 val derive : seed:int -> key:string -> t
 (** [derive ~seed ~key] is a stream that depends only on [(seed, key)]

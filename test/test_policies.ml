@@ -428,8 +428,10 @@ let decision_hashes policy =
             (fun flush ->
               let _, log = Engine.run_logged ~flush ~k ~costs policy t in
               let fields = Array.of_list (List.concat_map event_fields log) in
+              let n = Array.length fields in
               ( Printf.sprintf "%s k=%d flush=%b" name k flush,
-                Ccache_util.Prng.hash_decimals (Array.length fields) (Array.get fields) ))
+                Ccache_util.Prng.hash_decimals ~n (Array.get fields)
+                  (Array.init n Fun.id) ))
             [ false; true ])
         [ 4; 64 ])
     decision_traces

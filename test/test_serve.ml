@@ -577,6 +577,12 @@ let test_fingerprint_golden () =
 let joined_decimals ints =
   String.concat "" (List.map (fun v -> string_of_int v ^ ",") ints)
 
+(* Ids drawn with repeats from [0, n) (the empty sequence included):
+   the hash equals the joined renderings of their values.  With at
+   least 4 elements per id, [value] is called once per distinct id in
+   order of first appearance, and otherwise once per element, in order
+   (prng.mli); sequences of 0 to 80 ids over n of 1 to 32 fall on both
+   sides, and n may exceed the ids drawn. *)
 let prop_hash_decimals =
   (* 10^k - 1, 10^k and 10^k + 1 of either sign: every digit count, odd
      and even, where the renderer's digit pairs split *)
@@ -588,43 +594,114 @@ let prop_hash_decimals =
           if neg then -v else v)
         (int_bound 18) (int_range (-1) 1) bool)
   in
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          int;
+          small_signed_int;
+          around_pow10;
+          oneofl [ 0; 1; -1; max_int; min_int ];
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 24) value >>= fun values ->
+      let values = Array.of_list values in
+      let m = Array.length values in
+      int_bound 8 >>= fun extra ->
+      frequency
+        [ (1, return []); (6, list_size (int_bound 80) (int_bound (m - 1))) ]
+      >|= fun ids -> (values, m + extra, Array.of_list ids))
+  in
+  let print (values, n, ids) =
+    let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+    Printf.sprintf "values [|%s|] n %d ids [|%s|]" (ints values) n (ints ids)
+  in
   QCheck.Test.make ~name:"hash_decimals = hash_string of the joined digits"
-    ~count:300
-    QCheck.(
-      list
-        (oneof
-           [
-             int;
-             small_signed_int;
-             make ~print:string_of_int around_pow10;
-             oneofl [ 0; max_int; min_int; -1 ];
-           ]))
-    (fun ints ->
-      let a = Array.of_list ints in
-      U.Prng.hash_decimals (Array.length a) (Array.get a)
-      = U.Prng.hash_string (joined_decimals ints))
+    ~count:300 (QCheck.make ~print gen) (fun (values, n, ids) ->
+      let value d = values.(d mod Array.length values) in
+      let calls = ref [] in
+      let h =
+        U.Prng.hash_decimals ~n
+          (fun d ->
+            calls := d :: !calls;
+            value d)
+          ids
+      in
+      let renders =
+        if Array.length ids / 4 >= n then
+          List.fold_left
+            (fun seen d -> if List.mem d seen then seen else d :: seen)
+            [] (Array.to_list ids)
+        else List.rev (Array.to_list ids)
+      in
+      h
+      = U.Prng.hash_string
+          (joined_decimals (Array.to_list (Array.map value ids)))
+      && !calls = renders)
+
+(* An id outside [0, n) is refused wherever it stands, and so is a
+   negative n.  [value] is total, so only the range checks can raise. *)
+let test_hash_decimals_rejects_ids () =
+  let n = 3 in
+  let value d = (d * 1_000_003) - 5 in
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun ids ->
+          match U.Prng.hash_decimals ~n value ids with
+          | _ -> Alcotest.failf "id %d accepted" bad
+          | exception Invalid_argument _ -> ())
+        [ [| bad |]; [| 0; 1; bad |]; [| 2; bad; 2 |] ])
+    [ -1; n; max_int; min_int ];
+  List.iter
+    (fun (name, n, ids) ->
+      checkb name true
+        (match U.Prng.hash_decimals ~n value ids with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ ("n = 0 refuses id 0", 0, [| 0 |]); ("negative n", -1, [||]) ];
+  checkb "n = 0 over no ids is the empty hash" true
+    (U.Prng.hash_decimals ~n:0 value [||] = U.Prng.hash_string "")
 
 (* The fingerprint's trace field, over pages anywhere in the packed
-   range, is the hash of the packed pages' decimal rendering. *)
+   range, is the hash of the packed pages' decimal rendering.  Pages
+   drawn from the whole range almost never repeat, so half the traces
+   draw from a small pool at both ends of it, where most requests hit
+   a page already rendered. *)
 let prop_fingerprint_trace_hash =
+  let top_user = (1 lsl 24) - 1 and top_id = (1 lsl 38) - 1 in
   let page =
     QCheck.Gen.(
       oneof
         [
           map2
             (fun user id -> Page.make ~user ~id)
-            (int_bound ((1 lsl 24) - 1))
-            (int_bound ((1 lsl 38) - 1));
+            (int_bound top_user) (int_bound top_id);
           oneofl
-            [
-              Page.make ~user:0 ~id:0;
-              Page.make ~user:((1 lsl 24) - 1) ~id:((1 lsl 38) - 1);
-            ];
+            [ Page.make ~user:0 ~id:0; Page.make ~user:top_user ~id:top_id ];
         ])
+  in
+  let pooled =
+    QCheck.Gen.oneofl
+      [
+        Page.make ~user:0 ~id:0;
+        Page.make ~user:0 ~id:1;
+        Page.make ~user:1 ~id:0;
+        Page.make ~user:top_user ~id:top_id;
+        Page.make ~user:top_user ~id:(top_id - 1);
+        Page.make ~user:(top_user - 1) ~id:top_id;
+      ]
+  in
+  let print pages =
+    String.concat "," (List.map (fun p -> string_of_int (Page.pack p)) pages)
   in
   QCheck.Test.make ~name:"fingerprint trace hash = hash_string of packed pages"
     ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_bound 40) page))
+    (QCheck.make ~print
+       QCheck.Gen.(
+         oneof [ list_size (int_bound 40) page; list_size (int_bound 40) pooled ]))
     (fun pages ->
       let t = Trace.of_list ~n_users:(1 lsl 24) pages in
       let fp =
@@ -640,37 +717,54 @@ let prop_fingerprint_trace_hash =
 
 (* The plan of the benchmark's serve configuration (4 page-routed
    shards, 2 clients at rate 8, batch 4, queue cap 32) stays within a
-   fixed allocation budget per request, also with an unbounded queue;
-   the fingerprint allocates nothing per request. *)
+   fixed allocation budget per request, also with an unbounded queue.
+   The fingerprint allocates a slot per distinct page and nothing per
+   request: over the same requests twice (the same dictionary) it
+   allocates what it does over them once.  The trace has about 7
+   requests per page, so both hashes keep a slot per page. *)
 let test_plan_allocation_budget () =
   let t =
     Workloads.generate ~seed:3 ~length:100_000
       (Workloads.symmetric_zipf ~tenants:4 ~pages_per_tenant:4096 ~skew:0.9)
   in
-  let per_request f =
+  let allocated f =
+    Gc.full_major ();
     let b0 = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity (f ()));
-    (Gc.allocated_bytes () -. b0) /. float_of_int (Trace.length t)
+    Gc.allocated_bytes () -. b0
+  in
+  let config queue_cap =
+    Service.config ~clients:2 ~client_rate:8 ~batch:4 ~queue_cap
+      ~router:(Router.by_page ~shards:4) ~shard_k:2048 ()
   in
   List.iter
     (fun queue_cap ->
-      let config =
-        Service.config ~clients:2 ~client_rate:8 ~batch:4 ~queue_cap
-          ~router:(Router.by_page ~shards:4) ~shard_k:2048 ()
+      let plan =
+        allocated (fun () -> Service.plan (config queue_cap) t)
+        /. float_of_int (Trace.length t)
       in
-      let plan = per_request (fun () -> Service.plan config t) in
       checkb
         (Printf.sprintf "plan, queue_cap %d: %.1f B/request <= 40" queue_cap
            plan)
-        true (plan <= 40.);
-      let fp =
-        per_request (fun () ->
-            Service.fingerprint config ~costs:(costs_of 4) t)
-      in
-      checkb
-        (Printf.sprintf "fingerprint: %.3f B/request < 0.1" fp)
-        true (fp < 0.1))
-    [ 32; max_int ]
+        true (plan <= 40.))
+    [ 32; max_int ];
+  let fingerprint t =
+    allocated (fun () -> Service.fingerprint (config 32) ~costs:(costs_of 4) t)
+  in
+  let twice = Trace.append t t in
+  checki "same dictionary" (Trace.n_pages t) (Trace.n_pages twice);
+  let once = fingerprint t in
+  let added =
+    Float.abs (fingerprint twice -. once) /. float_of_int (Trace.length t)
+  in
+  checkb
+    (Printf.sprintf "fingerprint: %.3f B per added request < 0.1" added)
+    true (added < 0.1);
+  let budget = (32. *. float_of_int (Trace.n_pages t)) +. 1024. in
+  checkb
+    (Printf.sprintf "fingerprint: %.0f B <= 32 B x %d pages + 1 KB" once
+       (Trace.n_pages t))
+    true (once <= budget)
 
 let test_kill_quarantines_and_resume_completes () =
   let t = workload ~seed:13 ~tenants:3 ~length:700 in
@@ -902,6 +996,8 @@ let () =
           Alcotest.test_case "fingerprint guards resume" `Quick
             test_fingerprint_guards_resume;
           Alcotest.test_case "fingerprint golden" `Quick test_fingerprint_golden;
+          Alcotest.test_case "hash_decimals rejects ids outside [0, n)" `Quick
+            test_hash_decimals_rejects_ids;
           Alcotest.test_case "plan allocation budget" `Quick
             test_plan_allocation_budget;
         ]

@@ -559,6 +559,11 @@ let test_cli_flags_exit_2 () =
   List.iter
     (fun k -> check_exit cli (Printf.sprintf "serve --length 200 -k %d --shards 4" k))
     [ 2; 10; 65 ];
+  (* more shards than the trace's 116 distinct pages, one of them a
+     count no per-shard array can hold *)
+  List.iter
+    (fun n -> check_exit cli (Printf.sprintf "serve --length 200 --shards %d -k %d" n n))
+    [ 4611686018427387903; 232 ];
   (* a checkpoint whose entry header's id length wraps the parser's
      bounds check cannot be resumed from *)
   with_temp (fun path ->
@@ -620,14 +625,16 @@ let test_cli_k_beyond_trace () =
    stream lengths every client sends all it has in its first round, so
    max_int prints the report of --rate 1000; a client past the trace's
    last position has nothing to send, so max_int clients print the
-   report of one client per request.  The header line echoes both. *)
+   report of one client per request.  The header line echoes both.  A
+   shard per distinct page is the most the CLI accepts, and it serves;
+   an empty trace has no distinct page and still serves its shards. *)
 let test_cli_serve_extremes () =
-  let report args =
+  let report ?(shards = "--shards 2 -k 16") ?(length = 200) args =
     let out = Filename.temp_file "ccache_cli_rate" ".out" in
     let code =
       Sys.command
-        (Printf.sprintf "%s serve --shards 2 -k 16 --length 200 %s > %s"
-           (Filename.quote cli) args (Filename.quote out))
+        (Printf.sprintf "%s serve %s --length %d %s > %s"
+           (Filename.quote cli) shards length args (Filename.quote out))
     in
     let lines = In_channel.with_open_bin out In_channel.input_lines in
     Sys.remove out;
@@ -642,7 +649,18 @@ let test_cli_serve_extremes () =
   Alcotest.(check (list string))
     "--clients max_int = --clients 200"
     (report "--clients 200 --rate 2")
-    (report "--clients 4611686018427387903 --rate 2")
+    (report "--clients 4611686018427387903 --rate 2");
+  let shard_rows lines =
+    List.length
+      (List.filter
+         (fun l -> String.length l > 2 && l.[0] = '|' && l.[2] <> 's')
+         lines)
+  in
+  (* one shard per distinct page (the trace has 116) is still served *)
+  checki "--shards 116 prints one row per shard" 116
+    (shard_rows (report ~shards:"--shards 116 -k 116" ""));
+  checki "an empty trace prints its 4 shard rows" 4
+    (shard_rows (report ~shards:"--shards 4 -k 16" ~length:0 ""))
 
 (* A cache larger than the trace's distinct pages behaves like one of
    exactly that size, for ALG and for OPT, so [certify] prints the same
