@@ -31,9 +31,20 @@ let policy_named name =
       Fmt.epr "unknown policy %S; try the 'list' command@." name;
       exit 2
 
-(* A workload the generator rejects (no tenants, no pages, a non-finite
-   skew, a negative length) is a usage error: its message and exit 2. *)
+(* A count past the id space is refused before anything is generated:
+   a tenant is a 24-bit user and a page id a 38-bit field, so a larger
+   count would only fail after allocating for it. *)
+let check_id_flag flag ~limit v =
+  if v < 1 || v > limit then begin
+    Fmt.epr "%s must be in [1, %d] (got %d)@." flag limit v;
+    exit 2
+  end
+
+(* A workload the generator rejects (a non-finite skew, a negative
+   length) is a usage error: its message and exit 2. *)
 let make_workload ~workload ~tenants ~pages ~skew ~seed ~length =
+  check_id_flag "--tenants" ~limit:(Ccache_trace.Page.max_user + 1) tenants;
+  check_id_flag "--pages" ~limit:(Ccache_trace.Page.max_id + 1) pages;
   try
     match workload with
     | "zipf" ->
@@ -125,7 +136,14 @@ let run_cmd policy_name trace_file workload tenants pages skew seed length k cos
 (* --- gen command --- *)
 
 let gen_cmd workload tenants pages skew seed length binary out trace_cache =
-  Option.iter (Supervisor_args.check_writable ~flag:"--out") out;
+  Option.iter
+    (fun path ->
+      Supervisor_args.check_writable ~flag:"--out" path;
+      (* a .ctrace replaces a regular file by a rename from a file
+         written beside it, so that directory must be writable too *)
+      if binary && ((not (Sys.file_exists path)) || Sys.is_regular_file path)
+      then Supervisor_args.check_writable ~file:(path ^ ".tmp") ~flag:"--out" path)
+    out;
   set_trace_cache trace_cache;
   let trace = make_workload ~workload ~tenants ~pages ~skew ~seed ~length in
   let write_file, write_channel =

@@ -14,8 +14,8 @@
     rendered in spec order.
 
     The suite always runs under the supervised runner: injected
-    transients and deadline misses are retried with deterministic
-    backoff, and a permanently-failing experiment is quarantined (its
+    transients are retried with deterministic backoff, and a
+    permanently-failing or overrunning experiment is quarantined (its
     section omitted, a report on stderr, exit code 3) while the rest of
     the suite completes.  [--chaos] / CCACHE_CHAOS inject deterministic
     faults for testing; with the default retry budget the report is

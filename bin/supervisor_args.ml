@@ -96,14 +96,16 @@ let term =
       value & opt (some float) None
       & info [ "timeout" ] ~docv:"S"
           ~doc:
-            "Per-attempt task deadline in seconds; a task that returns \
-             past it is retried, then quarantined (default: none).")
+            "Per-attempt task deadline in seconds, checked when the task \
+             returns; a task that returns past it is quarantined at once, \
+             not retried, because every retry would run it whole again \
+             (default: none).")
   in
   let retries =
     Arg.(
       value & opt int default.U.Supervisor.max_retries
       & info [ "retries" ] ~docv:"N"
-          ~doc:"Retry budget for transient faults and deadline misses (default 3).")
+          ~doc:"Retry budget for transient faults (default 3).")
   in
   let backoff =
     Arg.(

@@ -98,20 +98,23 @@ let finish_shard i s =
     depth_sum = s.s_depth_sum;
   }
 
+(* A u32 dense id, read at the concrete type: a 32-bit load *)
+let[@inline] id_at (dense : Trace.ids) pos =
+  Int32.to_int (Bigarray.Array1.unsafe_get dense pos) land 0xFFFF_FFFF
+
 let build config ~clients trace =
   if clients <= 0 then invalid_arg "Scheduler.build: clients must be positive";
   let { router; batch; queue_cap; overload; client_rate } = config in
   let n_shards = Router.shards router in
   let dense = Trace.dense trace in
-  let len = Array.length dense in
+  let len = Bigarray.Array1.dim dense in
   (* [route.(d)] is the shard of dense id [d]: one routing per page *)
   let route = Array.map (Router.route router) (Trace.pages trace) in
   let routed = Array.make n_shards 0 in
-  Array.iter
-    (fun d ->
-      let s = route.(d) in
-      routed.(s) <- routed.(s) + 1)
-    dense;
+  for pos = 0 to len - 1 do
+    let s = route.(id_at dense pos) in
+    routed.(s) <- routed.(s) + 1
+  done;
   let shards =
     Array.map
       (fun n ->
@@ -148,7 +151,7 @@ let build config ~clients trace =
       if !pos < len then begin
         let budget = ref client_rate in
         while !budget > 0 && !pos < len do
-          let d = dense.(!pos) in
+          let d = id_at dense !pos in
           let s = shards.(route.(d)) in
           if s.tail - s.head < queue_cap then begin
             s.q_pages.(s.tail) <- d;

@@ -100,9 +100,10 @@ module Step = struct
 
   type t = {
     policy : Policy.t;
-    dense : int array;
+    dense : Trace.ids;
         (** [Trace.dense trace], hoisted so the per-request hot loop
-            indexes local arrays instead of re-entering [Trace] *)
+            reads the ids (a 32-bit load: the type is concrete here)
+            instead of re-entering [Trace] *)
     dict : Page.t array;  (** [Trace.pages trace], hoisted likewise *)
     ranks : Interner.t;  (** [Trace.interner trace]: packed page -> dense id *)
     cached : Bytes.t;  (** byte [d] is ['\001'] iff dense id [d] is cached *)
@@ -152,7 +153,7 @@ module Step = struct
       on_event;
     }
 
-  let length t = Array.length t.dense
+  let length t = Bigarray.Array1.dim t.dense
 
   let is_cached t d = Bytes.get t.cached d <> '\000' [@@inline]
 
@@ -230,7 +231,7 @@ module Step = struct
     [@@effects.no_alloc] [@@effects.deterministic]
 
   let step t pos =
-    let d = t.dense.(pos) in
+    let d = Int32.to_int (Bigarray.Array1.get t.dense pos) land 0xFFFF_FFFF in
     apply t pos d t.dict.(d)
     [@@effects.no_alloc] [@@effects.deterministic]
 

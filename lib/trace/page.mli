@@ -19,6 +19,9 @@ val make : user:int -> id:int -> t
 val max_user : int
 (** Largest user id a page can hold, [2^24 - 1]. *)
 
+val max_id : int
+(** Largest page id a page can hold, [2^38 - 1]. *)
+
 val user : t -> int
 val id : t -> int
 

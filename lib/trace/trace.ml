@@ -15,30 +15,44 @@
     Representation: a trace {e is} its dense interning, built eagerly
     by every constructor.  Its distinct pages are numbered [0, P) in
     first-touch order; [dict.(d)] is the page with dense id [d],
-    [dense.(pos)] the dense id requested at [pos], and a
+    [dense.{pos}] the dense id requested at [pos] (an unsigned 32-bit
+    element of an [int32] Bigarray: 4 bytes per request, and for a
+    trace read from a [.ctrace] file the file's own mapping), and a
     {!Ccache_util.Interner} maps packed pages to dense ids.  The
-    request at [pos] is [dict.(dense.(pos))]: no [Page.t array] of
+    request at [pos] is [dict.(dense.{pos})]: no [Page.t array] of
     length T is kept.  The dense ids are what {!Index.build}'s flat
     arrays, the engine's cache set and the binary trace format
     ({!Trace_binary}) are keyed by.  Nothing is written after
     construction, so traces are safely sharable across domains. *)
 
 module Interner = Ccache_util.Interner
+module A1 = Bigarray.Array1
+
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
 type t = {
   n_users : int;
   dict : Page.t array;  (** dense id -> page, in first-touch order *)
-  dense : int array;  (** [dense.(pos)] = dense id of the page at [pos] *)
+  dense : ids;  (** [dense.{pos}] = dense id (u32) of the page at [pos] *)
   ranks : Interner.t;  (** packed page -> dense id; never interned into *)
 }
 
-let length t = Array.length t.dense
+(* Every read below names [ids], so each compiles to a load of the
+   32-bit element; the mask undoes the sign extension of [int32]. *)
+let[@inline] id_at (ids : ids) pos = Int32.to_int (A1.get ids pos) land 0xFFFF_FFFF
+
+let[@inline] unsafe_id_at (ids : ids) pos =
+  Int32.to_int (A1.unsafe_get ids pos) land 0xFFFF_FFFF
+
+let create_ids n : ids = A1.create Bigarray.int32 Bigarray.c_layout n
+
+let length t = A1.dim t.dense
 let n_users t = t.n_users
 
-let request t pos = t.dict.(t.dense.(pos))
+let request t pos = t.dict.(id_at t.dense pos)
   [@@effects.no_alloc] [@@effects.deterministic]
 
-let requests t = Array.map (fun d -> t.dict.(d)) t.dense
+let requests t = Array.init (A1.dim t.dense) (fun pos -> t.dict.(unsafe_id_at t.dense pos))
 let n_pages t = Array.length t.dict
 let dense t = t.dense
 let pages t = t.dict
@@ -51,10 +65,15 @@ let page_of_dense t d = t.dict.(d)
 let of_pages ~n_users pages =
   if n_users <= 0 then invalid_arg "Trace.of_pages: need at least one user";
   let ranks = Interner.create ~capacity:256 in
-  let dense = Array.make (Array.length pages) 0 in
+  let dense = create_ids (Array.length pages) in
   for pos = 0 to Array.length pages - 1 do
-    dense.(pos) <- Interner.intern ranks (Page.pack pages.(pos))
+    A1.unsafe_set dense pos
+      (Int32.of_int (Interner.intern ranks (Page.pack pages.(pos))))
   done;
+  (* a dense id is stored in 32 bits, so at most 2^32 pages can be
+     told apart *)
+  if Interner.length ranks > 1 lsl 32 then
+    invalid_arg "Trace.of_pages: more than 2^32 distinct pages";
   let dict =
     Array.init (Interner.length ranks) (fun d -> Page.unpack (Interner.key ranks d))
   in
@@ -69,13 +88,47 @@ let of_pages ~n_users pages =
 
 let of_list ~n_users pages = of_pages ~n_users (Array.of_list pages)
 
+(* The stream checks of [of_dense], in one pass over [ids] that
+   allocates nothing unless it fails.  The binary reader runs the same
+   pass over a mapped request region ([Trace_binary.validate]), so both
+   name the same first defect. *)
+let check_ids ~n_pages ids =
+  let exception Defect of int * string in
+  match
+    let seen = ref 0 in
+    for pos = 0 to A1.dim ids - 1 do
+      let d = unsafe_id_at ids pos in
+      if d >= n_pages then
+        raise
+          (Defect
+             ( pos,
+               Printf.sprintf "dense id %d at position %d outside [0,%d)" d pos
+                 n_pages ));
+      if d > !seen then
+        raise
+          (Defect
+             ( pos,
+               Printf.sprintf "dense id %d at position %d before id %d appeared"
+                 d pos !seen ))
+      else if d = !seen then incr seen
+    done;
+    !seen
+  with
+  | seen when seen = n_pages -> None
+  | seen ->
+      Some
+        ( -1,
+          Printf.sprintf "%d of %d pages never requested" (n_pages - seen)
+            n_pages )
+  | exception Defect (pos, msg) -> Some (pos, msg)
+
 (** Adopt an interned form (the binary format's vocabulary): [pages] in
-    first-touch order, [dense] the per-position ranks, both taken over
-    without a copy.  Validates that the remap is well-formed — ranks in
-    [0, P), first occurrences in increasing rank order, every page
-    requested, distinct pages — so a crafted file cannot smuggle in a
-    trace whose [distinct_pages] order disagrees with its request
-    sequence. *)
+    first-touch order, [dense] the per-position ids, both taken over
+    without a copy (for a [.ctrace] file, [dense] is its mapping).
+    Validates that the remap is well-formed — ids in [0, P), first
+    occurrences in increasing id order, every page requested, distinct
+    pages — so a crafted file cannot smuggle in a trace whose
+    [distinct_pages] order disagrees with its request sequence. *)
 let of_dense ~n_users ~pages ~dense =
   if n_users <= 0 then invalid_arg "Trace.of_dense: need at least one user";
   Array.iter
@@ -86,24 +139,9 @@ let of_dense ~n_users ~pages ~dense =
              (Page.to_string page) n_users))
     pages;
   let p = Array.length pages in
-  let seen = ref 0 in
-  for pos = 0 to Array.length dense - 1 do
-    let d = dense.(pos) in
-    if d < 0 || d >= p then
-      invalid_arg
-        (Printf.sprintf "Trace.of_dense: rank %d outside [0,%d) at position %d"
-           d p pos);
-    if d > !seen then
-      invalid_arg
-        (Printf.sprintf
-           "Trace.of_dense: rank %d at position %d before rank %d appeared"
-           d pos !seen)
-    else if d = !seen then incr seen
-  done;
-  if !seen <> p then
-    invalid_arg
-      (Printf.sprintf "Trace.of_dense: %d of %d pages never requested"
-         (p - !seen) p);
+  (match check_ids ~n_pages:p dense with
+  | Some (_, msg) -> invalid_arg ("Trace.of_dense: " ^ msg)
+  | None -> ());
   (* a page listed twice gets its first listing's rank back *)
   let ranks = Interner.create ~capacity:p in
   Array.iteri
@@ -123,7 +161,7 @@ let of_dense ~n_users ~pages ~dense =
 let select t ids =
   let p = Array.length t.dict in
   let remap = Array.make p (-1) in
-  let dense = Array.make (Array.length ids) 0 in
+  let dense = create_ids (Array.length ids) in
   let seen = ref 0 in
   for pos = 0 to Array.length ids - 1 do
     let d = ids.(pos) in
@@ -132,10 +170,10 @@ let select t ids =
         (Printf.sprintf "Trace.select: id %d outside [0,%d) at position %d" d
            p pos);
     let r = Array.unsafe_get remap d in
-    if r >= 0 then Array.unsafe_set dense pos r
+    if r >= 0 then A1.unsafe_set dense pos (Int32.of_int r)
     else begin
       Array.unsafe_set remap d !seen;
-      Array.unsafe_set dense pos !seen;
+      A1.unsafe_set dense pos (Int32.of_int !seen);
       incr seen
     end
   done;
@@ -183,7 +221,7 @@ module Index = struct
   let build trace =
     let dense = trace.dense in
     let p = n_pages trace in
-    let n = Array.length dense in
+    let n = A1.dim dense in
     let interval = Array.make n 0 in
     let next_use = Array.make n Int.max_int in
     let distinct_upto = Array.make n 0 in
@@ -191,8 +229,10 @@ module Index = struct
     let last_pos = Array.make p (-1) in
     let distinct = ref 0 in
     for pos = 0 to n - 1 do
-      let d = Array.unsafe_get dense pos in
-      let c = Array.unsafe_get counts d in
+      let d = unsafe_id_at dense pos in
+      (* checked once: a file rewritten in place under its mapping
+         could hold any id *)
+      let c = counts.(d) in
       Array.unsafe_set counts d (c + 1);
       Array.unsafe_set interval pos (c + 1);
       let prev = Array.unsafe_get last_pos d in

@@ -16,6 +16,15 @@ type t
     [Page.t array] of length T is kept.  A trace is immutable once
     built, so it can be shared across domains. *)
 
+type ids = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Per-request dense ids, 4 bytes each, read as unsigned 32-bit
+    integers: [Int32.to_int ids.{pos} land 0xFFFF_FFFF].  The alias is
+    concrete on purpose.  A read in another module compiles to a plain
+    load only where the Bigarray's kind and layout are known at the
+    call site; dune's dev profile inlines nothing across modules, so a
+    read through a polymorphic helper calls the C accessor, which boxes
+    every element.  Annotate a hot loop's argument with this type. *)
+
 val length : t -> int
 val n_users : t -> int
 
@@ -28,23 +37,37 @@ val requests : t -> Page.t array
     for callers outside a hot loop. *)
 
 val of_pages : n_users:int -> Page.t array -> t
-(** Interns the array in one pass; the array is not kept.
-    @raise Invalid_argument if [n_users <= 0] or a page's user is
-    outside [\[0, n_users)]. *)
+(** Interns the array in one pass into fresh {!ids} (4 bytes per
+    request); the array is not kept.
+    @raise Invalid_argument if [n_users <= 0], a page's user is
+    outside [\[0, n_users)], or there are more than 2^32 distinct
+    pages. *)
 
 val of_list : n_users:int -> Page.t list -> t
 
-val of_dense : n_users:int -> pages:Page.t array -> dense:int array -> t
+val of_dense : n_users:int -> pages:Page.t array -> dense:ids -> t
 (** Build a trace from its interned form: [pages] lists the distinct
-    pages in first-touch order, [dense.(pos)] is the rank (index into
+    pages in first-touch order, [dense.{pos}] is the id (index into
     [pages]) of the request at [pos].  This is the in-memory mirror of
-    the binary trace format ({!Trace_binary}), whose reader decodes
-    straight into [dense].  The trace takes both arrays over without a
-    copy: the caller must never write to them again.
-    @raise Invalid_argument if the remap is not well-formed: a rank out
-    of range, first occurrences out of rank order, a page listed but
-    never requested, duplicate pages, or a user outside
-    [\[0, n_users)]. *)
+    the binary trace format ({!Trace_binary}), whose reader hands over
+    its mapped request region as [dense].  The trace takes both arrays
+    over without a copy, and keeps [dense] alive as long as it lives:
+    the caller must never write to either again.
+    @raise Invalid_argument if the remap is not well-formed
+    ({!check_ids}, whose message it carries), a page is listed twice,
+    or a user is outside [\[0, n_users)]. *)
+
+val create_ids : int -> ids
+(** Room for that many dense ids, not initialised: the caller fills
+    every element before handing it to {!of_dense}. *)
+
+val check_ids : n_pages:int -> ids -> (int * string) option
+(** The stream checks of {!of_dense}, in one pass that allocates
+    nothing on success: every id below [n_pages], first occurrences in
+    increasing id order, and every id in [\[0, n_pages)] requested.
+    [None] if all hold; otherwise [Some (pos, msg)] for the first
+    defect, where [pos] is the offending position ([-1] when a page is
+    never requested) and [msg] names it. *)
 
 val select : t -> int array -> t
 (** [select t ids] is the trace of the requests [ids], a sequence of
@@ -63,9 +86,10 @@ val select : t -> int array -> t
 val n_pages : t -> int
 (** Number of distinct pages, P.  O(1). *)
 
-val dense : t -> int array
+val dense : t -> ids
 (** Per-position dense ids: [dense t] has one entry per request, each
-    in [\[0, n_pages t)] (do not mutate). *)
+    in [\[0, n_pages t)] (do not mutate).  For a trace read from a
+    [.ctrace] file this is the file's mapped request region. *)
 
 val pages : t -> Page.t array
 (** The dictionary: [(pages t).(d)] is the page with dense id [d]

@@ -18,13 +18,22 @@
 
     {!open_file} reads and validates the fixed header and the O(P)
     dictionary through a channel, then maps the O(T) request region
-    with [Unix.map_file] — so opening is O(P), independent of T, the
-    pages are shared read-only across processes and domains, and
-    {!dense_at} iteration performs no per-request allocation (the
-    region is a [char] Bigarray decoded by hand: the [int32] kind would
-    box every element).  The format is endian-pinned rather than
-    byte-swapped: big-endian hosts are refused outright, which this
-    project will never meet in CI. *)
+    with [Unix.map_file] as an [int32] Bigarray — so opening is O(P),
+    independent of T, and the pages are shared read-only across
+    processes and domains.  {!to_trace} checks that mapping in place
+    and keeps it as the trace's dense ids ({!Trace.ids}): no request is
+    copied or decoded, and the mapping lives as long as the trace.
+    Every read names the concrete {!Trace.ids} type, so it compiles to
+    a 32-bit load; a read whose kind or layout is left polymorphic
+    calls the C accessor, which boxes each element.  The format is
+    endian-pinned rather than byte-swapped: big-endian hosts are
+    refused outright, which this project will never meet in CI.
+
+    Writers publish a file by renaming a finished temporary file over
+    its path, so a process that has the old file mapped keeps reading
+    the old requests.  Rewriting or truncating a [.ctrace] file in
+    place under a running reader is undefined: its trace changes under
+    it, and a read past a truncated end raises SIGBUS. *)
 
 exception Format_error of { offset : int; msg : string }
 
@@ -40,30 +49,20 @@ let require_little_endian () =
   if Sys.big_endian then
     error 12 "big-endian hosts are not supported by the .ctrace format"
 
-(* The request region as raw bytes; decoding by hand keeps accessors
-   allocation-free (Bigarray's int32 kind boxes every element). *)
-type region =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+module A1 = Bigarray.Array1
 
 type handle = {
   n_users : int;
   pages : Page.t array;  (** the dictionary; dense id = index *)
   length : int;
-  data : region;  (** [4 * length] bytes of u32 dense ids *)
+  data : Trace.ids;  (** the mapped request region: [length] u32 ids *)
 }
 
 let n_users h = h.n_users
 let n_pages h = Array.length h.pages
 let length h = h.length
 
-(* Four reads spelled out: a local [b k] helper would capture [h] and
-   [base] in a closure allocated on every call. *)
-let dense_at h i =
-  let d = h.data and base = 4 * i in
-  Char.code (Bigarray.Array1.unsafe_get d base)
-  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 1)) lsl 8)
-  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 2)) lsl 16)
-  lor (Char.code (Bigarray.Array1.unsafe_get d (base + 3)) lsl 24)
+let dense_at h i = Int32.to_int (A1.unsafe_get h.data i) land 0xFFFF_FFFF
   [@@effects.no_alloc] [@@effects.deterministic]
 
 (* The checked reader: [dense_at] trusts the position and the id, but
@@ -79,24 +78,16 @@ let page_at h i =
       "dense id %d at position %d outside [0,%d)" d i p;
   h.pages.(d)
 
-(* The zero-copy twin of [Trace.of_dense]'s stream checks, for readers
-   that never materialise the trace: one pass over the mapping, no
-   allocation on success, and an error at the offending request's
-   byte offset. *)
+(* [Trace.of_dense]'s stream checks, for readers that never build the
+   trace: the same one pass over the mapping, and an error at the
+   offending request's byte offset (the page-count field for a page
+   never requested). *)
 let validate h =
   let p = Array.length h.pages in
-  let base = header_bytes + (8 * p) in
-  let seen = ref 0 in
-  for i = 0 to h.length - 1 do
-    let d = dense_at h i in
-    if d >= p then
-      error (base + (4 * i)) "dense id %d at position %d outside [0,%d)" d i p;
-    if d > !seen then
-      error (base + (4 * i)) "dense id %d at position %d before id %d appeared"
-        d i !seen
-    else if d = !seen then incr seen
-  done;
-  if !seen <> p then error 20 "%d of %d pages never requested" (p - !seen) p
+  match Trace.check_ids ~n_pages:p h.data with
+  | None -> ()
+  | Some (pos, msg) ->
+      error (if pos < 0 then 20 else header_bytes + (8 * p) + (4 * pos)) "%s" msg
 
 (* {2 Writing} *)
 
@@ -138,18 +129,39 @@ let encode trace ~emit =
     add_u64 buf (Page.pack (Trace.page_of_dense trace d));
     flush_full ()
   done;
-  Array.iter
-    (fun d ->
-      add_u32 buf d;
-      flush_full ())
-    (Trace.dense trace);
+  (* the ids are stored as their file image: each is copied as is *)
+  let ids : Trace.ids = Trace.dense trace in
+  for i = 0 to A1.dim ids - 1 do
+    Buffer.add_int32_le buf (A1.unsafe_get ids i);
+    flush_full ()
+  done;
   emit buf
 
 let write_channel oc trace = encode trace ~emit:(Buffer.output_buffer oc)
 
+(* Publish by rename: the image goes to a temporary file beside [path]
+   (named by process and domain, so concurrent writers never share
+   one), which then replaces [path] in one step.  A reader that has
+   the old file mapped keeps the old inode and its requests.  A path
+   that exists but is not a regular file (a symbolic link, a device
+   such as /dev/null, a pipe) is written through instead: a rename
+   would replace that node itself. *)
 let write_file path trace =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc trace)
+  let write file =
+    let oc = open_out_bin file in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc trace)
+  in
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_REG | (exception Unix.Unix_error _) -> (
+      let tmp =
+        Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Domain.self () :> int)
+      in
+      match write tmp with
+      | () -> Sys.rename tmp path
+      | exception e ->
+          (try Sys.remove tmp with Sys_error _ -> ());
+          raise e)
+  | _ -> write path
 
 let to_string trace =
   let out =
@@ -212,8 +224,7 @@ let parse_prefix ~file_size s =
     pages;
   (n_users, pages, t)
 
-let empty_region : region =
-  Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0
+let empty_region = Trace.create_ids 0
 
 let open_file path =
   require_little_endian ();
@@ -241,25 +252,18 @@ let open_file path =
         (fun () ->
           let pos = Int64.of_int (header_bytes + (8 * Array.length pages)) in
           Bigarray.array1_of_genarray
-            (Unix.map_file fd ~pos Bigarray.char Bigarray.c_layout false
-               [| 4 * t |]))
+            (Unix.map_file fd ~pos Bigarray.int32 Bigarray.c_layout false
+               [| t |]))
     end
   in
   { n_users; pages; length = t; data }
 
-(* Materialise a full [Trace.t]: the request region is decoded into
-   the one O(T) array the trace keeps, which [Trace.of_dense]
-   then validates in place (range, first-touch order), so a crafted
-   request region cannot produce an ill-formed trace. *)
+(* The trace adopts the mapping: [Trace.of_dense] checks it in place
+   (range, first-touch order, every page used) and keeps it as the
+   trace's dense ids, so a crafted request region cannot produce an
+   ill-formed trace, and nothing O(T) is allocated. *)
 let to_trace h =
-  (* A typed [int array] loop rather than [Array.init]: its generic
-     store and closure call per request made this loop slow and its
-     speed hostage to code layout. *)
-  let dense = Array.make h.length 0 in
-  for i = 0 to h.length - 1 do
-    dense.(i) <- dense_at h i
-  done;
-  try Trace.of_dense ~n_users:h.n_users ~pages:h.pages ~dense
+  try Trace.of_dense ~n_users:h.n_users ~pages:h.pages ~dense:h.data
   with Invalid_argument msg ->
     error (header_bytes + (8 * Array.length h.pages)) "%s" msg
 
@@ -269,9 +273,9 @@ let of_string s =
   require_little_endian ();
   let n_users, pages, t = parse_prefix ~file_size:(String.length s) s in
   let base = header_bytes + (8 * Array.length pages) in
-  let dense = Array.make t 0 in
+  let dense = Trace.create_ids t in
   for i = 0 to t - 1 do
-    dense.(i) <- get_u32 s (base + (4 * i))
+    A1.unsafe_set dense i (String.get_int32_le s (base + (4 * i)))
   done;
   try Trace.of_dense ~n_users ~pages ~dense
   with Invalid_argument msg -> error base "%s" msg

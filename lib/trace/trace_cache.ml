@@ -51,20 +51,21 @@ let lookup ~dir ~key ~fingerprint =
   | exception Sys_error _ -> None
 
 (* Publish [.ctrace] before [.fp]: a reader that races us sees at worst
-   a missing sidecar (a miss).  Tmp names carry the pid, so concurrent
-   writers never clobber each other's half-written files — and since
-   all writers of one key produce identical bytes, last-rename-wins is
-   harmless. *)
+   a missing sidecar (a miss).  [Trace_binary.write_file] publishes the
+   [.ctrace] by rename itself; the sidecar's tmp name carries the
+   process and domain, so concurrent writers never clobber each other's
+   half-written files — and since all writers of one key produce
+   identical bytes, last-rename-wins is harmless. *)
 let store ~dir ~key ~fingerprint trace =
   try
     mkdir_p dir;
-    let tmp ext =
-      Filename.concat dir (Printf.sprintf ".%s.%d.tmp%s" key (Unix.getpid ()) ext)
+    let tf =
+      Filename.concat dir
+        (Printf.sprintf ".%s.%d.%d.tmp.fp" key (Unix.getpid ())
+           (Domain.self () :> int))
     in
-    let tc = tmp ".ctrace" and tf = tmp ".fp" in
-    Trace_binary.write_file tc trace;
+    Trace_binary.write_file (Filename.concat dir (key ^ ".ctrace")) trace;
     write_all tf fingerprint;
-    Sys.rename tc (Filename.concat dir (key ^ ".ctrace"));
     Sys.rename tf (Filename.concat dir (key ^ ".fp"))
   with Sys_error _ | Unix.Unix_error _ | Trace_binary.Format_error _ -> ()
 

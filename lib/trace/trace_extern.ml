@@ -24,20 +24,29 @@
 
 let default_page_shift = 12
 
-(* Growable int buffer: avoids a boxed list of millions of cons cells
-   while parsing long traces. *)
-type buf = { mutable data : int array; mutable len : int }
+module A1 = Bigarray.Array1
 
-let buf_create () = { data = Array.make 1024 0; len = 0 }
+(* Growable buffer of the trace's u32 dense ids: avoids a boxed list of
+   millions of cons cells while parsing long traces, and {!contents}
+   hands the trace 4 bytes per request. *)
+type buf = { mutable data : Trace.ids; mutable len : int }
+
+let buf_create () = { data = Trace.create_ids 1024; len = 0 }
 
 let buf_push b v =
-  if b.len = Array.length b.data then begin
-    let bigger = Array.make (2 * b.len) 0 in
-    Array.blit b.data 0 bigger 0 b.len;
+  if b.len = A1.dim b.data then begin
+    let bigger = Trace.create_ids (2 * b.len) in
+    A1.blit b.data (A1.sub bigger 0 b.len);
     b.data <- bigger
   end;
-  b.data.(b.len) <- v;
+  A1.unsafe_set b.data b.len (Int32.of_int v);
   b.len <- b.len + 1
+
+(* A copy of exactly the ids pushed, so the spare capacity is freed. *)
+let contents b =
+  let out = Trace.create_ids b.len in
+  A1.blit (A1.sub b.data 0 b.len) out;
+  out
 
 let parse_error line msg = raise (Trace_io.Parse_error { line; msg })
 
@@ -65,7 +74,7 @@ let parse ~page_shift s addr_of =
   Trace.of_dense ~n_users:1
     ~pages:
       (Array.init (Ccache_util.Interner.length ranks) (fun d -> Page.make ~user:0 ~id:d))
-    ~dense:(Array.sub dense.data 0 dense.len)
+    ~dense:(contents dense)
 
 (* {2 rw format} *)
 

@@ -25,11 +25,12 @@ let compute trace =
   let pages = Trace.pages trace in
   let requests = Array.make n_users 0 and distinct = Array.make n_users 0 in
   Array.iter (fun p -> distinct.(Page.user p) <- distinct.(Page.user p) + 1) pages;
-  Array.iter
-    (fun d ->
-      let u = Page.user pages.(d) in
-      requests.(u) <- requests.(u) + 1)
-    (Trace.dense trace);
+  let ids : Trace.ids = Trace.dense trace in
+  for pos = 0 to Bigarray.Array1.dim ids - 1 do
+    let d = Int32.to_int (Bigarray.Array1.unsafe_get ids pos) land 0xFFFF_FFFF in
+    let u = Page.user pages.(d) in
+    requests.(u) <- requests.(u) + 1
+  done;
   {
     length = Trace.length trace;
     n_users;

@@ -89,18 +89,23 @@ let slot = 21
    rendered afresh (DESIGN.md, "Faults and resume"). *)
 let reuse = 4
 
-let hash_decimals ~n value ids =
+(* [ids] is annotated with its concrete kind and layout, so each read
+   below is a 32-bit load; left polymorphic, it would call the C
+   accessor, which boxes every element. *)
+let hash_decimals ~n value
+    (ids : (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t) =
   if n < 0 then invalid_arg "Prng.hash_decimals: n must be non-negative";
   (* with slots = n, id d renders into slot d, right-aligned to byte
      [slot * (d + 1)] of [digits], whose first byte keeps the length;
      with slots = 0 every element renders into slot 0, whose length
      stays 0 *)
-  let slots = if Array.length ids / reuse >= n then n else 0 in
+  let len = Bigarray.Array1.dim ids in
+  let slots = if len / reuse >= n then n else 0 in
   let digits = Bytes.make (slot * max 1 slots) '\000' in
   let h = ref fnv_offset in
-  for i = 0 to Array.length ids - 1 do
-    let d = Array.unsafe_get ids i in
-    if d < 0 || d >= n then invalid_arg "Prng.hash_decimals: id out of range";
+  for i = 0 to len - 1 do
+    let d = Int32.to_int (Bigarray.Array1.unsafe_get ids i) land 0xFFFF_FFFF in
+    if d >= n then invalid_arg "Prng.hash_decimals: id out of range";
     let stop = slot * ((if d < slots then d else 0) + 1) in
     let s =
       match Char.code (Bytes.unsafe_get digits (stop - slot)) with

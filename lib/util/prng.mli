@@ -19,10 +19,16 @@ val hash_string : string -> int64
 (** Deterministic, platform-independent 64-bit FNV-1a hash (unlike
     [Hashtbl.hash], stable across OCaml versions). *)
 
-val hash_decimals : n:int -> (int -> int) -> int array -> int64
+val hash_decimals :
+  n:int ->
+  (int -> int) ->
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  int64
 (** [hash_decimals ~n value ids] is [hash_string] of the concatenation
-    of [string_of_int (value ids.(i)) ^ ","] for every [i], in order,
-    computed in one pass over [ids] without building that string.
+    of [string_of_int (value d) ^ ","] for the id [d] at every position
+    of [ids], in order, computed in one pass over [ids] without building
+    that string.  The ids are unsigned 32-bit integers
+    ({!Ccache_trace.Trace.ids}, a trace's dense ids).
     When [ids] has at least 4 elements per id of [\[0, n)], every id
     owns a 21-byte slot: the first time [d] appears, [value d] is
     rendered there (two digits per division) and its length kept in

@@ -75,14 +75,14 @@ let error_message e =
   | Invalid_argument m -> "Invalid_argument: " ^ m
   | e -> Printexc.to_string e
 
-(* Only wall-clock events are worth a second attempt: injected
-   transients (gone by construction on attempt >= 1) and deadline
-   misses.  Anything else a deterministic task raised once it will
-   raise forever, so we quarantine immediately rather than burn the
-   retry budget re-proving it. *)
-let retryable = function
-  | Fault.Injected_transient _ | Timed_out _ -> true
-  | _ -> false
+(* Only an injected transient (gone by construction on attempt >= 1)
+   is worth a second attempt.  Anything else a deterministic task
+   raised once it will raise forever, so we quarantine immediately
+   rather than burn the retry budget re-proving it.  That includes a
+   deadline miss: the deadline is checked only when an attempt returns,
+   so every retry would run the whole task again, and on a host that is
+   not overloaded it would overrun again. *)
+let retryable = function Fault.Injected_transient _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* The runner                                                          *)

@@ -7,16 +7,18 @@
     A task is a named thunk [{id; run}].  The supervisor classifies
     every raised exception:
 
-    - {b retried}: {!Fault.Injected_transient} and {!Timed_out} — the
-      only failures that can legitimately differ between attempts
-      (injected transients vanish after attempt 0 by construction;
-      deadline misses depend on wall-clock load).  Retries are bounded
-      by [max_retries] with exponential backoff.
-    - {b quarantined immediately}: everything else.  Tasks are
-      deterministic functions of their inputs, so a real exception is
-      permanent by construction; re-running it
-      would only burn the retry budget.  The task's slot in the result
-      list becomes [Quarantined], every other task still completes.
+    - {b retried}: {!Fault.Injected_transient} — the one failure that
+      differs between attempts by construction (it vanishes after
+      attempt 0).  Retries are bounded by [max_retries] with
+      exponential backoff.
+    - {b quarantined immediately}: everything else, {!Timed_out}
+      included.  Tasks are deterministic functions of their inputs, so
+      a real exception is permanent by construction, and a deadline is
+      checked only when an attempt returns, so a retry would rerun the
+      whole task and, on a host that is not overloaded, overrun again;
+      re-running either would only burn the retry budget.  The task's
+      slot in the result list becomes [Quarantined], every other task
+      still completes.
 
     {2 Why determinism survives retries}
 
@@ -36,7 +38,7 @@
 
 exception Timed_out of { task : string; elapsed_s : float }
 (** Raised when an attempt returns after its deadline: the result is
-    discarded.  Retryable. *)
+    discarded and the task quarantined, without a retry. *)
 
 type policy = {
   max_retries : int;  (** extra attempts after the first (>= 0) *)
@@ -106,7 +108,8 @@ val run :
     [?on_event] observes retries, quarantines and replays; callbacks
     are serialised under a mutex but may fire from worker domains —
     don't print to stdout from them (stderr is fine).  A task that
-    raises is quarantined or retried, never re-raised.
+    raises is quarantined or (an injected transient) retried, never
+    re-raised.
     @raise Invalid_argument on duplicate task ids, a [?checkpoint]
     without [?codec], or a malformed policy.
     @raise Sys_error if writing [?checkpoint] fails: the run is

@@ -110,6 +110,7 @@ let expected_fixture_findings =
     ("bad_gwrite.ml", "contract-pure");
     ("bad_spawn.ml", "contract-deterministic");
     ("bad_alloc.ml", "contract-no_alloc");
+    ("bad_bigarray.ml", "contract-no_alloc");
     ("bad_submodule.ml", "contract-no_alloc");
     ("bad_pool.ml", "pool-task-global-write");
     ("bad_pool.ml", "pool-task-capture");

@@ -431,7 +431,7 @@ let decision_hashes policy =
               let n = Array.length fields in
               ( Printf.sprintf "%s k=%d flush=%b" name k flush,
                 Ccache_util.Prng.hash_decimals ~n (Array.get fields)
-                  (Array.init n Fun.id) ))
+                  (Helpers.ids_of_array (Array.init n Fun.id)) ))
             [ false; true ])
         [ 4; 64 ])
     decision_traces

@@ -627,7 +627,7 @@ let prop_hash_decimals =
           (fun d ->
             calls := d :: !calls;
             value d)
-          ids
+          (Helpers.ids_of_array ids)
       in
       let renders =
         if Array.length ids / 4 >= n then
@@ -642,28 +642,32 @@ let prop_hash_decimals =
       && !calls = renders)
 
 (* An id outside [0, n) is refused wherever it stands, and so is a
-   negative n.  [value] is total, so only the range checks can raise. *)
+   negative n.  [value] is total, so only the range checks can raise.
+   The ids are u32: past n, the bad ones are the largest value a signed
+   32-bit read keeps positive, the smallest it would read as negative,
+   and 2^32 - 1 (what -1 stores as). *)
 let test_hash_decimals_rejects_ids () =
   let n = 3 in
   let value d = (d * 1_000_003) - 5 in
+  let hash ~n ids = U.Prng.hash_decimals ~n value (Helpers.ids_of_array ids) in
   List.iter
     (fun bad ->
       List.iter
         (fun ids ->
-          match U.Prng.hash_decimals ~n value ids with
+          match hash ~n ids with
           | _ -> Alcotest.failf "id %d accepted" bad
           | exception Invalid_argument _ -> ())
         [ [| bad |]; [| 0; 1; bad |]; [| 2; bad; 2 |] ])
-    [ -1; n; max_int; min_int ];
+    [ n; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 32) - 1 ];
   List.iter
     (fun (name, n, ids) ->
       checkb name true
-        (match U.Prng.hash_decimals ~n value ids with
+        (match hash ~n ids with
         | _ -> false
         | exception Invalid_argument _ -> true))
     [ ("n = 0 refuses id 0", 0, [| 0 |]); ("negative n", -1, [||]) ];
   checkb "n = 0 over no ids is the empty hash" true
-    (U.Prng.hash_decimals ~n:0 value [||] = U.Prng.hash_string "")
+    (hash ~n:0 [||] = U.Prng.hash_string "")
 
 (* The fingerprint's trace field, over pages anywhere in the packed
    range, is the hash of the packed pages' decimal rendering.  Pages
@@ -727,12 +731,7 @@ let test_plan_allocation_budget () =
     Workloads.generate ~seed:3 ~length:100_000
       (Workloads.symmetric_zipf ~tenants:4 ~pages_per_tenant:4096 ~skew:0.9)
   in
-  let allocated f =
-    Gc.full_major ();
-    let b0 = Gc.allocated_bytes () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.allocated_bytes () -. b0
-  in
+  let allocated f = snd (Helpers.allocation f) in
   let config queue_cap =
     Service.config ~clients:2 ~client_rate:8 ~batch:4 ~queue_cap
       ~router:(Router.by_page ~shards:4) ~shard_k:2048 ()

@@ -547,9 +547,9 @@ let test_early_eviction_hook () =
    not normal drift. *)
 let test_engine_alloc_per_request () =
   let costs = Array.init 5 (fun _ -> Cf.monomial ~beta:2.0 ()) in
-  (* bytes allocated by one run, counted in minor words: exact for the
-     small blocks a request allocates, and unlike [Gc.allocated_bytes]
-     independent of what ran before *)
+  (* bytes allocated by one run, in a window that opens after a full
+     major collection, so that no earlier test's collection work is
+     counted *)
   let bytes_for policy n =
     let trace =
       Ccache_trace.Workloads.generate ~seed:42 ~length:n
@@ -557,9 +557,7 @@ let test_engine_alloc_per_request () =
     in
     ignore (Engine.run ~k:64 ~costs policy trace);
     (* warm *)
-    let w0 = Gc.minor_words () in
-    ignore (Engine.run ~k:64 ~costs policy trace);
-    (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+    snd (Helpers.allocation (fun () -> Engine.run ~k:64 ~costs policy trace))
   in
   List.iter
     (fun (policy, budget (* bytes/request, marginal *)) ->

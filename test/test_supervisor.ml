@@ -187,6 +187,25 @@ let test_timeout_closing_boundary () =
   | [ S.Completed _ ] -> Alcotest.fail "overrun result must not be returned"
   | _ -> assert false
 
+(* A deadline miss is quarantined at once, even with retries left: the
+   deadline is checked only when an attempt returns, so a retry would
+   run the whole task again and overrun again. *)
+let test_timeout_not_retried () =
+  let attempts = ref 0 in
+  let policy = { fast_policy with timeout_s = Some 0.01 } in
+  checki "default retry budget" 3 policy.S.max_retries;
+  (match
+     S.run ~policy
+       [
+         task "sleepy" (fun () ->
+             incr attempts;
+             Unix.sleepf 0.03);
+       ]
+   with
+  | [ S.Quarantined f ] -> checki "quarantined after one attempt" 1 f.S.attempts
+  | _ -> Alcotest.fail "an overrun must be quarantined");
+  checki "the task ran once" 1 !attempts
+
 let test_duplicate_ids_rejected () =
   match S.run [ task "a" (fun () -> 1); task "a" (fun () -> 2) ] with
   | _ -> Alcotest.fail "duplicate ids must be rejected"
@@ -437,6 +456,8 @@ let () =
           Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
           Alcotest.test_case "closing boundary timeout" `Quick
             test_timeout_closing_boundary;
+          Alcotest.test_case "deadline miss not retried" `Quick
+            test_timeout_not_retried;
           Alcotest.test_case "duplicate ids" `Quick test_duplicate_ids_rejected;
         ] );
       ( "checkpoint",

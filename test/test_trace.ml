@@ -222,7 +222,7 @@ let agrees (t : Trace.t) (r : Reference.t) =
   && Trace.n_users t = Reference.n_users r
   && Trace.requests t = Reference.requests r
   && List.for_all (fun pos -> Trace.request t pos = Reference.request r pos) (List.init n Fun.id)
-  && Trace.dense t = Reference.dense r
+  && Helpers.ints_of_ids (Trace.dense t) = Reference.dense r
   && Trace.n_pages t = Reference.n_pages r
   && Trace.distinct_pages t = Reference.distinct_pages r
   && List.for_all
@@ -280,7 +280,8 @@ let reference_property =
       | r ->
           (* [Trace.of_dense] takes its arrays over: hand it copies *)
           let of_dense pages dense () =
-            Trace.of_dense ~n_users ~pages:(Array.copy pages) ~dense:(Array.copy dense)
+            Trace.of_dense ~n_users ~pages:(Array.copy pages)
+              ~dense:(Helpers.ids_of_array dense)
           in
           let pages = Array.of_list (Reference.distinct_pages r) in
           let dense = Array.copy (Reference.dense r) in

@@ -40,7 +40,7 @@ let test_interning_basics () =
   let t = Trace.of_list ~n_users:2 [ p 0 0; p 1 0; p 0 0; p 0 1; p 1 0; p 0 0 ] in
   checki "3 distinct" 3 (Trace.n_pages t);
   checkb "dense = first-touch ranks" true
-    (Trace.dense t = [| 0; 1; 0; 2; 1; 0 |]);
+    (Helpers.ints_of_ids (Trace.dense t) = [| 0; 1; 0; 2; 1; 0 |]);
   checkb "pages in first-touch order" true
     (List.init 3 (Trace.page_of_dense t) = [ p 0 0; p 1 0; p 0 1 ]);
   let dense_of page = Ccache_util.Interner.find (Trace.interner t) (Page.pack page) in
@@ -54,7 +54,7 @@ let interning_property =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let t = random_trace seed in
-      let dense = Trace.dense t in
+      let dense = Helpers.ints_of_ids (Trace.dense t) in
       let n = Trace.length t in
       let seen = ref 0 in
       let ok = ref (Array.length dense = n) in
@@ -70,7 +70,7 @@ let interning_property =
 
 let test_of_dense_validation () =
   let reject ~pages ~dense =
-    match Trace.of_dense ~n_users:1 ~pages ~dense with
+    match Trace.of_dense ~n_users:1 ~pages ~dense:(Helpers.ids_of_array dense) with
     | exception Invalid_argument _ -> true
     | _ -> false
   in
@@ -82,7 +82,10 @@ let test_of_dense_validation () =
     (reject ~pages:[| p 0 0; p 0 1 |] ~dense:[| 0; 0 |]);
   checkb "duplicate dictionary page" true
     (reject ~pages:[| p 0 0; p 0 0 |] ~dense:[| 0; 1 |]);
-  let t = Trace.of_dense ~n_users:2 ~pages:[| p 0 3; p 1 7 |] ~dense:[| 0; 1; 0 |] in
+  let t =
+    Trace.of_dense ~n_users:2 ~pages:[| p 0 3; p 1 7 |]
+      ~dense:(Helpers.ids_of_array [| 0; 1; 0 |])
+  in
   checkb "well-formed accepted" true
     (Trace.requests t = [| p 0 3; p 1 7; p 0 3 |])
 
@@ -113,6 +116,46 @@ let test_binary_file_roundtrip () =
         ok := !ok && Page.equal (Trace_binary.page_at h i) (Trace.request t i)
       done;
       checkb "handle iteration agrees" true !ok)
+
+(* A trace read from a file keeps the file's mapping as its ids, so a
+   writer must not rewrite a file in place: [write_file] writes beside
+   the path and renames over it, and a handle opened (or a trace read)
+   before the overwrite keeps the old requests.  The two traces have
+   the same dictionary and length, so the files have the same size and
+   differ only in their ids. *)
+let test_write_file_publishes_by_rename () =
+  let a = Trace.of_list ~n_users:1 [ p 0 0; p 0 1; p 0 0; p 0 1 ] in
+  let b = Trace.of_list ~n_users:1 [ p 0 0; p 0 1; p 0 1; p 0 0 ] in
+  checki "same image size"
+    (String.length (Trace_binary.to_string a))
+    (String.length (Trace_binary.to_string b));
+  with_temp (fun path ->
+      Trace_binary.write_file path a;
+      let h = Trace_binary.open_file path in
+      let read_before = Trace_binary.read_file path in
+      Trace_binary.write_file path b;
+      checkb "the path holds the new trace" true
+        (same_trace b (Trace_binary.read_file path));
+      checkb "the old handle keeps the old requests" true
+        (same_trace a (Trace_binary.to_trace h));
+      checkb "a trace read before keeps its requests" true
+        (same_trace a read_before);
+      let base = Filename.basename path ^ "." in
+      checkb "no temporary file left beside it" false
+        (Array.exists
+           (fun f -> String.starts_with ~prefix:base f)
+           (Sys.readdir (Filename.dirname path)));
+      (* a symbolic link is written through, not replaced *)
+      let link = path ^ ".link" in
+      Unix.symlink path link;
+      Fun.protect
+        ~finally:(fun () -> Sys.remove link)
+        (fun () ->
+          Trace_binary.write_file link a;
+          checkb "the link is still a link" true
+            ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+          checkb "its target holds the trace" true
+            (same_trace a (Trace_binary.read_file path))))
 
 let binary_roundtrip_property =
   QCheck.Test.make ~name:"binary roundtrip on random traces" ~count:100
@@ -259,23 +302,38 @@ let test_crafted_files () =
            (Trace_binary.of_string
               (craft ~n_users:(1 lsl 24) ~length:1 ~pages:[ p 0 0 ] ~ids:[ 0 ]))))
 
-(* [to_trace] decodes the request region into the one O(T) array the
-   trace keeps: 8 bytes per request on a 64-bit host, plus the O(P)
-   dictionary and interner. *)
+(* [to_trace] adopts the mapped request region as the trace's ids, so
+   it allocates only the O(P) interner and the trace record: over the
+   same pages twice (the same dictionary) it allocates what it does over
+   them once, and at most 80 B per distinct page (the interner's table
+   holds at most 4 slots of 16 B per page, its key array 8 B).
+   Decoding the requests into an [int array] would add 8 B per
+   request. *)
 let test_to_trace_allocation () =
   let t =
     W.generate ~seed:3 ~length:100_000
       (W.symmetric_zipf ~tenants:4 ~pages_per_tenant:256 ~skew:0.9)
   in
-  with_temp (fun path ->
-      Trace_binary.write_file path t;
-      let h = Trace_binary.open_file path in
-      let a0 = Gc.allocated_bytes () in
-      let t' = Trace_binary.to_trace h in
-      let per_request = (Gc.allocated_bytes () -. a0) /. 100_000. in
-      checkb "same trace" true (same_trace t t');
-      if per_request > 12. then
-        Alcotest.failf "to_trace allocates %.1f B/request (bound 12)" per_request)
+  let twice = Trace.append t t in
+  checki "same dictionary" (Trace.n_pages t) (Trace.n_pages twice);
+  let to_trace t =
+    with_temp (fun path ->
+        Trace_binary.write_file path t;
+        let h = Trace_binary.open_file path in
+        let t', bytes = Helpers.allocation (fun () -> Trace_binary.to_trace h) in
+        checkb "same trace" true (same_trace t t');
+        bytes)
+  in
+  let once = to_trace t in
+  let added = Float.abs (to_trace twice -. once) /. float_of_int (Trace.length t) in
+  checkb
+    (Printf.sprintf "to_trace: %.3f B per added request < 0.1" added)
+    true (added < 0.1);
+  let budget = (80. *. float_of_int (Trace.n_pages t)) +. 1024. in
+  checkb
+    (Printf.sprintf "to_trace: %.0f B <= 80 B x %d pages + 1 KB" once
+       (Trace.n_pages t))
+    true (once <= budget)
 
 (* ------------------------------------------------------------------ *)
 (* External formats                                                    *)
@@ -554,6 +612,49 @@ let test_cli_flags_exit_2 () =
   List.iter
     (fun cmd -> check_exit cli (cmd ^ " --length 200 -k 0"))
     [ "run"; "certify"; "serve" ];
+  (* counts past the id space (2^24 tenants of a 24-bit user, 2^38
+     page ids of a 38-bit field) are refused before anything is
+     generated, with a message that names the flag and its limit; each
+     child runs under its own 2 GB address-space cap and a time bound,
+     so a regression that starts allocating fails here instead of
+     exhausting the host *)
+  let check_refused args ~flag ~limit =
+    let err = Filename.temp_file "ccache_flag" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "ulimit -v 2000000; timeout 20 %s %s > /dev/null 2> %s"
+           (Filename.quote cli) args (Filename.quote err))
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    checki args 2 code;
+    let names sub =
+      let n = String.length msg and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+      go 0
+    in
+    checkb (args ^ ": names " ^ flag) true (names flag);
+    checkb (args ^ ": names " ^ limit) true (names limit)
+  in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun v ->
+          check_refused
+            (Printf.sprintf "%s --length 200 --tenants %s" cmd v)
+            ~flag:"--tenants" ~limit:"16777216")
+        [ "16777217"; "4611686018427387903" ])
+    [ "run"; "gen"; "certify"; "sweep --k-min 1 --k-max 6"; "serve" ];
+  check_refused "run --length 200 --tenants=-1" ~flag:"--tenants" ~limit:"16777216";
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun v ->
+          check_refused
+            (Printf.sprintf "%s --length 200 --pages %s" cmd v)
+            ~flag:"--pages" ~limit:"274877906944")
+        [ "274877906945"; "4611686018427387903" ])
+    [ "run"; "gen" ];
   (* a -k the shards cannot split evenly: a smaller one (4 shards of
      one page would serve 4) or one with a remainder *)
   List.iter
@@ -736,6 +837,8 @@ let () =
         [
           Alcotest.test_case "string roundtrip" `Quick test_binary_string_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_binary_file_roundtrip;
+          Alcotest.test_case "write_file publishes by rename" `Quick
+            test_write_file_publishes_by_rename;
           Alcotest.test_case "rejects garbage" `Quick test_binary_rejects_garbage;
           Alcotest.test_case "rejects garbage files" `Quick
             test_binary_rejects_garbage_files;

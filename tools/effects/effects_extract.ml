@@ -4,8 +4,10 @@
     Allocation seeds are syntactic constructions of boxed values
     (tuples, records, non-constant constructors, array literals,
     variants with payloads, closures, lazy/object/first-class-module
-    values); allocating stdlib entry points arrive through the extern
-    oracle instead.  Float (un)boxing at function boundaries is below
+    values), and Bigarray element accesses whose kind or layout is not
+    concrete in the call's type (see {!boxing_bigarray_access});
+    allocating stdlib entry points arrive through the extern oracle
+    instead.  Float (un)boxing at function boundaries is below
     the typedtree's resolution and is out of scope — the Gc byte-budget
     tests remain the ground truth there (DESIGN.md §12).
 
@@ -89,6 +91,44 @@ let rec obs_gate canonical_of e =
 
 let obs_mask =
   Effect_set.of_list [ Effect_set.Alloc; Effect_set.Io ]
+
+let bigarray_accesses =
+  [ "Bigarray.Array1.get"; "Bigarray.Array1.set"; "Bigarray.Array1.unsafe_get";
+    "Bigarray.Array1.unsafe_set" ]
+
+(* The element kinds and layouts the native compiler specialises an
+   access for (its [Typeopt.bigarray_decode_type] tables). *)
+let bigarray_concrete =
+  [ "float32_elt"; "float64_elt"; "int8_signed_elt"; "int8_unsigned_elt";
+    "int16_signed_elt"; "int16_unsigned_elt"; "int32_elt"; "int64_elt";
+    "int_elt"; "nativeint_elt"; "complex32_elt"; "complex64_elt";
+    "c_layout"; "fortran_layout" ]
+
+(** Does a call of [callee], whose head has the instantiated type [ty],
+    allocate for its element?  An [Array1] read or write compiles to a
+    load or store only when its array argument's kind and layout are
+    known where it is called: [('a, 'b, 'c) Array1.t -> ...] with ['b]
+    and ['c] bound to concrete Bigarray types.  Otherwise it calls the
+    C accessor, which boxes an [int32], [int64], [nativeint], float or
+    complex element.  A type abbreviation such as a module's alias for
+    the array type is already expanded in the instance, because the
+    typer expanded it to unify with the primitive's signature; an
+    abstract type stands for no kind and counts as polymorphic. *)
+let boxing_bigarray_access callee (ty : Types.type_expr) =
+  let concrete t =
+    match Types.get_desc t with
+    | Types.Tconstr (p, [], _) -> List.mem (Path.last p) bigarray_concrete
+    | _ -> false
+  in
+  List.mem (Effects_seed.strip_stdlib callee) bigarray_accesses
+  &&
+  match Types.get_desc ty with
+  | Types.Tarrow (_, arr, _, _) -> (
+      match Types.get_desc arr with
+      | Types.Tconstr (_, [ _; kind; layout ], _) ->
+          not (concrete kind && concrete layout)
+      | _ -> true)
+  | _ -> true
 
 (** [extract] analyses the bodies of [def] from module [mi].
 
@@ -273,6 +313,10 @@ let extract ~(mi : Effects_defs.modinfo) ~(def : Effects_defs.def)
                 | _ -> Some (canonical_of path)
               in
               (match callee with Some c -> call c | None -> ());
+              (match callee with
+              | Some c when boxing_bigarray_access c head.exp_type ->
+                  seed Effect_set.Alloc
+              | _ -> ());
               (* global-write through a known mutator *)
               (match callee with
               | Some c -> (

@@ -123,6 +123,15 @@ let no_alloc_members =
     ("Char.", [ "code"; "chr"; "compare"; "equal"; "lowercase_ascii";
                 "uppercase_ascii" ]);
     ("Fun.", [ "id"; "flip"; "negate"; "protect" ]);
+    (* the unboxing conversion: an [int32] operand read straight off a
+       Bigarray (or computed in place) is never boxed for it *)
+    ("Int32.", [ "to_int" ]);
+    (* element access allocates only when the kind or layout is not
+       known at the call site, which {!Effects_extract} reads off the
+       call's type *)
+    ("Bigarray.Array1.",
+     [ "get"; "set"; "unsafe_get"; "unsafe_set"; "dim"; "kind"; "layout";
+       "size_in_bytes"; "blit"; "fill" ]);
   ]
 
 (* module prefixes whose *other* members default to [Alloc] *)
@@ -130,7 +139,7 @@ let allocating_prefixes =
   [ "List."; "Array."; "Float.Array."; "String."; "Bytes."; "Option.";
     "Result."; "Either."; "Seq."; "Map."; "Set."; "Buffer."; "Queue.";
     "Stack."; "Lazy."; "Int64."; "Int32."; "Nativeint."; "Marshal.";
-    "Digest."; "Filename."; "Scanf."; "Str."; "Hashtbl."; "Fun.";
+    "Digest."; "Filename."; "Scanf."; "Str."; "Hashtbl."; "Fun."; "Bigarray.";
     "Domain.DLS."; "Gc."; "Obj."; "Printexc."; "Lexing."; "Parsing." ]
 
 (* channel / console I/O *)
