@@ -156,7 +156,7 @@ let dual_solver_test =
 
 let structure_tests =
   let heap_ops () =
-    let h = Ccache_util.Indexed_heap.create () in
+    let h = Ccache_util.Indexed_heap.create ~n:1000 () in
     for i = 0 to 999 do
       Ccache_util.Indexed_heap.add h ~key:i ~prio:(float_of_int ((i * 7919) mod 1000))
     done;

@@ -9,10 +9,13 @@
 
     where [Y] accumulates all uniform subtractions and [U(i)] all of
     user [i]'s bumps; [raw(p)] is written once per access.  Budgets
-    then live in per-user min-heaps over [raw] (page ids are unique
-    within a user, giving the same deterministic tie-break as
-    {!Budget_state.min_budget}), with a top-level heap over users keyed
-    by [min raw(i) + U(i)] (the common [-Y] cannot change the order).
+    then live in per-user min-heaps over [raw], with a top-level heap
+    over users keyed by [min raw(i) + U(i)] (the common [-Y] cannot
+    change the order).  A user's heap numbers that user's pages 0, 1,
+    ... in the trace's first-touch order and breaks ties on the page
+    id (unique within a user), which is {!Budget_state.min_budget}'s
+    deterministic tie-break; all the per-user heaps together index P
+    pages, not P per user.
     The bump [U(i)] takes is the step between the owner's next two
     discrete marginals, which {!Ccache_cost.Cost_function.Marginals}
     keeps per user, so an eviction costs one cost evaluation.
@@ -25,6 +28,7 @@
 module Policy = Ccache_sim.Policy
 module Cf = Ccache_cost.Cost_function
 module Heap = Ccache_util.Indexed_heap
+module Interner = Ccache_util.Interner
 open Ccache_trace
 
 let name = "alg-discrete-fast"
@@ -33,13 +37,35 @@ let policy =
   Policy.make ~name (fun config ->
       let n_users = config.Policy.Config.n_users in
       let n_slots = n_users + 1 (* + flush dummy *) in
-      let per_user = Array.init n_slots (fun _ -> Heap.create ()) in
-      let top = Heap.create ~capacity:n_slots () in
+      (* an int comparison: [Stdlib.min] is polymorphic, a C call *)
+      let slot u = if u < n_users then u else n_users in
+      (* One pass over the key space: [local.(r)] numbers the page of
+         rank r within its user-slot, in first-touch order, and
+         [ids.(s).(i)] (grown by doubling) is the page id of slot s's
+         page i, its heap's tie value. *)
+      let ranks = config.Policy.Config.ranks in
+      let n_pages = Interner.length ranks in
+      let local = Array.make n_pages 0 in
+      let counts = Array.make n_slots 0 and ids = Array.make n_slots [||] in
+      for r = 0 to n_pages - 1 do
+        let page = Page.unpack (Interner.key ranks r) in
+        let s = slot (Page.user page) in
+        let i = counts.(s) in
+        if i = Array.length ids.(s) then begin
+          let bigger = Array.make (Stdlib.max 8 (2 * i)) 0 in
+          Array.blit ids.(s) 0 bigger 0 i;
+          ids.(s) <- bigger
+        end;
+        ids.(s).(i) <- Page.id page;
+        local.(r) <- i;
+        counts.(s) <- i + 1
+      done;
+      let per_user = Array.mapi (fun s ties -> Heap.create ~ties ~n:counts.(s) ()) ids in
+      let top = Heap.create ~n:n_slots () in
       (* [y_off] lives in a one-cell floatarray: a [float ref] would box
          a fresh float on every eviction. *)
       let y_off = Float.Array.make 1 0.0 in
       let u_off = Array.make n_slots 0.0 in
-      let slot u = Stdlib.min u n_users in
       (* f'_i(m_i + 1) for every slot at its eviction count m_i: touch
          reads it on every request, and an eviction moves it with one
          cost evaluation. *)
@@ -60,7 +86,7 @@ let policy =
         let s = slot u in
         let target = Float.Array.get rate1 s in
         let raw = target +. Float.Array.get y_off 0 -. u_off.(s) in
-        let heap = per_user.(s) and key = Page.id page in
+        let heap = per_user.(s) and key = local.(Interner.find ranks (Page.pack page)) in
         (* The top entry is [min raw + U(s)] and only [evict] moves
            [U(s)], so it changes only if [key] was or becomes the
            minimum (an empty heap makes it the minimum). *)
@@ -74,9 +100,10 @@ let policy =
       let evict ~pos victim =
         let u = Page.user victim in
         let s = slot u in
-        let raw = Heap.priority per_user.(s) (Page.id victim) in
+        let key = local.(Interner.find ranks (Page.pack victim)) in
+        let raw = Heap.priority per_user.(s) key in
         let delta = raw -. Float.Array.get y_off 0 +. u_off.(s) in
-        Heap.remove per_user.(s) (Page.id victim);
+        Heap.remove per_user.(s) key;
         let old_rate = Float.Array.get rate1 s in
         Cf.Marginals.advance marginals s;
         let bump = Float.Array.get rate1 s -. old_rate in
@@ -115,10 +142,9 @@ let policy =
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
             let s = Heap.min_key_exn top in
-            let pid = Heap.min_key_exn per_user.(s) in
             (* user-slot s only holds pages of user s (the dummy slot
                holds dummy pages whose user id is exactly n_users) *)
-            Page.make ~user:s ~id:pid);
+            Page.make ~user:s ~id:ids.(s).(Heap.min_key_exn per_user.(s)));
         on_insert = (fun ~pos:_ page -> touch page);
         on_evict = evict;
       })

@@ -23,7 +23,7 @@ let policy =
         | None -> assert false (* guarded by needs_future *)
       in
       let ranks = config.Policy.Config.ranks in
-      let heap = Heap.create () in
+      let heap = Heap.create ~n:(Interner.length ranks) () in
       let touch ~pos page =
         let key = Interner.find ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in

@@ -15,7 +15,7 @@ module Policy = Ccache_sim.Policy
 open Ccache_trace
 module Heap = Ccache_util.Indexed_heap
 module Interner = Ccache_util.Interner
-module Int_tbl = Ccache_util.Int_tbl
+module Rank_set = Ccache_util.Rank_set
 module Cf = Ccache_cost.Cost_function
 
 let policy =
@@ -26,7 +26,8 @@ let policy =
         | None -> assert false
       in
       let ranks = config.Policy.Config.ranks in
-      let heap = Heap.create () in
+      let n_ranks = Interner.length ranks in
+      let heap = Heap.create ~n:n_ranks () in
       let n_users = config.Policy.Config.n_users in
       let slot u = Stdlib.min u n_users in
       (* each owner's marginal at its eviction count *)
@@ -34,9 +35,10 @@ let policy =
         Cf.Marginals.create (Array.init (n_users + 1) (Policy.Config.cost config))
       in
       let rates = Cf.Marginals.rates marginals in
-      (* next-use position per cached page's rank, kept to recompute
-         scores when a user's marginal cost changes *)
-      let next_use_of = Int_tbl.create () in
+      (* the cached ranks, and each one's next-use position, kept to
+         recompute scores when a user's marginal cost changes *)
+      let cached = Rank_set.create ~ranks:n_ranks in
+      let next_use = Array.make n_ranks Int.max_int in
       let marginal user = Float.Array.get rates (slot user) in
       let score ~pos ~next page =
         if next = Int.max_int then
@@ -50,7 +52,8 @@ let policy =
       let touch ~pos page =
         let key = Interner.find ranks (Page.pack page) in
         let next = Trace.Index.next_use index pos in
-        Int_tbl.set next_use_of key next;
+        next_use.(key) <- next;
+        if not (Rank_set.mem cached key) then Rank_set.add cached key;
         Heap.set heap ~key ~prio:(score ~pos ~next page)
       in
       (* After a user's eviction count changes, marginals of its other
@@ -59,12 +62,12 @@ let policy =
          on the key, so its minimum does not depend on the order of
          these updates. *)
       let refresh_user ~pos user =
-        Int_tbl.fold
-          (fun key next () ->
-            let page = Page.unpack (Interner.key ranks key) in
-            if Page.user page = user && Heap.mem heap key then
-              Heap.update heap ~key ~prio:(score ~pos ~next page))
-          next_use_of ()
+        for i = 0 to Rank_set.length cached - 1 do
+          let key = Rank_set.nth cached i in
+          let page = Page.unpack (Interner.key ranks key) in
+          if Page.user page = user then
+            Heap.update heap ~key ~prio:(score ~pos ~next:next_use.(key) page)
+        done
       in
       {
         Policy.on_hit = (fun ~pos page -> touch ~pos page);
@@ -79,6 +82,6 @@ let policy =
             Cf.Marginals.advance marginals (slot u);
             let key = Interner.find ranks (Page.pack page) in
             Heap.remove heap key;
-            ignore (Int_tbl.remove next_use_of key);
+            Rank_set.remove cached key;
             refresh_user ~pos u);
       })

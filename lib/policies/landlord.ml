@@ -39,7 +39,7 @@ let make ~mode =
     ~name:(Printf.sprintf "landlord-%s" (mode_name mode))
     (fun config ->
       let ranks = config.Policy.Config.ranks in
-      let heap = Heap.create () in
+      let heap = Heap.create ~n:(Interner.length ranks) () in
       let level = ref 0.0 in
       let n_users = config.Policy.Config.n_users in
       let slot u = Stdlib.min u n_users in

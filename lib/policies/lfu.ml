@@ -15,7 +15,7 @@ module Interner = Ccache_util.Interner
 let policy =
   Policy.make ~name:"lfu" (fun config ->
       let ranks = config.Policy.Config.ranks in
-      let heap = Heap.create () in
+      let heap = Heap.create ~n:(Interner.length ranks) () in
       let rank page = Interner.find ranks (Page.pack page) in
       {
         Policy.on_hit =

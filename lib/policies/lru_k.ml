@@ -28,7 +28,7 @@ let make ~k_refs =
     ~name:(Printf.sprintf "lru-%d" k_refs)
     (fun config ->
       let ranks = config.Policy.Config.ranks in
-      let heap = Heap.create () in
+      let heap = Heap.create ~n:(Interner.length ranks) () in
       (* the last <= k_refs reference positions of rank r, oldest
          first, in hist.(r * k_refs) .. hist.(r * k_refs + count.(r) - 1) *)
       let hist = Array.make (Interner.length ranks * k_refs) (-1) in

@@ -13,64 +13,44 @@
 module Policy = Ccache_sim.Policy
 open Ccache_trace
 module Prng = Ccache_util.Prng
-module Int_tbl = Ccache_util.Int_tbl
+module Interner = Ccache_util.Interner
+module Rank_set = Ccache_util.Rank_set
 
 let policy =
-  Policy.make ~name:"randomized-marking" (fun _ ->
+  Policy.make ~name:"randomized-marking" (fun config ->
+      let ranks = config.Policy.Config.ranks in
       let rng = Prng.create ~seed:42 in
-      (* unmarked pages in a dense array for O(1) uniform choice, and
-         each one's index in it, keyed by packed page *)
-      let unmarked_slots = Int_tbl.create () in
-      let unmarked = ref (Array.make 16 (Page.make ~user:0 ~id:0)) in
-      let unmarked_count = ref 0 in
-      (* packed pages of the marked set *)
-      let marked = Int_tbl.create () in
-      let push_unmarked page =
-        if not (Int_tbl.mem unmarked_slots (Page.pack page)) then begin
-          if !unmarked_count = Array.length !unmarked then begin
-            let bigger = Array.make (2 * !unmarked_count) page in
-            Array.blit !unmarked 0 bigger 0 !unmarked_count;
-            unmarked := bigger
-          end;
-          !unmarked.(!unmarked_count) <- page;
-          Int_tbl.set unmarked_slots (Page.pack page) !unmarked_count;
-          incr unmarked_count
-        end
+      (* the cached pages' ranks, split into the unmarked ones (the
+         victim is drawn from this set's order) and the marked ones *)
+      let unmarked = Rank_set.create ~ranks:(Interner.length ranks) in
+      let marked = Rank_set.create ~ranks:(Interner.length ranks) in
+      let rank page = Interner.find ranks (Page.pack page) in
+      let page r = Page.unpack (Interner.key ranks r) in
+      let mark p =
+        let r = rank p in
+        if Rank_set.mem unmarked r then Rank_set.remove unmarked r;
+        if not (Rank_set.mem marked r) then Rank_set.add marked r
       in
-      let remove_unmarked page =
-        let i = Int_tbl.find_default unmarked_slots (Page.pack page) ~default:(-1) in
-        if i >= 0 then begin
-          let last = !unmarked_count - 1 in
-          if i <> last then begin
-            let moved = !unmarked.(last) in
-            !unmarked.(i) <- moved;
-            Int_tbl.set unmarked_slots (Page.pack moved) i
-          end;
-          ignore (Int_tbl.remove unmarked_slots (Page.pack page));
-          unmarked_count := last
-        end
-      in
-      let mark page =
-        remove_unmarked page;
-        Int_tbl.set marked (Page.pack page) 0
-      in
+      (* a new phase unmarks every page, in page order *)
       let new_phase () =
-        let pages = Int_tbl.fold (fun key _ acc -> Page.unpack key :: acc) marked [] in
-        Int_tbl.clear marked;
-        List.iter push_unmarked (List.sort Page.compare pages)
+        let phase = Array.init (Rank_set.length marked) (Rank_set.nth marked) in
+        Array.iter (Rank_set.remove marked) phase;
+        Array.sort (fun a b -> Page.compare (page a) (page b)) phase;
+        Array.iter (Rank_set.add unmarked) phase
       in
       {
-        Policy.on_hit = (fun ~pos:_ page -> mark page);
+        Policy.on_hit = (fun ~pos:_ p -> mark p);
         wants_evict = Policy.never_evict_early;
         choose_victim =
           (fun ~pos:_ ~incoming:_ ->
-            if !unmarked_count = 0 then new_phase ();
-            if !unmarked_count = 0 then
-              invalid_arg "randomized-marking: choose_victim on empty cache";
-            !unmarked.(Prng.int rng !unmarked_count));
-        on_insert = (fun ~pos:_ page -> mark page);
+            if Rank_set.length unmarked = 0 then new_phase ();
+            let n = Rank_set.length unmarked in
+            if n = 0 then invalid_arg "randomized-marking: choose_victim on empty cache";
+            page (Rank_set.nth unmarked (Prng.int rng n)));
+        on_insert = (fun ~pos:_ p -> mark p);
         on_evict =
-          (fun ~pos:_ page ->
-            remove_unmarked page;
-            ignore (Int_tbl.remove marked (Page.pack page)));
+          (fun ~pos:_ p ->
+            let r = rank p in
+            if Rank_set.mem unmarked r then Rank_set.remove unmarked r
+            else Rank_set.remove marked r);
       })

@@ -1,20 +1,29 @@
-(** Binary min-heap over integer keys with float priorities and
-    O(log n) arbitrary update/removal via a key->slot index.
+(** Binary min-heap over the integer keys [\[0, n)] with float
+    priorities and O(log n) arbitrary update/removal.
 
     Used by the fast ALG-DISCRETE implementation (per-user budget heaps
     and the cross-user minimum structure) and by priority-based
-    eviction policies (Landlord, Belady).  Ties break toward the
-    smaller key, making every operation fully deterministic.
+    eviction policies (Landlord, LFU, LRU-K, Belady, convex-Belady),
+    each over its run's dense key space.  Ties break toward the smaller
+    tie value, which is the key itself unless [create] is given
+    [~ties], making every operation fully deterministic.
 
-    Layout: structure-of-arrays (flat [int array] keys + [floatarray]
-    priorities + an open-addressing {!Int_tbl} key->slot index), so the
-    mutating operations allocate nothing once the arrays are at
-    capacity.  The key [min_int] is reserved by the index and rejected
-    with [Invalid_argument]. *)
+    Layout: structure-of-arrays (flat [int array] keys and tie values,
+    a [floatarray] of priorities, and an [n]-entry key -> slot array),
+    so the mutating operations allocate nothing once the slot arrays
+    are at capacity; they grow by doubling, up to [n].  A key outside
+    [\[0, n)] is rejected with [Invalid_argument] by every operation
+    that takes one. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : ?ties:int array -> n:int -> unit -> t
+(** [create ~n ()] is an empty heap over the keys [\[0, n)].  With
+    [~ties], key [k]'s priority ties break on [ties.(k)] instead of
+    [k].
+    @raise Invalid_argument if [n < 0] or [ties] has fewer than [n]
+    entries. *)
+
 val length : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool

@@ -219,6 +219,26 @@ let fast_equals_reference_flush =
       let b = Engine.run ~flush:true ~k ~costs Fast.policy t in
       a.Engine.evictions_per_user = b.Engine.evictions_per_user)
 
+(* The per-user heaps number each user's own pages, so all of them
+   together index P pages, and a run's memory grows with P plus the
+   tenant count.  512 tenants x 8 pages, each page requested twice: a
+   P-entry index per user heap would allocate 513 x 4,096 x 8 B (16.8
+   MB) here. *)
+let test_fast_memory_pages_plus_tenants () =
+  let tenants = 512 and pages = 8 in
+  let round = List.init (tenants * pages) (fun i -> p (i mod tenants) (i / tenants)) in
+  let t = Trace.of_list ~n_users:tenants (round @ round) in
+  let costs = int_costs tenants in
+  let run () = Engine.run ~k:64 ~costs Fast.policy t in
+  ignore (run ());
+  let _, bytes = Helpers.allocation run in
+  (* measured 248,028 B (252,914 B before the heaps went dense) *)
+  let per_page = 64 and per_tenant = 256 in
+  let bound = float_of_int ((per_page * tenants * pages) + (per_tenant * tenants)) in
+  if bytes > bound then
+    Alcotest.failf "alg-discrete-fast allocated %.0f B (bound %.0f: %d B per page + %d B per tenant)"
+      bytes bound per_page per_tenant
+
 (* ALG-CONT makes the same decisions as the engine-driven policy *)
 let cont_equals_discrete =
   QCheck.Test.make ~name:"alg-cont mirrors alg-discrete" ~count:40
@@ -757,6 +777,8 @@ let () =
       ( "equivalence",
         Alcotest.test_case "fast = reference at 300k requests" `Quick
           test_fast_equals_reference_long
+        :: Alcotest.test_case "fast memory grows with pages plus tenants" `Quick
+             test_fast_memory_pages_plus_tenants
         :: qsuite
              [
                fast_equals_reference; fast_equals_reference_flush;

@@ -541,10 +541,14 @@ let test_early_eviction_hook () =
    [priority] and [min_prio_exn], and [eval]'s result), because dune's
    dev profile compiles with [-opaque] and inlines nothing across
    modules.  Their bounds are ~2.3x the measured 48 (alg-discrete-fast),
-   23 (landlord-static) and 34 (landlord-adaptive) B/request.  The list
-   policies keep their state in flat rank-indexed arrays and measure
-   0-3, so their 32 B bound catches a per-request record or closure,
-   not normal drift. *)
+   23 (landlord-static) and 34 (landlord-adaptive) B/request.  The other
+   heap- and set-backed policies are bounded at ~2x what they measured
+   while their tables were still hashed: 2.4 (LFU), 2.0 (LRU-2), 2.5
+   (random), 117.6 (randomized marking), 26.0 (Belady) and 144.1
+   (convex-Belady, which boxes a [~prio] per refreshed page) B/request.
+   The list policies keep their state in flat rank-indexed arrays and
+   measure 0-3, so their 32 B bound catches a per-request record or
+   closure, not normal drift. *)
 let test_engine_alloc_per_request () =
   let costs = Array.init 5 (fun _ -> Cf.monomial ~beta:2.0 ()) in
   (* bytes allocated by one run, in a window that opens after a full
@@ -570,6 +574,12 @@ let test_engine_alloc_per_request () =
       (Ccache_core.Alg_fast.policy, 110.0);
       (Ccache_policies.Landlord.static, 52.0);
       (Ccache_policies.Landlord.adaptive, 80.0);
+      (Ccache_policies.Lfu.policy, 5.0);
+      (Ccache_policies.Lru_k.lru_2, 4.5);
+      (Ccache_policies.Random_policy.policy, 5.0);
+      (Ccache_policies.Randomized_marking.policy, 235.0);
+      (Ccache_policies.Belady.policy, 52.0);
+      (Ccache_policies.Convex_belady.policy, 288.0);
       (* the rank-list policies: only ARC's ghost hits allocate (a
          boxed float) *)
       (Ccache_policies.Lru.policy, 32.0);

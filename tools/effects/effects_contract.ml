@@ -48,13 +48,15 @@ let required : (string * contract list) list =
     ("Ccache_util.Indexed_heap.mem", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.min_key_exn", [ No_alloc; Deterministic ]);
     ("Ccache_util.Indexed_heap.min_prio_exn", [ No_alloc; Deterministic ]);
-    ("Ccache_util.Int_tbl.set", [ No_alloc; Deterministic ]);
-    ("Ccache_util.Int_tbl.remove", [ No_alloc; Deterministic ]);
-    ("Ccache_util.Int_tbl.mem", [ No_alloc; Deterministic ]);
-    (* first-touch ranks: every policy but the two random ones interns
-       on every request *)
+    (* first-touch ranks: the engine and every policy find pages in
+       the trace's interner on every request *)
     ("Ccache_util.Interner.intern", [ No_alloc; Deterministic ]);
     ("Ccache_util.Interner.find", [ No_alloc; Deterministic ]);
+    (* the cached-rank sets of random, randomized marking and
+       convex-Belady *)
+    ("Ccache_util.Rank_set.add", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Rank_set.remove", [ No_alloc; Deterministic ]);
+    ("Ccache_util.Rank_set.mem", [ No_alloc; Deterministic ]);
     (* the recency and ghost lists of the list-backed policies *)
     ("Ccache_util.Rank_list.push_front", [ No_alloc; Deterministic ]);
     ("Ccache_util.Rank_list.push_back", [ No_alloc; Deterministic ]);
